@@ -11,10 +11,7 @@ dominates both single-family constants.
 import numpy as np
 
 from simulheat import (
-    BoundaryCondition,
-    assemble_laplacian,
     build_double,
-    eigendecompose,
     estimate_constant_lp,
     fit_exponential,
     make_coefficients,
@@ -27,9 +24,8 @@ from simulheat import (
 n = 128
 grid = make_uniform_grid(n, 1.0, 1.0)
 coeffs = make_coefficients(grid, 1.0, 1.0)
-basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
-basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
 dd = build_double(grid, coeffs)
+basis_d, basis_n = dd.basis_d, dd.basis_n
 
 window = region_from_intervals(grid, [(0.45, 0.55)])
 wide = region_from_intervals(grid, [(0.4, 0.6)])
@@ -46,7 +42,7 @@ for k in range(8):
     sweep.append(est)
     if k < 4:
         cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), window)
-        cs = simultaneous_constant(dd, basis_d, basis_n, lam, window, wall_estimates=(est, cn))
+        cs = simultaneous_constant(dd, lam, window, wall_estimates=(est, cn))
         joint = f"{cs.constant:.4e}  (>= both walls: {cs.constant >= max(est.constant, cn.constant)})"
     else:
         joint = ""

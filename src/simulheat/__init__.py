@@ -44,9 +44,7 @@ from .spectral import (
 from .doubling import (
     DoubleDomain,
     build_double,
-    extend_eigenfunction,
     extend_pair,
-    extended_eigenbasis,
     lift_region,
     split,
 )

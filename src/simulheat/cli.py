@@ -19,7 +19,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .control import InfeasibleControlError, SingularGramianError
-from .doubling import build_double, extend_pair, extended_eigenbasis, lift_region, split
+from .doubling import build_double, extend_pair, lift_region, split
 from .grid import (
     Coefficients,
     ControlRegion,
@@ -68,6 +68,36 @@ class ExperimentConfig:
     steps: int | None = None
 
 
+_NUMBER = (int, float)
+# JSON type of each scalar field; the optional ones may also be null
+_SCALAR_TYPES = {
+    "n": int, "length": _NUMBER, "region": str, "T": _NUMBER, "method": str,
+    "lambda0": _NUMBER, "seed": int, "output_dir": str, "cantor_measure": _NUMBER,
+    "cantor_depth": int, "bc": str, "steps": int,
+}
+_OPTIONAL = {"region", "lambda0", "cantor_measure", "cantor_depth", "steps"}
+
+
+def _has_type(value: Any, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _check_types(raw: dict) -> None:
+    """Raise ConfigError on a field of the wrong JSON type; coefficients are
+    checked where build_problem reads them."""
+    for key, value in raw.items():
+        if key in _SCALAR_TYPES:
+            ok = (value is None and key in _OPTIONAL) or _has_type(value, _SCALAR_TYPES[key])
+        elif key == "lambda_sweep":
+            ok = isinstance(value, list) and all(_has_type(x, _NUMBER) for x in value)
+        elif key == "tolerances":
+            ok = isinstance(value, dict) and all(_has_type(x, _NUMBER) for x in value.values())
+        else:
+            ok = True
+        if not ok:
+            raise ConfigError(f"config field {key} has the wrong type: {value!r}")
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -84,8 +114,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "n" not in raw:
         raise ConfigError("config must set n")
+    _check_types(raw)
     cfg = ExperimentConfig(**raw)
-    if not isinstance(cfg.n, int) or cfg.n < 2:
+    if cfg.n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {cfg.n!r}")
     if cfg.length <= 0 or cfg.T <= 0:
         raise ConfigError("length and T must be positive")
@@ -153,16 +184,16 @@ def _seeded_unit_pair(grid: Grid1D, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
     grid, coeffs = build_problem(cfg)
     dd = build_double(grid, coeffs)
-    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
-    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
-    basis_p = eigendecompose(dd.operator)
-    ext = extended_eigenbasis(dd, basis_d, basis_n)
+    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
+    # the dense periodic eigensolve is the independent oracle for the doubling
+    circle_op = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC)
+    basis_p = eigendecompose(circle_op)
 
     union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
     denom = np.maximum(np.maximum(np.abs(union), np.abs(basis_p.eigenvalues)), 1.0)
     spectrum_res = float(np.max(np.abs(union - basis_p.eigenvalues) / denom))
 
-    A = dd.operator.matrix
+    A = circle_op.matrix
     ext_res = 0.0
     for k in range(ext.vectors.shape[1]):
         e = ext.vectors[:, k]
@@ -214,9 +245,7 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str, threads: int) -> int:
         raise ConfigError("specineq needs a region")
     region = parse_region_spec(cfg.region, grid)
     dd = build_double(grid, coeffs)
-    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
-    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
-    ext = extended_eigenbasis(dd, basis_d, basis_n)
+    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
     lifted = lift_region(dd, region)
 
     per_family: dict[str, tuple[list[str], list]] = {
@@ -247,8 +276,7 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str, threads: int) -> int:
             record("neumann", est_n, estimate_constant_l2(basis_n, cut_n, region))
         if cut_x.count:
             est_s = simultaneous_constant(
-                dd, basis_d, basis_n, lam, region,
-                max_workers=threads, wall_estimates=(est_d, est_n),
+                dd, lam, region, max_workers=threads, wall_estimates=(est_d, est_n)
             )
             record("simultaneous", est_s, estimate_constant_l2(ext, cut_x, lifted))
 
@@ -282,7 +310,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     )
 
     sig = report.signal
-    cells = np.flatnonzero(lift_region(build_double(grid, coeffs), region).mask)
+    cells = np.flatnonzero(sig.region.mask)  # the circle signal lives on the lifted region
     header = "t," + ",".join(f"cell_{int(c)}" for c in cells)
     lines = [header]
     for m in range(sig.values.shape[0]):
@@ -314,13 +342,6 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
         "initial_v_l2": report.initial_v_l2,
         "tolerance": report.tolerance,
         "passed": report.passed,
-        "metadata": {
-            "n": cfg.n,
-            "T": cfg.T,
-            "region": cfg.region,
-            "method": cfg.method,
-            "seed": cfg.seed,
-        },
         "config": _resolved(cfg),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)

@@ -12,6 +12,7 @@ product of the step-integral outer product with the region mass matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,16 +46,15 @@ class InfeasibleControlError(RuntimeError):
 class ControlSignal:
     """Piecewise-constant control: values[m] holds on [timegrid[m], timegrid[m+1]).
 
-    region_weights are the quadrature weights of the region cells, so the
-    cached l2_cost = sqrt(sum_m dt_m sum_j w_j values[m,j]^2) can be recomputed
-    from the fields alone.
+    region_weights are the quadrature weights of the region cells; the cost
+    l2_cost = sqrt(sum_m dt_m sum_j w_j values[m,j]^2) is computed from the
+    fields on first use.
     """
 
     timegrid: np.ndarray
     values: np.ndarray
     region: ControlRegion
     region_weights: np.ndarray
-    l2_cost: float
     slice_ledger: tuple[dict, ...] | None = field(default=None, compare=False)
     predicted_final_norm: float | None = field(default=None, compare=False)
 
@@ -69,29 +69,10 @@ class ControlSignal:
                 f"values shaped {self.values.shape}, expected ({len(self.timegrid) - 1}, {nw})"
             )
 
-    def cost(self) -> float:
+    @functools.cached_property
+    def l2_cost(self) -> float:
         dt = np.diff(self.timegrid)
         return float(np.sqrt(np.sum(dt * np.sum(self.region_weights * self.values**2, axis=1))))
-
-
-def _make_signal(
-    timegrid: np.ndarray,
-    values: np.ndarray,
-    region: ControlRegion,
-    grid_weights: np.ndarray,
-    **extra,
-) -> ControlSignal:
-    rw = grid_weights[region.mask]
-    sig = ControlSignal(
-        timegrid=timegrid,
-        values=values,
-        region=region,
-        region_weights=rw,
-        l2_cost=0.0,
-        **extra,
-    )
-    object.__setattr__(sig, "l2_cost", sig.cost())
-    return sig
 
 
 def decay_factors(eigenvalues: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +178,7 @@ def hum_low_mode_control(
     timegrid = np.linspace(0.0, tau, steps + 1)
     nw = int(region.mask.sum())
     if not y0.any():
-        return _make_signal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights)
+        return ControlSignal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights[region.mask])
 
     H, I, Phi = _sampled_gramian(basis, cutoff, region, timegrid)
     lam = basis.eigenvalues[:K]
@@ -229,7 +210,7 @@ def hum_low_mode_control(
 
     dt = np.diff(timegrid)
     values = (I / dt[None, :]).T @ (q[:, None] * Phi.T)
-    return _make_signal(timegrid, values, region, basis.grid.weights)
+    return ControlSignal(timegrid, values, region, basis.grid.weights[region.mask])
 
 
 @dataclass(frozen=True)
@@ -342,11 +323,11 @@ def lr_control(
     times.append(np.array([schedule.T]))
     timegrid = np.concatenate(times)
     values = np.vstack(vals)
-    return _make_signal(
+    return ControlSignal(
         timegrid,
         values,
         region,
-        basis.grid.weights,
+        basis.grid.weights[region.mask],
         slice_ledger=tuple(ledger),
         predicted_final_norm=float(np.linalg.norm(yhat)),
     )
@@ -383,7 +364,7 @@ def hum_full_control(
     timegrid = np.linspace(0.0, T, steps + 1)
     norm0 = float(np.linalg.norm(yhat))
     if norm0 == 0.0:
-        return _make_signal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights)
+        return ControlSignal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights[region.mask])
 
     cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
     H, I, Phi = _sampled_gramian(basis, cut, region, timegrid)
@@ -416,4 +397,4 @@ def hum_full_control(
         )
     dt = np.diff(timegrid)
     values = (I / dt[None, :]).T @ (mu[:, None] * Phi.T)
-    return _make_signal(timegrid, values, region, basis.grid.weights)
+    return ControlSignal(timegrid, values, region, basis.grid.weights[region.mask])

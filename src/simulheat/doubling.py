@@ -11,28 +11,37 @@ problems' spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Coefficients, ControlRegion, Grid1D, _frozen
-from .operators import BoundaryCondition, EigenBasis, Operator, assemble_laplacian
-from .spectral import l2_norm
+from .operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
 
 
 @dataclass(frozen=True)
 class DoubleDomain:
+    """The doubled problem: both wall eigenbases and the circle basis they extend to.
+
+    basis_circle merges the odd Dirichlet and even Neumann extensions, unit-norm
+    and ascending; odd against even cancels across the two copies, so it is a
+    complete eigenbasis of the periodic operator.
+    """
+
     base: Grid1D
     base_coeffs: Coefficients
     doubled: Grid1D
     doubled_coeffs: Coefficients
     embed_plus: np.ndarray
     embed_minus: np.ndarray
-    operator: Operator
+    basis_d: EigenBasis = field(repr=False)
+    basis_n: EigenBasis = field(repr=False)
+    basis_circle: EigenBasis = field(repr=False)
 
 
 def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
-    """Reflect (grid, coeffs) across x = length and glue into a periodic grid."""
+    """Reflect (grid, coeffs) across x = length, glue into a periodic grid, and
+    solve both wall problems once."""
     n = grid.n
     if coeffs.kappa.shape[0] != n:
         raise ValueError(f"coefficients sized for n={coeffs.kappa.shape[0]}, grid has n={n}")
@@ -47,16 +56,43 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
         weights=_frozen(grid.h * kappa2),
     )
     dcoeffs = Coefficients(kappa=_frozen(kappa2), a=_frozen(a2))
-    op = assemble_laplacian(doubled, dcoeffs, BoundaryCondition.PERIODIC)
-    return DoubleDomain(
-        base=grid,
-        base_coeffs=coeffs,
-        doubled=doubled,
-        doubled_coeffs=dcoeffs,
-        embed_plus=np.arange(n),
-        embed_minus=np.arange(2 * n - 1, n - 1, -1),
-        operator=op,
+    embed_plus = np.arange(n)
+    embed_minus = np.arange(2 * n - 1, n - 1, -1)
+    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
+    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
+
+    # row k extends mode k: odd for the Dirichlet rows, even for the Neumann
+    # rows. _glue makes the additions extend_pair makes, so every entry,
+    # signed zeros included, matches the extension of the single mode.
+    zero = np.zeros((n, n))
+    X = np.concatenate([
+        _glue(basis_d.vectors.T, zero, embed_plus, embed_minus),
+        _glue(zero, basis_n.vectors.T, embed_plus, embed_minus),
+    ])
+    X /= np.sqrt(np.sum(doubled.weights * X * X, axis=1))[:, None]
+    vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    basis_circle = EigenBasis(
+        bc=BoundaryCondition.PERIODIC,
+        eigenvalues=vals,
+        frequencies=np.sqrt(np.maximum(vals, 0.0)),
+        vectors=X[order].T,  # modes contiguous in memory: BLAS rounding depends on layout
+        grid=doubled,
     )
+    return DoubleDomain(
+        base=grid, base_coeffs=coeffs, doubled=doubled, doubled_coeffs=dcoeffs,
+        embed_plus=embed_plus, embed_minus=embed_minus,
+        basis_d=basis_d, basis_n=basis_n, basis_circle=basis_circle,
+    )
+
+
+def _glue(u: np.ndarray, v: np.ndarray, embed_plus: np.ndarray, embed_minus: np.ndarray) -> np.ndarray:
+    """u + v on the plus copy and -u + v on the mirror copy, along the last axis."""
+    out = np.empty(u.shape[:-1] + (2 * u.shape[-1],))
+    out[..., embed_plus] = u + v
+    out[..., embed_minus] = -u + v
+    return out
 
 
 def extend_pair(dd: DoubleDomain, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -64,10 +100,7 @@ def extend_pair(dd: DoubleDomain, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     n = dd.base.n
     if u.shape != (n,) or v.shape != (n,):
         raise ValueError(f"fields must have shape ({n},)")
-    out = np.empty(2 * n)
-    out[dd.embed_plus] = u + v
-    out[dd.embed_minus] = -u + v
-    return out
+    return _glue(u, v, dd.embed_plus, dd.embed_minus)
 
 
 def split(dd: DoubleDomain, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,45 +115,8 @@ def split(dd: DoubleDomain, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (up - um), 0.5 * (up + um)
 
 
-def extend_eigenfunction(dd: DoubleDomain, e: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Odd (Dirichlet) or even (Neumann) extension, unit-norm on the circle."""
-    if bc is BoundaryCondition.DIRICHLET:
-        ext = extend_pair(dd, e, np.zeros_like(e))
-    elif bc is BoundaryCondition.NEUMANN:
-        ext = extend_pair(dd, np.zeros_like(e), e)
-    else:
-        raise ValueError("only wall problems extend; got periodic")
-    return ext / l2_norm(dd.doubled, ext)
-
-
 def lift_region(dd: DoubleDomain, region: ControlRegion) -> ControlRegion:
     """Carry a control region to the plus copy only; the mirror stays silent."""
     mask = np.zeros(dd.doubled.n, dtype=bool)
     mask[dd.embed_plus[region.mask]] = True
     return ControlRegion(mask=mask, measure=dd.doubled.h * int(mask.sum()))
-
-
-def extended_eigenbasis(dd: DoubleDomain, basis_d: EigenBasis, basis_n: EigenBasis) -> EigenBasis:
-    """Merge the extended wall eigenbases into one circle basis, ascending.
-
-    The 2n extensions are mutually weighted-orthonormal (odd against even
-    cancels across the two copies), so this is a complete eigenbasis of the
-    periodic operator without touching its multiplicity-2 eigenspaces.
-    """
-    if basis_d.bc is not BoundaryCondition.DIRICHLET or basis_n.bc is not BoundaryCondition.NEUMANN:
-        raise ValueError("pass the Dirichlet basis first and the Neumann basis second")
-    n = dd.base.n
-    cols = np.empty((2 * n, 2 * n))
-    for k in range(n):
-        cols[:, k] = extend_eigenfunction(dd, basis_d.vectors[:, k], BoundaryCondition.DIRICHLET)
-        cols[:, n + k] = extend_eigenfunction(dd, basis_n.vectors[:, k], BoundaryCondition.NEUMANN)
-    vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    return EigenBasis(
-        bc=BoundaryCondition.PERIODIC,
-        eigenvalues=vals,
-        frequencies=np.sqrt(np.maximum(vals, 0.0)),
-        vectors=cols[:, order],
-        grid=dd.doubled,
-    )

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlSignal, decay_factors, hum_full_control, lr_control, make_lr_schedule, _make_signal
-from .doubling import DoubleDomain, build_double, extend_pair, extended_eigenbasis, lift_region, split
+from .control import ControlSignal, decay_factors, hum_full_control, lr_control, make_lr_schedule
+from .doubling import DoubleDomain, build_double, extend_pair, lift_region, split
 from .grid import Coefficients, ControlRegion, Grid1D
-from .operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
+from .operators import BoundaryCondition, EigenBasis
 from .spectral import coefficients, l2_norm, sup_norm
 
 DEFAULT_TOLERANCES = {"hum": 1e-6, "lr": 1e-4}
@@ -220,9 +220,7 @@ def run_simultaneous(
     if method not in DEFAULT_TOLERANCES:
         raise ValueError(f"method must be one of {sorted(DEFAULT_TOLERANCES)}, got {method!r}")
     dd = build_double(grid, coeffs)
-    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
-    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
-    ext = extended_eigenbasis(dd, basis_d, basis_n)
+    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
     lifted = lift_region(dd, region)
     U0 = extend_pair(dd, u0, v0)
 
@@ -237,8 +235,8 @@ def run_simultaneous(
     # split normalization: a source g supported on the embedded copy has odd
     # and even parts extend_pair(g/2, g/2), so each wall problem is driven by
     # g/2, and that halved trace is the single control both runs share.
-    base_signal = _make_signal(
-        signal.timegrid, 0.5 * signal.values, region, grid.weights,
+    base_signal = ControlSignal(
+        signal.timegrid, 0.5 * signal.values, region, grid.weights[region.mask],
         slice_ledger=signal.slice_ledger,
     )
     traj_u = propagate(basis_d, u0, base_signal, T)

@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
-from .doubling import DoubleDomain, extended_eigenbasis, lift_region
+from .doubling import DoubleDomain, lift_region
 from .grid import ControlRegion
 from .operators import EigenBasis, NumericalError
 from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
@@ -252,8 +252,6 @@ def randomized_lower_bound(
 
 def simultaneous_constant(
     dd: DoubleDomain,
-    basis_d: EigenBasis,
-    basis_n: EigenBasis,
     cutoff_lam: float,
     region: ControlRegion,
     *,
@@ -271,7 +269,7 @@ def simultaneous_constant(
     wall_estimates may carry already computed exact-lp estimates for the
     Dirichlet and Neumann families at the same cutoff, sparing their re-solve.
     """
-    ext = extended_eigenbasis(dd, basis_d, basis_n)
+    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
     cut = make_cutoff(ext, cutoff_lam)
     lifted = lift_region(dd, region)
     est = estimate_constant_lp(ext, cut, lifted, max_workers=max_workers)

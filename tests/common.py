@@ -2,13 +2,20 @@
 
 import numpy as np
 
-from simulheat.doubling import build_double, extended_eigenbasis, lift_region
+from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import make_coefficients, make_uniform_grid
-from simulheat.operators import BoundaryCondition, assemble_laplacian, eigendecompose
+from simulheat.operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
+from simulheat.spectral import l2_norm
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
 P = BoundaryCondition.PERIODIC
+
+# the variable-coefficient profile of the acceptance criteria
+VARIABLE = {
+    "kappa": lambda x: 1.0 + 0.5 * x,
+    "a": lambda x: 1.3 - 0.3 * x,
+}
 
 
 def problem(n, length=1.0, kappa=1.0, a=1.0):
@@ -26,10 +33,44 @@ def double_setup(n, length=1.0, kappa=1.0, a=1.0):
     """(grid, coeffs, dd, basis_d, basis_n, extended circle basis)."""
     grid, coeffs = problem(n, length, kappa, a)
     dd = build_double(grid, coeffs)
-    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, D))
-    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, N))
-    ext = extended_eigenbasis(dd, basis_d, basis_n)
-    return grid, coeffs, dd, basis_d, basis_n, ext
+    return grid, coeffs, dd, dd.basis_d, dd.basis_n, dd.basis_circle
+
+
+def circle_operator(dd):
+    """The dense periodic operator of the doubled problem, an oracle only."""
+    return assemble_laplacian(dd.doubled, dd.doubled_coeffs, P)
+
+
+def extend_eigenfunction(dd, e, bc):
+    """Odd (Dirichlet) or even (Neumann) extension, unit-norm on the circle."""
+    if bc is D:
+        ext = extend_pair(dd, e, np.zeros_like(e))
+    elif bc is N:
+        ext = extend_pair(dd, np.zeros_like(e), e)
+    else:
+        raise ValueError("only wall problems extend; got periodic")
+    return ext / l2_norm(dd.doubled, ext)
+
+
+def extended_eigenbasis(dd, basis_d, basis_n):
+    """Circle basis built one column at a time: the oracle for dd.basis_circle."""
+    if basis_d.bc is not D or basis_n.bc is not N:
+        raise ValueError("pass the Dirichlet basis first and the Neumann basis second")
+    n = dd.base.n
+    cols = np.empty((2 * n, 2 * n))
+    for k in range(n):
+        cols[:, k] = extend_eigenfunction(dd, basis_d.vectors[:, k], D)
+        cols[:, n + k] = extend_eigenfunction(dd, basis_n.vectors[:, k], N)
+    vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    return EigenBasis(
+        bc=P,
+        eigenvalues=vals,
+        frequencies=np.sqrt(np.maximum(vals, 0.0)),
+        vectors=cols[:, order],
+        grid=dd.doubled,
+    )
 
 
 def unit_pair(grid, seed):

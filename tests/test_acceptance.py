@@ -13,10 +13,10 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from common import D, N, double_setup, problem, unit_pair, wall_basis
+from common import D, N, VARIABLE, circle_operator, double_setup, problem, unit_pair, wall_basis
 from simulheat import cli
 from simulheat.control import ControlSignal, gramian, mass_matrix_on_region
-from simulheat.doubling import build_double, extend_pair, extended_eigenbasis, split
+from simulheat.doubling import build_double, extend_pair, split
 from simulheat.grid import fat_cantor_region, region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import propagate, run_simultaneous, split_trajectory
@@ -24,12 +24,6 @@ from simulheat.specineq import estimate_constant_lp, fit_exponential, simultaneo
 from simulheat.spectral import coefficients, l2_norm, make_cutoff, project, sup_norm
 
 WORKERS = min(8, os.cpu_count() or 1)
-
-VARIABLE = {
-    "kappa": lambda x: 1.0 + 0.5 * x,
-    "a": lambda x: 1.3 - 0.3 * x,
-}
-
 
 def test_criterion_1_spectrum_union():
     start = time.perf_counter()
@@ -41,7 +35,7 @@ def test_criterion_1_spectrum_union():
             dd = build_double(grid, coeffs)
             lam_d = eigendecompose(assemble_laplacian(grid, coeffs, D)).eigenvalues
             lam_n = eigendecompose(assemble_laplacian(grid, coeffs, N)).eigenvalues
-            lam_p = eigendecompose(dd.operator).eigenvalues
+            lam_p = eigendecompose(circle_operator(dd)).eigenvalues
             union = np.sort(np.concatenate([lam_d, lam_n]))
             rel = np.abs(union - lam_p) / np.maximum(np.maximum(np.abs(union), np.abs(lam_p)), 1.0)
             worst = max(worst, float(rel.max()))
@@ -53,7 +47,7 @@ def test_criterion_1_spectrum_union():
 
 def test_criterion_2_extension_property():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
-    A = dd.operator.matrix
+    A = circle_operator(dd).matrix
     res = 0.0
     for k in range(ext.vectors.shape[1]):
         e = ext.vectors[:, k]
@@ -136,7 +130,7 @@ def test_criterion_6_oracle_equivalence():
         region = region_from_intervals(grid, [(0.25, 0.75)])
         timegrid = np.linspace(0.0, 0.4, 6)
         values = rng.standard_normal((5, int(region.mask.sum())))
-        sig = ControlSignal(timegrid, values, region, grid.weights[region.mask], 0.0)
+        sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
         u0 = rng.standard_normal(16)
         traj = propagate(basis, u0, sig, 0.4)
         A = op.matrix
@@ -183,9 +177,7 @@ def test_criterion_7_spectral_constant_behavior():
     for lam in lams:
         cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), small, max_workers=WORKERS)
         cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), small, max_workers=WORKERS)
-        cs = simultaneous_constant(
-            dd, basis_d, basis_n, lam, small, max_workers=WORKERS, wall_estimates=(cd, cn)
-        )
+        cs = simultaneous_constant(dd, lam, small, max_workers=WORKERS, wall_estimates=(cd, cn))
         cds.append(cd)
         cns.append(cn)
         css.append(cs)

@@ -6,10 +6,13 @@ temporary directory.
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import simulheat.doubling
+import simulheat.operators
 from simulheat import cli
 
 
@@ -49,6 +52,13 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "T": 0.0},
         {"n": 8, "length": -1.0},
         {"n": 8, "lambda_sweep": [4.0, -2.0]},
+        # mistyped fields are config errors too, not tracebacks
+        {"n": 8, "T": "a"},
+        {"n": 8, "region": 5},
+        {"n": 8, "tolerances": [1]},
+        {"n": 8, "lambda_sweep": [2, "x"]},
+        {"n": 8, "steps": "x"},
+        {"n": 8, "lambda0": "x"},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, fields):
@@ -161,7 +171,7 @@ def test_control_one_shot_artifacts(tmp_path):
     assert summary["final_u_l2"] <= summary["tolerance"] * scale
     assert summary["final_v_l2"] <= summary["tolerance"] * scale
     assert summary["control_cost"] > 0.0
-    assert summary["metadata"]["n"] == 32
+    assert summary["config"]["n"] == 32
     assert summary["config"]["region"] == "0.2,0.3"
 
     control_lines = (out / "control.csv").read_text().splitlines()
@@ -175,6 +185,41 @@ def test_control_one_shot_artifacts(tmp_path):
     families = {line.split(",")[0] for line in norm_lines[1:]}
     assert families == {"dirichlet", "neumann", "double"}
     assert not (out / "cost_ledger.json").exists()  # one-shot runs have no slices
+
+
+def count_calls(monkeypatch, home, name):
+    """Record the results of home.name called through any simulheat module."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("simulheat") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_control_builds_the_doubled_problem_once(tmp_path, monkeypatch):
+    builds = count_calls(monkeypatch, simulheat.doubling, "build_double")
+    solves = count_calls(monkeypatch, simulheat.operators, "eigendecompose")
+    code, _ = run(tmp_path, "control", n=16, region="0.2,0.5", T=1.0, method="hum")
+    assert code == 0
+    assert len(builds) == 1
+    assert len(solves) == 2  # one per wall; the circle basis is built from them
+
+
+def test_specineq_builds_the_circle_basis_once(tmp_path, monkeypatch):
+    bases = count_calls(monkeypatch, simulheat.operators, "EigenBasis")
+    code, out = run(tmp_path, "specineq", n=16, region="0.2,0.8", lambda_sweep=[4.0, 7.0])
+    assert code == 0
+    rows = (out / "constants.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[1] for r in rows if r.startswith("simultaneous,")} == {"4.0", "7.0"}
+    circles = [b for b in bases if b.bc is simulheat.operators.BoundaryCondition.PERIODIC]
+    assert len(circles) == 1
+    assert len(bases) == 3  # the two wall bases and the circle basis
 
 
 def test_control_cascade_writes_the_cost_ledger(tmp_path):

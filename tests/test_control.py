@@ -186,15 +186,21 @@ def test_signal_cost_cache_and_validation():
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     cut = make_cutoff(basis, float(basis.frequencies[2]))
     sig = hum_low_mode_control(basis, cut, region, np.array([1.0, -2.0, 0.5]), 0.4)
-    assert sig.cost() == pytest.approx(sig.l2_cost, rel=1e-12)
+    dt = np.diff(sig.timegrid)
+    recomputed = np.sqrt(np.sum(dt[:, None] * sig.region_weights[None, :] * sig.values**2))
+    assert sig.l2_cost == pytest.approx(recomputed, rel=1e-12)
+    assert sig.l2_cost is sig.l2_cost  # computed once, then cached
     nw = int(region.mask.sum())
     rw = basis.grid.weights[region.mask]
+    # a signal built directly prices its own values
+    direct = ControlSignal(np.array([0.0, 0.25, 1.0]), np.full((2, nw), 2.0), region, rw)
+    assert direct.l2_cost == pytest.approx(2.0 * np.sqrt(np.sum(rw)), rel=1e-12)
     with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0]), np.zeros((0, nw)), region, rw, 0.0)
+        ControlSignal(np.array([0.0]), np.zeros((0, nw)), region, rw)
     with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0, 0.5, 0.5]), np.zeros((2, nw)), region, rw, 0.0)
+        ControlSignal(np.array([0.0, 0.5, 0.5]), np.zeros((2, nw)), region, rw)
     with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0, 1.0]), np.zeros((1, nw + 1)), region, rw, 0.0)
+        ControlSignal(np.array([0.0, 1.0]), np.zeros((1, nw + 1)), region, rw)
 
 
 def test_schedule_collapses_to_one_slice():

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, P, double_setup, problem, unit_pair
-from simulheat.doubling import (
-    build_double,
+from common import (
+    D,
+    N,
+    P,
+    VARIABLE,
+    circle_operator,
+    double_setup,
     extend_eigenfunction,
-    extend_pair,
     extended_eigenbasis,
-    lift_region,
-    split,
+    problem,
+    unit_pair,
 )
+from simulheat.doubling import build_double, extend_pair, lift_region, split
 from simulheat.grid import region_from_intervals
 from simulheat.operators import eigendecompose
 from simulheat.spectral import l2_norm, make_cutoff, project, sup_norm
@@ -109,17 +113,22 @@ def test_split_parity_cases():
 
 
 def test_extend_eigenfunction_frozen_n2():
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(2)
-    A = dd.operator.matrix
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(2)
+    A = circle_operator(dd).matrix
+    # merged circle order: N0 (0), D0 (8), N1 (8), D1 (16); ties keep D first
+    assert_array_equal(ext.eigenvalues, [0.0, 8.0, 8.0, 16.0])
 
-    x = extend_eigenfunction(dd, basis_d.vectors[:, 0], D)
+    x = ext.vectors[:, 1]
+    assert_array_equal(x, extend_eigenfunction(dd, basis_d.vectors[:, 0], D))
     assert_allclose(x / x[0], [1.0, 1.0, -1.0, -1.0], rtol=1e-14)
     assert_allclose(A @ x, 8.0 * x, rtol=0, atol=1e-12)
 
-    const = extend_eigenfunction(dd, basis_n.vectors[:, 0], N)
+    const = ext.vectors[:, 0]
+    assert_array_equal(const, extend_eigenfunction(dd, basis_n.vectors[:, 0], N))
     assert_allclose(A @ const, 0.0, rtol=0, atol=1e-12)
 
-    y = extend_eigenfunction(dd, basis_n.vectors[:, 1], N)
+    y = ext.vectors[:, 2]
+    assert_array_equal(y, extend_eigenfunction(dd, basis_n.vectors[:, 1], N))
     assert_allclose(y / y[0], [1.0, -1.0, -1.0, 1.0], rtol=1e-12)
     assert_allclose(A @ y, 8.0 * y, rtol=0, atol=1e-12)
 
@@ -153,7 +162,7 @@ def test_lift_region_targets_plus_copy_only():
 def test_spectrum_union(n, kappa, a):
     grid, coeffs, dd, basis_d, basis_n, _ = double_setup(n, kappa=kappa, a=a)
     union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
-    circle = eigendecompose(dd.operator).eigenvalues
+    circle = eigendecompose(circle_operator(dd)).eigenvalues
     denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), 1.0)
     assert np.max(np.abs(union - circle) / denom) <= 1e-9
 
@@ -162,7 +171,7 @@ def test_extension_residuals_and_gram():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(
         64, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.2 * x
     )
-    A = dd.operator.matrix
+    A = circle_operator(dd).matrix
     for k in range(128):
         e = ext.vectors[:, k]
         r = A @ e - ext.eigenvalues[k] * e
@@ -173,9 +182,31 @@ def test_extension_residuals_and_gram():
 
 
 def test_extended_basis_input_order_guard():
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(4)
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(4)
+    assert basis_d.bc is D and basis_n.bc is N and ext.bc is P
+    # every circle mode is an odd (Dirichlet) or an even (Neumann) extension
+    plus, minus = ext.vectors[dd.embed_plus], ext.vectors[dd.embed_minus]
+    odd = np.all(plus == -minus, axis=0)
+    even = np.all(plus == minus, axis=0)
+    assert np.all(odd ^ even)
+    assert odd.sum() == even.sum() == 4
     with pytest.raises(ValueError):
         extended_eigenbasis(dd, basis_n, basis_d)
+
+
+@pytest.mark.parametrize("n", [2, 64, 128])
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_circle_basis_matches_per_column_oracle(n, profile):
+    kw = VARIABLE if profile == "variable" else {}
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    oracle = extended_eigenbasis(dd, basis_d, basis_n)
+    assert_array_equal(ext.vectors, oracle.vectors)
+    assert_array_equal(np.signbit(ext.vectors), np.signbit(oracle.vectors))
+    # same memory layout, so downstream BLAS calls round the same way
+    assert ext.vectors.flags.f_contiguous == oracle.vectors.flags.f_contiguous
+    assert_array_equal(ext.eigenvalues, oracle.eigenvalues)
+    assert_array_equal(ext.frequencies, oracle.frequencies)
+    assert ext.grid is dd.doubled
 
 
 def test_link_identity_random_triples():

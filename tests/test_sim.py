@@ -27,7 +27,6 @@ def zero_signal(grid, region, t_end, steps):
         np.zeros((steps, nw)),
         region,
         grid.weights[region.mask],
-        0.0,
     )
 
 
@@ -80,7 +79,7 @@ def test_propagate_matches_expm_duhamel_oracle():
     rng = np.random.default_rng(9)
     timegrid = np.linspace(0.0, 0.4, 6)
     values = rng.standard_normal((5, int(region.mask.sum())))
-    sig = ControlSignal(timegrid, values, region, grid.weights[region.mask], 0.0)
+    sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
     u0 = rng.standard_normal(12)
     traj = propagate(basis, u0, sig, 0.4)
 

@@ -137,7 +137,7 @@ def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
     grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     # lam below every positive frequency: only the circle's constant mode
-    est = simultaneous_constant(dd, basis_d, basis_n, 1.0, region)
+    est = simultaneous_constant(dd, 1.0, region)
     assert est.mode_count == 1
     assert_allclose(est.constant, 1.0 / region.measure, rtol=1e-10)
 
@@ -146,7 +146,7 @@ def test_simultaneous_needs_as_many_cells_as_modes():
     grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
     narrow = region_from_intervals(grid, [(0.45, 0.55)])  # 6 cells
     lam = float(basis_d.frequencies[2])  # 3 odd + 4 even modes on the circle
-    est = simultaneous_constant(dd, basis_d, basis_n, lam, narrow)
+    est = simultaneous_constant(dd, lam, narrow)
     assert est.mode_count == 7
     assert est.constant == np.inf
 
@@ -157,11 +157,11 @@ def test_simultaneous_dominates_both_walls():
     lam = float(basis_d.frequencies[2])
     cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), region)
     cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), region)
-    cs = simultaneous_constant(dd, basis_d, basis_n, lam, region)
+    cs = simultaneous_constant(dd, lam, region)
     assert np.isfinite(cs.constant)
     assert cs.constant >= max(cd.constant, cn.constant) - 1e-8
     # passing the wall estimates in must not change the answer
-    again = simultaneous_constant(dd, basis_d, basis_n, lam, region, wall_estimates=(cd, cn))
+    again = simultaneous_constant(dd, lam, region, wall_estimates=(cd, cn))
     assert_allclose(again.constant, cs.constant, rtol=1e-12)
 
 
