@@ -237,7 +237,7 @@ def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
-def cmd_specineq(cfg: ExperimentConfig, outdir: str, threads: int) -> int:
+def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
     grid, coeffs = build_problem(cfg)
     if not cfg.lambda_sweep:
         raise ConfigError("specineq needs a nonempty lambda_sweep")
@@ -269,15 +269,13 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str, threads: int) -> int:
         cut_x = make_cutoff(ext, lam)
         est_d = est_n = None
         if cut_d.count:
-            est_d = estimate_constant_lp(basis_d, cut_d, region, max_workers=threads)
+            est_d = estimate_constant_lp(basis_d, cut_d, region)
             record("dirichlet", est_d, estimate_constant_l2(basis_d, cut_d, region))
         if cut_n.count:
-            est_n = estimate_constant_lp(basis_n, cut_n, region, max_workers=threads)
+            est_n = estimate_constant_lp(basis_n, cut_n, region)
             record("neumann", est_n, estimate_constant_l2(basis_n, cut_n, region))
         if cut_x.count:
-            est_s = simultaneous_constant(
-                dd, lam, region, max_workers=threads, wall_estimates=(est_d, est_n)
-            )
+            est_s = simultaneous_constant(dd, lam, region, wall_estimates=(est_d, est_n))
             record("simultaneous", est_s, estimate_constant_l2(ext, cut_x, lifted))
 
     rows = ["family,lambda,mode_count,region_measure,method,constant"]
@@ -394,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     common.add_argument("--config", required=True, help="path to the JSON config document")
     common.add_argument("--output-dir", default=None, help="override the config's output_dir")
     common.add_argument("--seed", type=int, default=None, help="override the config's seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for LP sweeps")
+    common.add_argument("--threads", type=int, default=1, help="accepted and ignored; changes nothing")
     parser = argparse.ArgumentParser(prog="simulheat", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("double-check", "specineq", "control", "fatcantor", "simulate"):
@@ -412,7 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.verb == "double-check":
             return cmd_double_check(cfg, outdir)
         if args.verb == "specineq":
-            return cmd_specineq(cfg, outdir, max(1, args.threads))
+            return cmd_specineq(cfg, outdir)
         if args.verb == "control":
             return cmd_control(cfg, outdir)
         if args.verb == "fatcantor":

@@ -3,7 +3,14 @@
 For the K-dimensional space spanned by the modes below a cutoff, the discrete
 constant is sup ||p||_inf / ||p||_{L1(region)} over the span. It is finite
 exactly when the restriction-to-region map has full rank on the span, and the
-sup is attained, so one small LP per candidate peak cell computes it exactly.
+sup is attained at a grid cell i, so it is the max over i of the dual LP
+C_i = min ||y||_inf subject to B y = E_i, with B = (w * E[region])^T. Only the
+K right-hand sides change from cell to cell, so one HiGHS model with rows
+orthonormalized through the SVD of B serves the sweep, each dual-simplex solve
+warm-started from the last. Each estimate is a bracket: the best re-evaluated
+primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
+above; one wider than _BRACKET_TOL relative raises NumericalError.
+
 A cheaper sigma-min surrogate and a randomized lower bound are also provided,
 plus the exponential fit log(constant) ~ slope * lam used to compare against
 the e^{C lam} growth that observability predicts.
@@ -11,17 +18,13 @@ the e^{C lam} growth that observability predicts.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
 
 from .doubling import DoubleDomain, lift_region
 from .grid import ControlRegion
@@ -29,34 +32,14 @@ from .operators import EigenBasis, NumericalError
 from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
 
 _RANK_TOL = 1e-13
-
-
-@contextlib.contextmanager
-def _muted_console():
-    """Drop fd-level stdout/stderr chatter for the duration.
-
-    HiGHS prints bound-shift diagnostics straight to the process streams on
-    nearly degenerate instances, bypassing the wrapper's quiet default; this
-    keeps hundreds of kilobytes of solver noise out of pipelines and logs.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    saved = os.dup(1), os.dup(2)
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, 1)
-        os.dup2(devnull, 2)
-        yield
-    finally:
-        os.dup2(saved[0], 1)
-        os.dup2(saved[1], 2)
-        for fd in (devnull, *saved):
-            os.close(fd)
+# widest relative gap (upper - constant) / constant an exact-lp estimate may report
+_BRACKET_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class SpectralConstantEstimate:
-    """One measured constant. certificate holds the extremal mode coefficients."""
+    """One measured constant. certificate holds the extremal mode coefficients;
+    upper closes the exact-lp bracket [constant, upper] (None for other methods)."""
 
     lam: float
     mode_count: int
@@ -64,6 +47,7 @@ class SpectralConstantEstimate:
     method: str  # exact-lp | sigma-min-l2 | randomized-lower
     constant: float
     certificate: np.ndarray | None = None
+    upper: float | None = None
 
 
 class FitResult(NamedTuple):
@@ -93,20 +77,37 @@ def _restriction_sigma_min(basis: EigenBasis, E: np.ndarray, region: ControlRegi
     return float(s[-1]), float(s[0]), Vh[-1]
 
 
+def _dual_model(rows: np.ndarray) -> _Highs:
+    """Quiet dual-simplex model of min t subject to rows @ z = rhs and |z_j| <= t.
+
+    The equality rows come first; their bounds, the rhs, are set per cell."""
+    K, nw = rows.shape
+    h = _Highs()
+    options = {"output_flag": False, "presolve": "off", "solver": "simplex", "simplex_strategy": 1}
+    for option, value in options.items():  # simplex_strategy 1 is the dual simplex
+        h.setOptionValue(option, value)
+    h.addVars(nw + 1, np.r_[np.full(nw, -kHighsInf), 0.0], np.full(nw + 1, kHighsInf))
+    h.changeColCost(nw, 1.0)
+    eye, ones = np.eye(nw), np.ones((nw, 1))
+    A = scipy.sparse.csr_matrix(np.block([[rows, np.zeros((K, 1))], [eye, -ones], [eye, ones]]))
+    lower = np.r_[np.zeros(K), np.full(nw, -kHighsInf), np.zeros(nw)]  # z_j - t <= 0
+    upper = np.r_[np.zeros(K), np.zeros(nw), np.full(nw, kHighsInf)]  # z_j + t >= 0
+    h.addRows(A.shape[0], lower, upper, A.nnz, A.indptr[:-1].astype(np.int32),
+              A.indices.astype(np.int32), A.data)
+    return h
+
+
 def estimate_constant_lp(
     basis: EigenBasis,
     cutoff: SpectralCutoff,
     region: ControlRegion,
-    *,
-    max_workers: int = 1,
 ) -> SpectralConstantEstimate:
-    """Exact discrete constant via one LP per candidate peak cell.
+    """Exact discrete constant from one warm-started LP per candidate peak cell.
 
-    For peak cell i the LP maximizes (Ec)_i subject to the weighted L1 mass
-    on the region being at most 1; the constant is the max over i of the
-    recomputed certificate ratios, so the reported value is self-verifying.
-    Returns +inf (with a null-direction certificate) when the restriction is
-    rank-deficient.
+    The constant is the best re-evaluated certificate ratio, so it is
+    self-verifying, and upper bounds it. Returns +inf (with a null-direction
+    certificate) when the restriction is rank-deficient; raises NumericalError
+    when every cell's LP fails or the bracket is wider than _BRACKET_TOL.
     """
     K = cutoff.count
     if K < 1:
@@ -117,7 +118,8 @@ def estimate_constant_lp(
     # apart from exact deficiency in double precision, anything above it is a
     # genuinely invertible restriction however small (the constants this
     # estimator chases grow like e^{c lam}, so smin ~ 1e-12 is signal)
-    nw = int(region.mask.sum())
+    m = region.mask
+    nw = int(m.sum())
     if smin <= max(nw, K) * np.finfo(float).eps * smax:
         return SpectralConstantEstimate(
             lam=cutoff.lam,
@@ -126,69 +128,61 @@ def estimate_constant_lp(
             method="exact-lp",
             constant=np.inf,
             certificate=null_dir,
+            upper=np.inf,
         )
 
-    m = region.mask
-    Ew = E[m, :]
-    wreg = basis.grid.weights[m]
-    # Normalized form, one LP per candidate peak cell i:
-    #   minimize  sum_j w_j s_j   over (c, s)
-    #   s.t.      +-(Ec)_j - s_j <= 0 on the region,  (Ec)_i = theta.
-    # The optimum is theta/C_i.  theta ~ 1/sigma_min puts both the optimum
-    # and the slacks at O(1) however large C_i grows; with the peak pinned at
-    # 1 the solver's absolute feasibility tolerance swallows the whole mass
-    # once C_i passes ~1e7, and the maximize form stalls HiGHS even earlier.
-    theta = max(1.0, 1.0 / smin)
-    A_ub = scipy.sparse.vstack(
-        [
-            scipy.sparse.hstack([scipy.sparse.csr_matrix(Ew), -scipy.sparse.eye(nw, format="csr")]),
-            scipy.sparse.hstack([scipy.sparse.csr_matrix(-Ew), -scipy.sparse.eye(nw, format="csr")]),
-        ],
-        format="csr",
-    )
-    b_ub = np.zeros(2 * nw)
-    obj = np.concatenate([np.zeros(K), wreg])
-    bounds = [(None, None)] * K + [(0.0, None)] * nw
+    # With T = S^-1 U^T the rows T B = V^T are orthonormal, and z = s_min y
+    # keeps the optimum t = s_min C_i at O(1). T B and T E_i are formed in
+    # extended precision: a certificate c = T^T lam then carries the L1 mass
+    # ||(T B)^T lam||_1 the solver saw, where the float64 V^T would leave it
+    # off by eps * s_max / s_min relative, 1e-3 near the float64 horizon.
+    ld = np.longdouble
+    B = (basis.grid.weights[m][:, None] * E[m, :]).T
+    U, S, Vt = scipy.linalg.svd(B, full_matrices=False)
+    s_min = S[-1]
+    T = (U / S).T
+    Bl, El = B.astype(ld), E.astype(ld)
+    rows = (T.astype(ld) @ Bl).astype(float)
+    rhs = (El @ T.T.astype(ld) * s_min).astype(float)
 
-    def solve_one(i: int) -> tuple[float, np.ndarray | None, bool]:
-        A_eq = np.concatenate([E[i, :], np.zeros(nw)])[None, :]
-        # presolve occasionally gives up on the heavily degenerate instances
-        # near the float64 horizon; retry without it, then interior-point as
-        # a last resort (its slight interiority only lowers the recomputed
-        # ratio, never inflates it)
-        for attempt in ("highs", "no-presolve", "highs-ipm"):
-            if attempt == "no-presolve":
-                res = linprog(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[theta],
-                              bounds=bounds, method="highs", options={"presolve": False})
-            else:
-                res = linprog(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[theta],
-                              bounds=bounds, method=attempt)
-            if res.status == 0 and res.fun > 0.0:
-                return theta / res.fun, res.x[:K], True
-            if res.status == 2:
-                # the peak row is identically zero: it never carries the sup
-                return 0.0, None, True
-        # either the optimum sits below solver resolution even after scaling
-        # or every solver variant broke down: no witness from this cell
-        return 0.0, None, res.status == 0
-
-    indices = range(basis.grid.n)
-    with _muted_console():
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(solve_one, indices))
-        else:
-            results = [solve_one(i) for i in indices]
-
-    if not any(certified for _, _, certified in results):
+    model = _dual_model(rows)
+    Z = rhs @ Vt  # the minimum-norm feasible point, kept where a cell's LP fails
+    certs = []  # c = T^T lam from the row duals lam of each solved cell
+    for i in range(basis.grid.n):
+        for k in range(K):
+            model.changeRowBounds(k, rhs[i, k], rhs[i, k])
+        model.run()
+        if model.getModelStatus() != HighsModelStatus.kOptimal:
+            model.clearSolver()  # once more from scratch, without the warm basis
+            model.run()
+        if model.getModelStatus() == HighsModelStatus.kOptimal:
+            sol = model.getSolution()
+            Z[i] = sol.col_value[:nw]
+            certs.append(T.T @ sol.row_dual[:K])
+    if not certs:
         raise NumericalError("LP solver failed on every candidate peak cell")
-    best_val = -np.inf
+
+    # Upper end: (Ec)_i = y.B^T c + r.c <= ||y||_inf + ||r||_2 / s_min whenever
+    # ||B^T c||_1 <= 1. Two refinement steps with residuals in extended
+    # precision shrink r, which the solver leaves at its feasibility tolerance.
+    Y = Z.astype(ld) / s_min
+    for _ in range(2):
+        Y += (((El - Y @ Bl.T).astype(float) @ T.T) @ Vt).astype(ld)
+    R = El - Y @ Bl.T
+    upper = float(np.max(np.max(np.abs(Y), axis=1) + np.sqrt(np.sum(R * R, axis=1)) / s_min))
+
+    best_val = 0.0
     best_cert: np.ndarray | None = None
-    for val, cert, _ in results:
-        if cert is not None:
-            val = _ratio(basis, E, region, cert)  # re-evaluated, trims solver slack
-        if val > best_val:
-            best_val, best_cert = val, cert
+    for c in certs:
+        if c.any():
+            val = _ratio(basis, E, region, c)  # re-evaluated, trims solver slack
+            if val > best_val:
+                best_val, best_cert = val, c
+    if not upper - best_val <= _BRACKET_TOL * best_val:
+        raise NumericalError(
+            f"exact-lp bracket [{best_val:.6e}, {upper:.6e}] at lam={cutoff.lam:g} is wider "
+            f"than {_BRACKET_TOL:g} relative"
+        )
     return SpectralConstantEstimate(
         lam=cutoff.lam,
         mode_count=K,
@@ -196,6 +190,8 @@ def estimate_constant_lp(
         method="exact-lp",
         constant=float(best_val),
         certificate=best_cert,
+        # the ratio's own rounding may put it a hair above a tight upper end
+        upper=max(upper, float(best_val)),
     )
 
 
@@ -255,7 +251,6 @@ def simultaneous_constant(
     cutoff_lam: float,
     region: ControlRegion,
     *,
-    max_workers: int = 1,
     wall_estimates: tuple[SpectralConstantEstimate | None, SpectralConstantEstimate | None]
     | None = None,
 ) -> SpectralConstantEstimate:
@@ -272,7 +267,7 @@ def simultaneous_constant(
     basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
     cut = make_cutoff(ext, cutoff_lam)
     lifted = lift_region(dd, region)
-    est = estimate_constant_lp(ext, cut, lifted, max_workers=max_workers)
+    est = estimate_constant_lp(ext, cut, lifted)
     best = est.constant
     best_cert = est.certificate
 
@@ -291,7 +286,7 @@ def simultaneous_constant(
             continue
         wall_est = wall_estimates[slot] if wall_estimates is not None else None
         if wall_est is None:
-            wall_est = estimate_constant_lp(wall_basis, wall_cut, region, max_workers=max_workers)
+            wall_est = estimate_constant_lp(wall_basis, wall_cut, region)
         if not np.isfinite(wall_est.constant):
             best, best_cert = np.inf, wall_est.certificate
             break
@@ -310,6 +305,8 @@ def simultaneous_constant(
         method=est.method,
         constant=float(best),
         certificate=best_cert,
+        # a folded wall ratio lies below the circle's constant, up to rounding
+        upper=max(est.upper, float(best)),
     )
 
 

@@ -1,11 +1,13 @@
 """Shared construction helpers for the test suite."""
 
 import numpy as np
+import scipy.sparse
+from scipy.optimize import linprog
 
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import make_coefficients, make_uniform_grid
 from simulheat.operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
-from simulheat.spectral import l2_norm
+from simulheat.spectral import l1_norm_on, l2_norm, sup_norm
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -81,3 +83,45 @@ def unit_pair(grid, seed):
     wu = float(np.sqrt(np.sum(grid.weights * u * u)))
     wv = float(np.sqrt(np.sum(grid.weights * v * v)))
     return u / wu, v / wv
+
+
+def lp_constant_oracle(basis, cutoff, region):
+    """Exact-LP constant from one fresh linprog per candidate peak cell.
+
+    The per-cell sweep estimate_constant_lp replaced, kept as its oracle on
+    well-conditioned instances. For peak cell i the LP minimizes the weighted
+    L1 mass on the region with (Ec)_i pinned at theta; the constant is the
+    best re-evaluated certificate ratio.
+    """
+    K = cutoff.count
+    E = basis.vectors[:, :K]
+    m = region.mask
+    nw = int(m.sum())
+    Ew = E[m, :]
+    smin = np.linalg.svd(np.sqrt(basis.grid.weights[m])[:, None] * Ew, compute_uv=False)[-1]
+    # theta ~ 1/sigma_min keeps the optimum theta/C_i and the slacks at O(1)
+    theta = max(1.0, 1.0 / smin)
+    A_ub = scipy.sparse.vstack(
+        [
+            scipy.sparse.hstack([scipy.sparse.csr_matrix(Ew), -scipy.sparse.eye(nw, format="csr")]),
+            scipy.sparse.hstack([scipy.sparse.csr_matrix(-Ew), -scipy.sparse.eye(nw, format="csr")]),
+        ],
+        format="csr",
+    )
+    b_ub = np.zeros(2 * nw)
+    obj = np.concatenate([np.zeros(K), basis.grid.weights[m]])
+    bounds = [(None, None)] * K + [(0.0, None)] * nw
+    best = 0.0
+    for i in range(basis.grid.n):
+        A_eq = np.concatenate([E[i, :], np.zeros(nw)])[None, :]
+        # presolve, then no presolve, then interior point
+        for method, options in (("highs", None), ("highs", {"presolve": False}), ("highs-ipm", None)):
+            res = linprog(obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[theta],
+                          bounds=bounds, method=method, options=options)
+            if res.status == 0 and res.fun > 0.0:
+                p = E @ res.x[:K]
+                best = max(best, sup_norm(p) / l1_norm_on(basis.grid, p, region))
+                break
+            if res.status == 2:  # the peak row is identically zero
+                break
+    return best

@@ -6,7 +6,6 @@ them.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -23,7 +22,6 @@ from simulheat.sim import propagate, run_simultaneous, split_trajectory
 from simulheat.specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
 from simulheat.spectral import coefficients, l2_norm, make_cutoff, project, sup_norm
 
-WORKERS = min(8, os.cpu_count() or 1)
 
 def test_criterion_1_spectrum_union():
     start = time.perf_counter()
@@ -175,15 +173,13 @@ def test_criterion_7_spectral_constant_behavior():
 
     cds, cns, css, cds_big = [], [], [], []
     for lam in lams:
-        cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), small, max_workers=WORKERS)
-        cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), small, max_workers=WORKERS)
-        cs = simultaneous_constant(dd, lam, small, max_workers=WORKERS, wall_estimates=(cd, cn))
+        cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), small)
+        cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), small)
+        cs = simultaneous_constant(dd, lam, small, wall_estimates=(cd, cn))
         cds.append(cd)
         cns.append(cn)
         css.append(cs)
-        cds_big.append(
-            estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), big, max_workers=WORKERS)
-        )
+        cds_big.append(estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), big))
 
     # sweep family: growing, finite, and antitone under region enlargement
     values = [e.constant for e in cds]

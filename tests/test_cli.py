@@ -13,6 +13,7 @@ import pytest
 
 import simulheat.doubling
 import simulheat.operators
+import simulheat.specineq
 from simulheat import cli
 
 
@@ -153,6 +154,22 @@ def test_specineq_rank_deficient_sweep_exits_3(tmp_path):
     assert ",INF" in body  # the LP reports the deficiency rather than a number
     fits = json.loads((out / "fit.json").read_text())["fits"]
     assert all(fit is None for fit in fits.values())
+
+
+def test_specineq_at_float64_horizon_is_silent_and_ignores_threads(tmp_path, capfd):
+    # lambda=13 puts the circle at K=9 with sigma_min/sigma_max ~ 1.4e-12
+    code, out = run(
+        tmp_path, "specineq", ("--threads", "2"), n=128, region="0.45,0.55", lambda_sweep=[4.0, 13.0]
+    )
+    assert code == 0
+    assert capfd.readouterr() == ("", "")
+    assert len((out / "constants.csv").read_text().splitlines()) == 13
+
+
+def test_specineq_wide_exact_lp_bracket_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulheat.specineq, "_BRACKET_TOL", 0.0)
+    code, _ = run(tmp_path, "specineq", n=32, region="0.3,0.6", lambda_sweep=[10.0])
+    assert code == 3
 
 
 def test_specineq_requires_region_and_sweep(tmp_path):

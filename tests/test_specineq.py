@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.optimize._highspy._core import HighsModelStatus
 
-from common import D, N, double_setup, wall_basis
+from common import D, N, VARIABLE, double_setup, lp_constant_oracle, wall_basis
+from simulheat import specineq
+from simulheat.doubling import lift_region
 from simulheat.grid import (
     ControlRegion,
     fat_cantor_region,
     make_uniform_grid,
     region_from_intervals,
 )
-from simulheat.operators import analytic_eigenbasis
+from simulheat.operators import NumericalError, analytic_eigenbasis
 from simulheat.specineq import (
     SpectralConstantEstimate,
     estimate_constant_l2,
@@ -87,6 +90,98 @@ def test_lp_constant_antitone_under_region_growth():
         c_small = estimate_constant_lp(basis, cut, small).constant
         c_big = estimate_constant_lp(basis, cut, big).constant
         assert c_big <= c_small * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("n, k", [(32, 4), (64, 3), (160, 2)])
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+def test_lp_matches_per_cell_linprog_oracle(n, k, variable):
+    grid, _, dd, basis_d, basis_n, ext = double_setup(n, **(VARIABLE if variable else {}))
+    region = region_from_intervals(grid, [(0.3, 0.6)])
+    lifted = lift_region(dd, region)
+    for basis, reg in ((basis_d, region), (basis_n, region), (ext, lifted)):
+        cut = make_cutoff(basis, float(basis.frequencies[k]))
+        assert 3 <= cut.count <= 5
+        est = estimate_constant_lp(basis, cut, reg)
+        oracle = lp_constant_oracle(basis, cut, reg)
+        assert np.isfinite(est.constant) and est.constant <= est.upper
+        assert_allclose(est.constant, oracle, rtol=1e-7)
+        assert oracle <= est.constant * (1.0 + 1e-9)
+
+
+class _FlakyHighs(specineq._Highs):
+    """Reports every warm-started solve as failed; a solve from a cleared basis reports the truth."""
+
+    warm = True
+
+    def changeRowBounds(self, *args):
+        self.warm = True
+        return super().changeRowBounds(*args)
+
+    def clearSolver(self):
+        self.warm = False
+        return super().clearSolver()
+
+    def getModelStatus(self):
+        return HighsModelStatus.kSolveError if self.warm else super().getModelStatus()
+
+
+class _BrokenHighs(specineq._Highs):
+    def getModelStatus(self):
+        return HighsModelStatus.kSolveError
+
+
+def test_lp_retries_a_failed_cell_from_a_cleared_basis(monkeypatch):
+    basis = wall_basis(64, N, **VARIABLE)
+    region = region_from_intervals(basis.grid, [(0.3, 0.5)])
+    cut = make_cutoff(basis, float(basis.frequencies[3]))
+    warm = estimate_constant_lp(basis, cut, region)
+    monkeypatch.setattr(specineq, "_Highs", _FlakyHighs)
+    cold = estimate_constant_lp(basis, cut, region)
+    assert_allclose(cold.constant, warm.constant, rtol=1e-10)
+    assert_allclose(cold.upper, warm.upper, rtol=1e-10)
+    monkeypatch.setattr(specineq, "_Highs", _BrokenHighs)
+    with pytest.raises(NumericalError, match="every candidate peak cell"):
+        estimate_constant_lp(basis, cut, region)
+
+
+def test_lp_bracket_wider_than_tolerance_raises(monkeypatch):
+    basis = wall_basis(64, D)
+    region = region_from_intervals(basis.grid, [(0.45, 0.55)])
+    cut = make_cutoff(basis, float(basis.frequencies[4]))
+    est = estimate_constant_lp(basis, cut, region)
+    assert 0.0 < est.upper - est.constant <= 1e-9 * est.constant
+    monkeypatch.setattr(specineq, "_BRACKET_TOL", 0.0)
+    with pytest.raises(NumericalError, match="bracket"):
+        estimate_constant_lp(basis, cut, region)
+
+
+def test_simultaneous_constant_certified_at_float64_horizon():
+    # n=128, window (0.45, 0.55), lam=13: the circle has K=9 modes and the
+    # restriction sigma_min/sigma_max ~ 1.4e-12
+    grid, _, dd, _, _, ext = double_setup(128)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    lifted = lift_region(dd, region)
+    est = simultaneous_constant(dd, 13.0, region)
+    assert est.mode_count == 9
+    E = ext.vectors[:, :9]
+    R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
+    p = E @ scipy.linalg.svd(R)[2][-1]
+    witness = sup_norm(p) / l1_norm_on(ext.grid, p, lifted)
+    assert witness > 6e12
+    assert est.constant >= witness
+    assert est.upper - est.constant <= 1e-3 * est.constant
+
+
+def test_neumann_lp_sweep_nondecreasing_at_n512():
+    grid, _, dd, basis_d, basis_n, _ = double_setup(512)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    values = [
+        estimate_constant_lp(basis_n, make_cutoff(basis_n, float(basis_d.frequencies[k])), region).constant
+        for k in range(12)
+    ]
+    assert all(np.isfinite(v) for v in values)
+    for lo, hi in zip(values, values[1:]):
+        assert hi >= lo * (1.0 - 1e-9)
 
 
 def test_randomized_bound_stays_below_lp():
