@@ -18,11 +18,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .control import InfeasibleControlError, SingularGramianError
+from .control import InfeasibleControlError, SingularGramianError, march
 from .doubling import build_double, extend_pair, lift_region, split
 from .grid import (
     Coefficients,
-    ControlRegion,
     EmptyRegionError,
     Grid1D,
     ResolutionError,
@@ -35,7 +34,7 @@ from .grid import (
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import DEFAULT_TOLERANCES, run_simultaneous
 from .specineq import estimate_constant_l2, estimate_constant_lp, fit_exponential, simultaneous_constant
-from .spectral import l2_norm, make_cutoff, project, sup_norm
+from .spectral import coefficients, l2_norm, make_cutoff, project, sup_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -361,15 +360,12 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     grid, coeffs = build_problem(cfg)
     bc = BoundaryCondition.DIRICHLET if cfg.bc == "dirichlet" else BoundaryCondition.NEUMANN
     basis = eigendecompose(assemble_laplacian(grid, coeffs, bc))
-    rng = np.random.default_rng(cfg.seed)
-    u0 = rng.standard_normal(grid.n)
-    u0 /= l2_norm(grid, u0)
-    yhat = basis.vectors.T @ (grid.weights * u0)
+    u0 = _seeded_unit_pair(grid, cfg.seed)[0]
     times = np.linspace(0.0, cfg.T, 65)
     lines = ["trajectory,t,l2,sup"]
     l2s = []
-    for t in times:
-        u = basis.vectors @ (np.exp(-basis.eigenvalues * t) * yhat)
+    for t, yhat in zip(times, march(basis, coefficients(basis, u0), times)):
+        u = basis.vectors @ yhat
         l2s.append(l2_norm(grid, u))
         lines.append(f"{cfg.bc},{_fmt(t)},{_fmt(l2s[-1])},{_fmt(sup_norm(u))}")
     _write_text(os.path.join(outdir, "norms.csv"), "\n".join(lines) + "\n")

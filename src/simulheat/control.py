@@ -1,5 +1,5 @@
-"""Control synthesis: sampled Gramians, one-shot minimal-norm steering, and
-the dyadic low-frequency cascade.
+"""Control synthesis: sampled Gramians, one-shot minimal-norm steering, the
+dyadic low-frequency cascade, and the exact mode marcher they share.
 
 All signals are piecewise constant in time and supported on a cell region;
 with the exact per-mode propagator the map from signal values to the final
@@ -8,12 +8,14 @@ discretization. The adjoint parametrization f = sum_l q_l avg_l(t) e_l
 restricted to the region turns the minimal-weighted-norm problem into a
 K x K system with the sampled Gramian H = (I I^T / dt) o M, the Hadamard
 product of the step-integral outer product with the region mass matrix.
+Both syntheses solve that system the same way: one Cholesky factorization of
+H + 1e-12 max(diag H) I (LU if roundoff makes it indefinite), then defect
+correction against the unregularized H.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +29,13 @@ from .spectral import SpectralCutoff, coefficients, make_cutoff
 class SingularGramianError(RuntimeError):
     """The Gramian cannot certify steering for this cutoff and region."""
 
-    def __init__(self, lam: float, region: ControlRegion, cond: float, achieved: float | None = None):
+    def __init__(self, lam: float, region: ControlRegion, cond: float, achieved: float):
         self.lam = lam
         self.region_measure = region.measure
         self.cond = cond
-        detail = f", verified low-mode residual {achieved:.3e}" if achieved is not None else ""
         super().__init__(
-            f"near-singular Gramian at cutoff lam={lam:.6g} on region of measure "
-            f"{region.measure:.6g} ({int(region.mask.sum())} cells): cond={cond:.3e}{detail}"
+            f"near-singular Gramian at cutoff lam={lam:.6g} on region of measure {region.measure:.6g} "
+            f"({int(region.mask.sum())} cells): cond={cond:.3e}, verified low-mode residual {achieved:.3e}"
         )
 
 
@@ -75,14 +76,43 @@ class ControlSignal:
         return float(np.sqrt(np.sum(dt * np.sum(self.region_weights * self.values**2, axis=1))))
 
 
-def decay_factors(eigenvalues: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{-lam dt}, (1 - e^{-lam dt})/lam) with the lam -> 0 limit dt."""
+def decay_factors(eigenvalues: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-lam dt}, (1 - e^{-lam dt})/lam) with the lam -> 0 limit dt.
+
+    A scalar step gives one factor per mode; an array of steps gives one row
+    per step, each equal to the scalar call's.
+    """
     lam = np.asarray(eigenvalues)
-    decay = np.exp(-lam * dt)
-    source = np.full(lam.shape, dt)
+    dt = np.asarray(dt, dtype=float)[..., None]
     nz = lam > 0
-    source[nz] = -np.expm1(-lam[nz] * dt) / lam[nz]
+    decay = np.exp(-lam * dt)
+    source = np.where(nz, -np.expm1(-lam * dt) / np.where(nz, lam, 1.0), dt)
     return decay, source
+
+
+def march(
+    basis: EigenBasis, yhat: np.ndarray, times: np.ndarray, signal: ControlSignal | None = None
+) -> np.ndarray:
+    """Exact mode coefficients at every node of times, from yhat at times[0].
+
+    Each segment takes the closed-form update y <- e^{-lam dt} y + b (1 -
+    e^{-lam dt})/lam, where b is the mode projection of the signal value
+    holding at the segment's start (zero outside the signal's window, or
+    without a signal); a signal node that is not one of the times goes unseen.
+    """
+    decay, source = decay_factors(basis.eigenvalues, np.diff(times))
+    out = np.empty((len(times), len(yhat)))
+    out[0] = yhat
+    if signal is not None:
+        m = signal.region.mask
+        wreg, Phi = basis.grid.weights[m], basis.vectors[m, :]
+        segs = np.searchsorted(signal.timegrid, times[:-1], side="right") - 1
+    for i in range(len(times) - 1):
+        b = 0.0
+        if signal is not None and 0 <= segs[i] < signal.values.shape[0]:
+            b = (wreg * signal.values[segs[i]]) @ Phi
+        out[i + 1] = decay[i] * out[i] + b * source[i]
+    return out
 
 
 def mass_matrix_on_region(basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion) -> np.ndarray:
@@ -110,39 +140,81 @@ def gramian(basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion, ta
     return M * factor
 
 
-def _step_integrals(eigenvalues: np.ndarray, timegrid: np.ndarray, tau: float) -> np.ndarray:
-    """I[k, m] = integral of e^{-lam_k (tau - t)} over [t_m, t_{m+1}]."""
-    lam = eigenvalues[:, None]
-    t0 = timegrid[:-1][None, :]
-    t1 = timegrid[1:][None, :]
-    dt = t1 - t0
-    out = np.exp(-lam * (tau - t1)) * np.where(
-        lam > 0, -np.expm1(-lam * dt) / np.where(lam > 0, lam, 1.0), dt
-    )
-    return out
-
-
 def _sampled_gramian(
     basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion, timegrid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H, I, Phi): the exact Gramian of the piecewise-constant adjoint class.
+    """(H, avg, Phi): the exact Gramian of the piecewise-constant adjoint class.
 
-    H -> gramian(...) as the grid refines; at any resolution H is exactly the
-    input-to-final-state map composed with the adjoint parametrization, so
-    solving with H steers the sampled dynamics without discretization bias.
+    I[k, m] is the integral of e^{-lam_k (tau - t)} over [t_m, t_{m+1}] and
+    avg = I / dt its mean there; H = (avg I^T) o M -> gramian(...) as the grid
+    refines. At any resolution H is exactly the input-to-final-state map
+    composed with the adjoint parametrization, so solving with H steers the
+    sampled dynamics without discretization bias.
     """
     K = cutoff.count
-    tau = float(timegrid[-1])
-    I = _step_integrals(basis.eigenvalues[:K], timegrid, tau)
-    M = mass_matrix_on_region(basis, cutoff, region)
+    lam = basis.eigenvalues[:K]
     dt = np.diff(timegrid)
-    H = ((I / dt[None, :]) @ I.T) * M
+    _, source = decay_factors(lam, dt)
+    I = np.exp(-lam[:, None] * (timegrid[-1] - timegrid[1:][None, :])) * source.T
+    avg = I / dt[None, :]
+    H = (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
     Phi = basis.vectors[:, :K][region.mask, :]
-    return H, I, Phi
+    return H, avg, Phi
 
 
-_COND_LIMIT = 1e14
 _STEER_TOL = 1e-8
+# Tikhonov shift of the Gramian, relative to its largest diagonal entry
+_TIKHONOV = 1e-12
+
+
+def _steer(
+    basis: EigenBasis,
+    cutoff: SpectralCutoff,
+    region: ControlRegion,
+    y0: np.ndarray,
+    timegrid: np.ndarray,
+    steer_tol: float,
+) -> tuple[ControlSignal | None, float, np.ndarray | None]:
+    """Adjoint-sampled signal on timegrid that steers the modes below the
+    cutoff from y0 to zero, with the verified relative residual and H.
+
+    Solves H q = -e^{-lam tau} y0 through the regularized Cholesky factor and
+    keeps a defect-correction step only if it lowers the residual against the
+    unregularized H. The signal is None when the residual misses steer_tol.
+    """
+    K = cutoff.count
+    nw = int(region.mask.sum())
+    weights = basis.grid.weights[region.mask]
+    if not y0.any():
+        return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0, None
+    H, avg, Phi = _sampled_gramian(basis, cutoff, region, timegrid)
+    rhs = -np.exp(-basis.eigenvalues[:K] * timegrid[-1]) * y0
+    Hreg = H + _TIKHONOV * float(np.max(np.diag(H))) * np.eye(K)
+    try:
+        cho = scipy.linalg.cho_factor(Hreg)
+        solve = lambda b: scipy.linalg.cho_solve(cho, b)
+    except scipy.linalg.LinAlgError:
+        # roundoff can push the smallest eigenvalue a hair below zero at
+        # large K; the LU factorization still applies
+        lu = scipy.linalg.lu_factor(Hreg)
+        solve = lambda b: scipy.linalg.lu_solve(lu, b)
+    # a single solve floors at eps*cond relative; defect correction against
+    # the exactly evaluated Gramian recovers the rest
+    scale = float(np.linalg.norm(y0))
+    q = solve(rhs)
+    achieved = float(np.linalg.norm(rhs - H @ q)) / scale
+    for _ in range(4):
+        if achieved <= 0.25 * steer_tol:
+            break
+        candidate = q + solve(rhs - H @ q)
+        better = float(np.linalg.norm(rhs - H @ candidate)) / scale
+        if better >= achieved:
+            break
+        q, achieved = candidate, better
+    if achieved > steer_tol:
+        return None, achieved, H
+    values = avg.T @ (q[:, None] * Phi.T)
+    return ControlSignal(timegrid, values, region, weights), achieved, H
 
 
 def hum_low_mode_control(
@@ -160,9 +232,8 @@ def hum_low_mode_control(
     Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
     f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
     intervals, where avg_l is the exact per-step average of e^{-lam_l(tau-t)}.
-    Steering of the sampled dynamics is exact up to arithmetic; when the
-    Gramian's condition exceeds 1e14 a truncated solve is attempted and the
-    verified residual decides between success and SingularGramianError.
+    Steering of the sampled dynamics is exact up to arithmetic; a verified
+    residual above steer_tol raises SingularGramianError.
     """
     K = cutoff.count
     if K < 1:
@@ -174,43 +245,10 @@ def hum_low_mode_control(
         raise ValueError(f"horizon must be positive, got {tau}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-
-    timegrid = np.linspace(0.0, tau, steps + 1)
-    nw = int(region.mask.sum())
-    if not y0.any():
-        return ControlSignal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights[region.mask])
-
-    H, I, Phi = _sampled_gramian(basis, cutoff, region, timegrid)
-    lam = basis.eigenvalues[:K]
-    rhs = -np.exp(-lam * tau) * y0
-
-    evals, evecs = scipy.linalg.eigh(H)
-    top = evals[-1]
-    cond = np.inf if evals[0] <= 0 else top / evals[0]
-    if cond <= _COND_LIMIT:
-        inv = 1.0 / evals
-    else:
-        inv = np.where(evals > 1e-14 * top, 1.0 / np.where(evals > 0, evals, 1.0), 0.0)
-    q = evecs @ (inv * (evecs.T @ rhs))
-    # a single solve floors at eps*cond relative; defect correction against
-    # the exactly evaluated Gramian recovers the rest
-    scale = np.linalg.norm(y0)
-    achieved = np.linalg.norm(rhs - H @ q) / scale
-    for _ in range(4):
-        if achieved <= 0.25 * steer_tol:
-            break
-        defect = rhs - H @ q
-        q = q + evecs @ (inv * (evecs.T @ defect))
-        better = np.linalg.norm(rhs - H @ q) / scale
-        if better >= achieved:
-            break
-        achieved = better
-    if achieved > steer_tol:
-        raise SingularGramianError(cutoff.lam, region, cond, achieved)
-
-    dt = np.diff(timegrid)
-    values = (I / dt[None, :]).T @ (q[:, None] * Phi.T)
-    return ControlSignal(timegrid, values, region, basis.grid.weights[region.mask])
+    signal, achieved, H = _steer(basis, cutoff, region, y0, np.linspace(0.0, tau, steps + 1), steer_tol)
+    if signal is None:
+        raise SingularGramianError(cutoff.lam, region, float(np.linalg.cond(H)), achieved)
+    return signal
 
 
 @dataclass(frozen=True)
@@ -251,37 +289,33 @@ def make_lr_schedule(T: float, lambda0: float, basis: EigenBasis) -> LRSchedule:
     return LRSchedule(T=T, slices=tuple(slices))
 
 
+# The per-slice verified steering bar. It is looser than the one-shot default
+# on purpose: whatever a slice leaves behind sits below the next cutoff too and
+# gets re-targeted, so the cascade tolerates partial kills, while a Gramian
+# with condition e^{c lam_j} cannot beat the eps*cond cancellation floor of
+# float64 no matter the solver.
+_SLICE_TOL = 1e-6
+
+
 def lr_control(
     basis: EigenBasis,
     schedule: LRSchedule,
     region: ControlRegion,
     field0: np.ndarray,
-    *,
-    steps_per_slice: int = 64,
-    slice_tol: float = 1e-6,
 ) -> ControlSignal:
     """Cascade control: each slice kills its low modes, then coasts.
 
     The active half of slice j runs hum_low_mode_control for frequencies up
-    to lam_j on the current state; the passive half is free decay. The state
-    is propagated exactly through every step, so the returned per-slice
-    ledger records true norms. The terminal slice covers all modes, after
-    which only decay remains.
-
-    slice_tol is the per-slice verified steering bar. It is looser than the
-    one-shot default on purpose: whatever a slice leaves behind sits below
-    the next cutoff too and gets re-targeted, so the cascade tolerates
-    partial kills, while a Gramian with condition e^{c lam_j} cannot beat
-    the eps*cond cancellation floor of float64 no matter the solver.
+    to lam_j on the current state, on its default 64 steps, to a relative
+    residual of 1e-6; the passive half is free decay. The state is marched
+    exactly through every step, so the returned per-slice ledger records true
+    norms. The terminal slice covers all modes, after which only decay remains.
     """
     yhat = coefficients(basis, field0)
-    n_all = len(yhat)
     ledger: list[dict] = []
     times: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     nw = int(region.mask.sum())
-    Phi_all = basis.vectors[region.mask, :]
-    wreg = basis.grid.weights[region.mask]
     # once the targeted modes dip below representable precision of the input,
     # an active solve would only pump rounding noise back in
     floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(yhat))
@@ -293,16 +327,11 @@ def lr_control(
         cost = 0.0
         if float(np.linalg.norm(yhat[: cut.count])) > floor:
             sig = hum_low_mode_control(
-                basis, cut, region, yhat[: cut.count], tau,
-                steps=steps_per_slice, steer_tol=slice_tol,
+                basis, cut, region, yhat[: cut.count], tau, steer_tol=_SLICE_TOL
             )
             cost = sig.l2_cost
             # exact propagation of the full state through the active half
-            bvals = sig.values @ (wreg[:, None] * Phi_all)  # (steps, n_all)
-            for m in range(sig.values.shape[0]):
-                dt = sig.timegrid[m + 1] - sig.timegrid[m]
-                decay, source = decay_factors(basis.eigenvalues, dt)
-                yhat = decay * yhat + bvals[m] * source
+            yhat = march(basis, yhat, sig.timegrid, sig)[-1]
             times.append(sl.t_start + sig.timegrid[:-1])
             vals.append(sig.values)
         else:
@@ -340,16 +369,13 @@ def hum_full_control(
     T: float,
     *,
     steps: int | None = None,
-    regularization: float = 1e-12,
 ) -> ControlSignal:
     """One-shot minimal-norm steering of every mode over [0, T].
 
-    Same sampled-Gramian machinery as the low-mode synthesis but over the
-    full spectrum, solved with Tikhonov regularization (scaled by the largest
-    Gramian diagonal) plus defect correction against the unregularized
-    Gramian. The exact final-state residual is checked against 1e-8 relative;
-    lowering `regularization` toward 0 certifies minimality of the cost by
-    continuation.
+    The low-mode synthesis at the cutoff that admits the whole spectrum, on
+    at least enough steps to make the input map onto. The exact final-state
+    residual is checked against 1e-8 relative; a miss raises
+    InfeasibleControlError.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
@@ -360,41 +386,13 @@ def hum_full_control(
     if steps * nw < K:
         raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
 
-    yhat = coefficients(basis, field0)
-    timegrid = np.linspace(0.0, T, steps + 1)
-    norm0 = float(np.linalg.norm(yhat))
-    if norm0 == 0.0:
-        return ControlSignal(timegrid, np.zeros((steps, nw)), region, basis.grid.weights[region.mask])
-
     cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
-    H, I, Phi = _sampled_gramian(basis, cut, region, timegrid)
-    lam = basis.eigenvalues
-    rhs = -np.exp(-lam * T) * yhat
-    eps = regularization * float(np.max(np.diag(H)))
-    Hreg = H + eps * np.eye(K)
-    try:
-        cho = scipy.linalg.cho_factor(Hreg)
-        solve = lambda b: scipy.linalg.cho_solve(cho, b)
-    except scipy.linalg.LinAlgError:
-        # roundoff can push the smallest eigenvalue a hair below zero at
-        # large K; the symmetric-indefinite factorization still applies
-        lu = scipy.linalg.lu_factor(Hreg)
-        solve = lambda b: scipy.linalg.lu_solve(lu, b)
-    mu = solve(rhs)
-    achieved = float(np.linalg.norm(rhs - H @ mu)) / norm0
-    for _ in range(4):
-        if achieved <= 0.25 * _STEER_TOL:
-            break
-        candidate = mu + solve(rhs - H @ mu)
-        better = float(np.linalg.norm(rhs - H @ candidate)) / norm0
-        if better >= achieved:
-            break
-        mu, achieved = candidate, better
-    if achieved > _STEER_TOL:
+    signal, achieved, _ = _steer(
+        basis, cut, region, coefficients(basis, field0), np.linspace(0.0, T, steps + 1), _STEER_TOL
+    )
+    if signal is None:
         raise InfeasibleControlError(
             f"discrete input map cannot reach the target: residual {achieved:.3e} "
             f"relative (steps={steps}, {nw} cells, {K} modes)"
         )
-    dt = np.diff(timegrid)
-    values = (I / dt[None, :]).T @ (mu[:, None] * Phi.T)
-    return ControlSignal(timegrid, values, region, basis.grid.weights[region.mask])
+    return signal

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlSignal, decay_factors, hum_full_control, lr_control, make_lr_schedule
+from .control import ControlSignal, hum_full_control, lr_control, make_lr_schedule, march
 from .doubling import DoubleDomain, build_double, extend_pair, lift_region, split
 from .grid import Coefficients, ControlRegion, Grid1D
 from .operators import BoundaryCondition, EigenBasis
@@ -87,32 +87,14 @@ def propagate(
     if signal is not None:
         if signal.timegrid[0] < 0 or signal.timegrid[-1] > t_end + 1e-12:
             raise ValueError("signal window must sit inside [0, t_end]")
+        if signal.region.mask.shape != (n,):
+            raise ValueError("signal region lives on a different grid")
         nodes.extend(float(t) for t in signal.timegrid if 0.0 < t < t_end)
     nodes.append(float(t_end))
     times = np.array(nodes)
 
-    yhat = coefficients(basis, state0)
-    states = np.empty((len(times), n))
-    states[0] = state0
-    wreg = None
-    Phi = None
-    if signal is not None:
-        m = signal.region.mask
-        if m.shape != (n,):
-            raise ValueError("signal region lives on a different grid")
-        wreg = basis.grid.weights[m]
-        Phi = basis.vectors[m, :]
-
-    for i in range(1, len(times)):
-        t0, t1 = times[i - 1], times[i]
-        decay, source = decay_factors(basis.eigenvalues, t1 - t0)
-        b = 0.0
-        if signal is not None:
-            seg = np.searchsorted(signal.timegrid, t0, side="right") - 1
-            if 0 <= seg < signal.values.shape[0]:
-                b = (wreg * signal.values[seg]) @ Phi
-        yhat = decay * yhat + b * source
-        states[i] = basis.vectors @ yhat
+    coeffs = march(basis, coefficients(basis, state0), times, signal)
+    states = np.array([state0] + [basis.vectors @ y for y in coeffs[1:]])
 
     l2 = np.array([l2_norm(basis.grid, s) for s in states])
     sup = np.array([sup_norm(s) for s in states])
@@ -156,7 +138,7 @@ def split_trajectory(dd: DoubleDomain, traj: Trajectory) -> tuple[Trajectory, Tr
     )
 
 
-def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients | None = None, h: float | None = None) -> BoundaryResiduals:
+def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients | None = None) -> BoundaryResiduals:
     """Wall residuals of a trajectory, relative to its largest sup norm.
 
     Dirichlet trace: the wall value interpolated between the first cell and
@@ -164,9 +146,7 @@ def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients | None = No
     across the wall. Ghosts are the stored cross-wall values when present
     (split trajectories) and the wall rule's own reflection otherwise.
     """
-    n = traj.states.shape[1]
-    if h is None:
-        h = traj.basis.grid.h
+    h = traj.basis.grid.h
     if traj.ghosts is not None:
         gl, gr = traj.ghosts[:, 0], traj.ghosts[:, 1]
     elif traj.bc is BoundaryCondition.DIRICHLET:
@@ -206,7 +186,6 @@ def run_simultaneous(
     *,
     lambda0: float | None = None,
     steps: int | None = None,
-    steps_per_slice: int = 64,
     tolerance: float | None = None,
 ) -> SimultaneousReport:
     """Null-control both wall problems over [0, T] with one shared signal.
@@ -229,7 +208,7 @@ def run_simultaneous(
     else:
         lam0 = lambda0 if lambda0 is not None else _default_lambda0(ext)
         schedule = make_lr_schedule(T, lam0, ext)
-        signal = lr_control(ext, schedule, region=lifted, field0=U0, steps_per_slice=steps_per_slice)
+        signal = lr_control(ext, schedule, region=lifted, field0=U0)
 
     # Read the shared signal off the plus copy.  The halving is forced by the
     # split normalization: a source g supported on the embedded copy has odd

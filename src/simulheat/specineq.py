@@ -31,7 +31,6 @@ from .grid import ControlRegion
 from .operators import EigenBasis, NumericalError
 from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
 
-_RANK_TOL = 1e-13
 # widest relative gap (upper - constant) / constant an exact-lp estimate may report
 _BRACKET_TOL = 1e-3
 
@@ -65,16 +64,22 @@ def _ratio(basis: EigenBasis, E: np.ndarray, region: ControlRegion, c: np.ndarra
 
 
 def _restriction_sigma_min(basis: EigenBasis, E: np.ndarray, region: ControlRegion):
-    """Extreme singular values of the weighted restriction, plus the bottom direction."""
+    """Smallest singular value of the weighted restriction, 0 where it is
+    rank-deficient, plus the bottom direction."""
     m = region.mask
     R = np.sqrt(basis.grid.weights[m])[:, None] * E[m, :]
-    K = E.shape[1]
-    if R.shape[0] < K:
+    nw, K = R.shape
+    if nw < K:
         # fewer observation cells than modes: null directions exist for sure
-        _, s, Vh = scipy.linalg.svd(R, full_matrices=True)
-        return 0.0, float(s[0]), Vh[-1]
+        return 0.0, scipy.linalg.svd(R, full_matrices=True)[2][-1]
     _, s, Vh = scipy.linalg.svd(R, full_matrices=False)
-    return float(s[-1]), float(s[0]), Vh[-1]
+    # rank decision at the SVD noise floor: anything below it cannot be told
+    # apart from exact deficiency in double precision, anything above it is a
+    # genuinely invertible restriction however small (the constants chased
+    # here grow like e^{c lam}, so smin ~ 1e-12 is signal)
+    if s[-1] <= max(nw, K) * np.finfo(float).eps * s[0]:
+        return 0.0, Vh[-1]
+    return float(s[-1]), Vh[-1]
 
 
 def _dual_model(rows: np.ndarray) -> _Highs:
@@ -113,14 +118,8 @@ def estimate_constant_lp(
     if K < 1:
         raise ValueError("cutoff admits no modes")
     E = basis.vectors[:, :K]
-    smin, smax, null_dir = _restriction_sigma_min(basis, E, region)
-    # rank decision at the SVD noise floor: anything below it cannot be told
-    # apart from exact deficiency in double precision, anything above it is a
-    # genuinely invertible restriction however small (the constants this
-    # estimator chases grow like e^{c lam}, so smin ~ 1e-12 is signal)
-    m = region.mask
-    nw = int(m.sum())
-    if smin <= max(nw, K) * np.finfo(float).eps * smax:
+    smin, null_dir = _restriction_sigma_min(basis, E, region)
+    if smin == 0.0:
         return SpectralConstantEstimate(
             lam=cutoff.lam,
             mode_count=K,
@@ -137,6 +136,7 @@ def estimate_constant_lp(
     # ||(T B)^T lam||_1 the solver saw, where the float64 V^T would leave it
     # off by eps * s_max / s_min relative, 1e-3 near the float64 horizon.
     ld = np.longdouble
+    m = region.mask
     B = (basis.grid.weights[m][:, None] * E[m, :]).T
     U, S, Vt = scipy.linalg.svd(B, full_matrices=False)
     s_min = S[-1]
@@ -157,7 +157,7 @@ def estimate_constant_lp(
             model.run()
         if model.getModelStatus() == HighsModelStatus.kOptimal:
             sol = model.getSolution()
-            Z[i] = sol.col_value[:nw]
+            Z[i] = sol.col_value[: Z.shape[1]]
             certs.append(T.T @ sol.row_dual[:K])
     if not certs:
         raise NumericalError("LP solver failed on every candidate peak cell")
@@ -198,13 +198,14 @@ def estimate_constant_lp(
 def estimate_constant_l2(
     basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion
 ) -> SpectralConstantEstimate:
-    """L2 surrogate 1/sigma_min of the weighted restriction; inf below 1e-13."""
+    """L2 surrogate 1/sigma_min of the weighted restriction; inf where the
+    restriction is rank-deficient by the exact-lp rule."""
     K = cutoff.count
     if K < 1:
         raise ValueError("cutoff admits no modes")
     E = basis.vectors[:, :K]
-    smin, _, direction = _restriction_sigma_min(basis, E, region)
-    constant = np.inf if smin <= _RANK_TOL else 1.0 / smin
+    smin, direction = _restriction_sigma_min(basis, E, region)
+    constant = np.inf if smin == 0.0 else 1.0 / smin
     return SpectralConstantEstimate(
         lam=cutoff.lam,
         mode_count=K,

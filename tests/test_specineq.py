@@ -184,6 +184,17 @@ def test_neumann_lp_sweep_nondecreasing_at_n512():
         assert hi >= lo * (1.0 - 1e-9)
 
 
+def test_l2_surrogate_shares_the_lp_rank_rule_at_n512():
+    # Neumann at the 12th Dirichlet frequency (K=13): sigma_min ~ 6e-14 sits
+    # above the relative rank floor, so both estimators see a full rank
+    grid, _, dd, basis_d, basis_n, _ = double_setup(512)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    cut = make_cutoff(basis_n, float(basis_d.frequencies[11]))
+    assert cut.count == 13
+    assert np.isfinite(estimate_constant_lp(basis_n, cut, region).constant)
+    assert np.isfinite(estimate_constant_l2(basis_n, cut, region).constant)
+
+
 def test_randomized_bound_stays_below_lp():
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
