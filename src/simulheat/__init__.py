@@ -9,73 +9,11 @@ quantify low-frequency observability, and two control syntheses (one-shot
 minimal-norm, and an iterated low-frequency cascade).
 """
 
-from .grid import (
-    ControlRegion,
-    Coefficients,
-    EmptyRegionError,
-    Grid1D,
-    ResolutionError,
-    fat_cantor_region,
-    make_coefficients,
-    make_uniform_grid,
-    parse_region_spec,
-    read_mask_file,
-    region_from_intervals,
-    write_mask_file,
-)
-from .operators import (
-    BoundaryCondition,
-    EigenBasis,
-    NumericalError,
-    Operator,
-    analytic_eigenbasis,
-    assemble_laplacian,
-    eigendecompose,
-)
-from .spectral import (
-    SpectralCutoff,
-    coefficients,
-    l1_norm_on,
-    l2_norm,
-    make_cutoff,
-    project,
-    sup_norm,
-)
-from .doubling import (
-    DoubleDomain,
-    build_double,
-    extend_pair,
-    lift_region,
-    split,
-)
-from .specineq import (
-    FitResult,
-    SpectralConstantEstimate,
-    estimate_constant_l2,
-    estimate_constant_lp,
-    fit_exponential,
-    randomized_lower_bound,
-    simultaneous_constant,
-)
-from .control import (
-    ControlSignal,
-    InfeasibleControlError,
-    LRSchedule,
-    SingularGramianError,
-    gramian,
-    hum_full_control,
-    hum_low_mode_control,
-    lr_control,
-    make_lr_schedule,
-    mass_matrix_on_region,
-)
-from .sim import (
-    SimultaneousReport,
-    Trajectory,
-    check_boundary_conditions,
-    propagate,
-    run_simultaneous,
-    split_trajectory,
-)
+from .grid import make_coefficients, make_uniform_grid, region_from_intervals
+from .operators import BoundaryCondition, assemble_laplacian, eigendecompose
+from .spectral import l2_norm, make_cutoff, project, sup_norm
+from .doubling import build_double, extend_pair, split
+from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
+from .sim import run_simultaneous
 
 __version__ = "0.1.0"

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from .control import InfeasibleControlError, SingularGramianError, march
-from .doubling import build_double, extend_pair, lift_region, split
+from .doubling import build_double, lift_region, verify
 from .grid import (
     Coefficients,
     EmptyRegionError,
     Grid1D,
     ResolutionError,
+    _write_atomic,
     fat_cantor_region,
     make_coefficients,
     make_uniform_grid,
@@ -34,7 +35,7 @@ from .grid import (
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import DEFAULT_TOLERANCES, run_simultaneous
 from .specineq import estimate_constant_l2, estimate_constant_lp, fit_exponential, simultaneous_constant
-from .spectral import coefficients, l2_norm, make_cutoff, project, sup_norm
+from .spectral import coefficients, l2_norm, make_cutoff, sup_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,23 +79,35 @@ _OPTIONAL = {"region", "lambda0", "cantor_measure", "cantor_depth", "steps"}
 
 
 def _has_type(value: Any, types) -> bool:
+    """value is of types, and neither a bool nor a NaN or infinite float
+    (JSON's NaN and Infinity parse to floats)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _numbers(value: Any) -> bool:
+    return isinstance(value, list) and all(_has_type(x, _NUMBER) for x in value)
+
+
 def _check_types(raw: dict) -> None:
-    """Raise ConfigError on a field of the wrong JSON type; coefficients are
-    checked where build_problem reads them."""
+    """Raise ConfigError, naming the field, on a field of the wrong JSON type
+    or a number that is not finite."""
     for key, value in raw.items():
         if key in _SCALAR_TYPES:
             ok = (value is None and key in _OPTIONAL) or _has_type(value, _SCALAR_TYPES[key])
         elif key == "lambda_sweep":
-            ok = isinstance(value, list) and all(_has_type(x, _NUMBER) for x in value)
+            ok = _numbers(value)
         elif key == "tolerances":
-            ok = isinstance(value, dict) and all(_has_type(x, _NUMBER) for x in value.values())
+            ok = isinstance(value, dict) and _numbers(list(value.values()))
+        elif key == "coefficients":
+            ok = value == "constant" or (
+                isinstance(value, dict) and set(value) == {"kappa", "a"} and all(map(_numbers, value.values()))
+            )
         else:
             ok = True
         if not ok:
-            raise ConfigError(f"config field {key} has the wrong type: {value!r}")
+            raise ConfigError(f"config field {key} has the wrong type or a non-finite number: {value!r:.80}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -129,22 +142,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Grid1D, Coefficients]:
+    """The grid and coefficients of cfg: constant, or sampled at the cell
+    centers (kappa) and faces (a)."""
     spec = cfg.coefficients
-    if spec == "constant":
-        grid = make_uniform_grid(cfg.n, cfg.length)
-        return grid, make_coefficients(grid)
-    if isinstance(spec, dict) and set(spec) == {"kappa", "a"}:
-        kappa = np.asarray(spec["kappa"], dtype=float)
-        a = np.asarray(spec["a"], dtype=float)
-        if kappa.shape != (cfg.n,) or a.shape != (cfg.n + 1,):
-            raise ConfigError(
-                f"sampled coefficients need {cfg.n} kappa and {cfg.n + 1} a entries"
-            )
-        h = cfg.length / cfg.n
-        centers = (np.arange(cfg.n) + 0.5) * h
-        grid = Grid1D(n=cfg.n, length=cfg.length, h=h, centers=centers, weights=h * kappa)
-        return grid, Coefficients(kappa=kappa, a=a)
-    raise ConfigError("coefficients must be 'constant' or {'kappa': [...], 'a': [...]}")
+    kappa, a = (1.0, 1.0) if spec == "constant" else (spec["kappa"], spec["a"])
+    grid = make_uniform_grid(cfg.n, cfg.length, kappa)
+    return grid, make_coefficients(grid, kappa, a)
 
 
 def _fmt(x: float) -> str:
@@ -153,24 +156,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, obj: Any) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _resolved(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _seeded_unit_pair(grid: Grid1D, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,58 +167,33 @@ def _seeded_unit_pair(grid: Grid1D, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return u0 / l2_norm(grid, u0), v0 / l2_norm(grid, v0)
 
 
+# pass bar of each doubling check; the round trip is an identity up to the
+# one rounded addition each of extend and split performs
+_DOUBLE_CHECK_TOL = {
+    "spectrum_union": 1e-9,
+    "extension_eigenvectors": 1e-10,
+    "link_identity": 1e-10,
+    "split_roundtrip": 1e-12,
+}
+
+
 def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
     grid, coeffs = build_problem(cfg)
     dd = build_double(grid, coeffs)
-    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-    # the dense periodic eigensolve is the independent oracle for the doubling
-    circle_op = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC)
-    basis_p = eigendecompose(circle_op)
-
-    union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
-    denom = np.maximum(np.maximum(np.abs(union), np.abs(basis_p.eigenvalues)), 1.0)
-    spectrum_res = float(np.max(np.abs(union - basis_p.eigenvalues) / denom))
-
-    A = circle_op.matrix
-    ext_res = 0.0
-    for k in range(ext.vectors.shape[1]):
-        e = ext.vectors[:, k]
-        r = A @ e - ext.eigenvalues[k] * e
-        ext_res = max(ext_res, l2_norm(dd.doubled, r) / max(ext.eigenvalues[k], 1.0))
-
-    rng = np.random.default_rng(cfg.seed)
-    link_res = 0.0
-    roundtrip_res = 0.0
-    freqs = ext.frequencies
-    for _ in range(20):
-        u = rng.standard_normal(grid.n)
-        v = rng.standard_normal(grid.n)
-        lam = float(rng.uniform(0.0, freqs[-1] * 1.05))
-        U = extend_pair(dd, u, v)
-        PU = project(ext, make_cutoff(ext, lam), U)
-        pu, pv = split(dd, PU)
-        pd = project(basis_d, make_cutoff(basis_d, lam), u)
-        pn = project(basis_n, make_cutoff(basis_n, lam), v)
-        scale = max(sup_norm(pd) + sup_norm(pn), 1.0)
-        link_res = max(link_res, sup_norm(pu - pd) / scale, sup_norm(pv - pn) / scale)
-        ru, rv = split(dd, U)
-        roundtrip_res = max(roundtrip_res, sup_norm(ru - u), sup_norm(rv - v))
-
-    checks = {
-        "spectrum_union": {"max_residual": spectrum_res, "pass": spectrum_res <= 1e-9},
-        "extension_eigenvectors": {"max_residual": ext_res, "pass": ext_res <= 1e-10},
-        "link_identity": {"max_residual": link_res, "pass": link_res <= 1e-10},
-        # identity up to the one rounded addition each of extend and split performs
-        "split_roundtrip": {"max_residual": roundtrip_res, "pass": roundtrip_res <= 1e-12},
-    }
-    for name, basis in (("dirichlet", basis_d), ("neumann", basis_n), ("double", basis_p)):
-        lines = ["k,eigenvalue"]
-        lines += [f"{k},{_fmt(val)}" for k, val in enumerate(basis.eigenvalues)]
-        _write_text(os.path.join(outdir, f"spectrum_{name}.csv"), "\n".join(lines) + "\n")
+    res = verify(dd, cfg.seed)
+    checks = {}
+    for name, tol in _DOUBLE_CHECK_TOL.items():
+        r = getattr(res, name)
+        checks[name] = {"max_residual": r, "pass": r <= tol}
+    spectra = (("dirichlet", dd.basis_d.eigenvalues), ("neumann", dd.basis_n.eigenvalues),
+               ("double", res.circle_eigenvalues))
+    for name, vals in spectra:
+        lines = ["k,eigenvalue"] + [f"{k},{_fmt(val)}" for k, val in enumerate(vals)]
+        _write_atomic(os.path.join(outdir, f"spectrum_{name}.csv"), "\n".join(lines) + "\n")
     all_pass = all(c["pass"] for c in checks.values())
     _write_json(
         os.path.join(outdir, "double_check.json"),
-        {"checks": checks, "all_pass": all_pass, "config": _resolved(cfg)},
+        {"checks": checks, "all_pass": all_pass, "config": asdict(cfg)},
     )
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
@@ -289,8 +251,8 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
             fits[family] = {"logC": fit.logC, "slope": fit.slope, "residual": fit.residual}
         else:
             fits[family] = None
-    _write_text(os.path.join(outdir, "constants.csv"), "\n".join(rows) + "\n")
-    _write_json(os.path.join(outdir, "fit.json"), {"fits": fits, "config": _resolved(cfg)})
+    _write_atomic(os.path.join(outdir, "constants.csv"), "\n".join(rows) + "\n")
+    _write_json(os.path.join(outdir, "fit.json"), {"fits": fits, "config": asdict(cfg)})
     return EXIT_OK if any_finite else EXIT_INFEASIBLE
 
 
@@ -313,7 +275,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     for m in range(sig.values.shape[0]):
         lines.append(_fmt(sig.timegrid[m]) + "," + ",".join(_fmt(x) for x in sig.values[m]))
     lines.append(_fmt(sig.timegrid[-1]) + "," + ",".join(_fmt(0.0) for _ in cells))
-    _write_text(os.path.join(outdir, "control.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(outdir, "control.csv"), "\n".join(lines) + "\n")
 
     nlines = ["trajectory,t,l2,sup"]
     for name, traj in (
@@ -323,7 +285,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     ):
         for t, l2, sup in zip(traj.times, traj.l2_norms, traj.sup_norms):
             nlines.append(f"{name},{_fmt(t)},{_fmt(l2)},{_fmt(sup)}")
-    _write_text(os.path.join(outdir, "norms.csv"), "\n".join(nlines) + "\n")
+    _write_atomic(os.path.join(outdir, "norms.csv"), "\n".join(nlines) + "\n")
 
     if sig.slice_ledger is not None:
         _write_json(os.path.join(outdir, "cost_ledger.json"), {"slices": list(sig.slice_ledger)})
@@ -339,7 +301,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
         "initial_v_l2": report.initial_v_l2,
         "tolerance": report.tolerance,
         "passed": report.passed,
-        "config": _resolved(cfg),
+        "config": asdict(cfg),
     }
     _write_json(os.path.join(outdir, "summary.json"), summary)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
@@ -368,7 +330,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
         u = basis.vectors @ yhat
         l2s.append(l2_norm(grid, u))
         lines.append(f"{cfg.bc},{_fmt(t)},{_fmt(l2s[-1])},{_fmt(sup_norm(u))}")
-    _write_text(os.path.join(outdir, "norms.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(outdir, "norms.csv"), "\n".join(lines) + "\n")
     monotone = bool(np.all(np.diff(l2s) <= 1e-12))
     _write_json(
         os.path.join(outdir, "summary.json"),
@@ -377,7 +339,7 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
             "initial_l2": l2s[0],
             "final_l2": l2s[-1],
             "dissipative": monotone,
-            "config": _resolved(cfg),
+            "config": asdict(cfg),
         },
     )
     return EXIT_OK if monotone else EXIT_TOLERANCE

@@ -189,7 +189,8 @@ def _steer(
         return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0, None
     H, avg, Phi = _sampled_gramian(basis, cutoff, region, timegrid)
     rhs = -np.exp(-basis.eigenvalues[:K] * timegrid[-1]) * y0
-    Hreg = H + _TIKHONOV * float(np.max(np.diag(H))) * np.eye(K)
+    Hreg = H.copy()
+    Hreg.flat[:: K + 1] += _TIKHONOV * float(np.max(np.diag(H)))
     try:
         cho = scipy.linalg.cho_factor(Hreg)
         solve = lambda b: scipy.linalg.cho_solve(cho, b)
@@ -265,10 +266,6 @@ class LRSchedule:
 
     T: float
     slices: tuple[SliceSpec, ...]
-
-    @property
-    def terminal_level(self) -> int:
-        return len(self.slices) - 1
 
 
 def make_lr_schedule(T: float, lambda0: float, basis: EigenBasis) -> LRSchedule:

@@ -94,9 +94,22 @@ class ControlRegion:
             raise EmptyRegionError("control region is empty")
 
 
-def make_uniform_grid(
-    n: int, length: float = 1.0, kappa: float | Callable[[np.ndarray], np.ndarray] = 1.0
-) -> Grid1D:
+# a coefficient profile: one constant, a function of position, or its samples
+Profile = float | Sequence[float] | np.ndarray | Callable[[np.ndarray], np.ndarray]
+
+
+def _sample(profile: Profile, points: np.ndarray, name: str) -> np.ndarray:
+    """profile at the points: a function is evaluated, a constant repeated,
+    and samples taken as they are."""
+    vals = np.asarray(profile(points) if callable(profile) else profile, dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(points.shape, vals)
+    if vals.shape != points.shape:
+        raise ValueError(f"{name} must give one value at each of the {len(points)} points")
+    return vals
+
+
+def make_uniform_grid(n: int, length: float = 1.0, kappa: Profile = 1.0) -> Grid1D:
     """Build the n-cell grid on [0, length] with weights h * kappa(centers)."""
     if n < 2:
         raise ValueError(f"need at least 2 cells, got n={n}")
@@ -104,27 +117,18 @@ def make_uniform_grid(
         raise ValueError(f"length must be positive, got {length}")
     h = length / n
     centers = (np.arange(n) + 0.5) * h
-    kvals = kappa(centers) if callable(kappa) else np.full(n, float(kappa))
-    kvals = np.asarray(kvals, dtype=float)
-    if kvals.shape != (n,):
-        raise ValueError("kappa must produce one value per cell center")
+    kvals = _sample(kappa, centers, "kappa")
     return Grid1D(n=n, length=float(length), h=h, centers=_frozen(centers), weights=_frozen(h * kvals))
 
 
-def make_coefficients(
-    grid: Grid1D,
-    kappa: float | Callable[[np.ndarray], np.ndarray] = 1.0,
-    a: float | Callable[[np.ndarray], np.ndarray] = 1.0,
-) -> Coefficients:
+def make_coefficients(grid: Grid1D, kappa: Profile = 1.0, a: Profile = 1.0) -> Coefficients:
     """Sample kappa at cell centers and a at the n+1 faces (both walls included).
 
     The kappa samples must match the density baked into grid.weights; pass the
-    same function or constant used at grid construction.
+    same function, constant or samples used at grid construction.
     """
-    kvals = kappa(grid.centers) if callable(kappa) else np.full(grid.n, float(kappa))
     faces = np.arange(grid.n + 1) * grid.h
-    avals = a(faces) if callable(a) else np.full(grid.n + 1, float(a))
-    return Coefficients(kappa=_frozen(kvals), a=_frozen(avals))
+    return Coefficients(kappa=_frozen(_sample(kappa, grid.centers, "kappa")), a=_frozen(_sample(a, faces, "a")))
 
 
 def region_from_intervals(grid: Grid1D, intervals: Sequence[tuple[float, float]]) -> ControlRegion:
@@ -210,19 +214,24 @@ def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int
     return ControlRegion(mask=mask, measure=grid.h * int(mask.sum()))
 
 
-def write_mask_file(path: str | os.PathLike, region: ControlRegion) -> None:
-    """Write the mask as a single line of '0'/'1' characters, atomically."""
-    line = "".join("1" if b else "0" for b in region.mask) + "\n"
+def _write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    a reader sees the old file or the whole new one, never a part."""
     dest = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(line)
+            fh.write(text)
         os.replace(tmp, dest)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_mask_file(path: str | os.PathLike, region: ControlRegion) -> None:
+    """Write the mask as a single line of '0'/'1' characters, atomically."""
+    _write_atomic(path, "".join("1" if b else "0" for b in region.mask) + "\n")
 
 
 def read_mask_file(path: str | os.PathLike, grid: Grid1D) -> ControlRegion:

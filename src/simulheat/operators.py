@@ -133,50 +133,3 @@ def eigendecompose(op: Operator) -> EigenBasis:
         vectors=vectors,
         grid=op.grid,
     )
-
-
-def analytic_eigenbasis(grid: Grid1D, bc: BoundaryCondition) -> EigenBasis:
-    """Closed-form trigonometric eigenbasis for constant unit coefficients.
-
-    Dirichlet: sin(k pi x / L) for k = 1..n; Neumann: cos(k pi x / L) for
-    k = 0..n-1; Periodic (length = circumference): the wavenumber-k pair,
-    with the alternating mode at the top. All share the eigenvalue form
-    (4/h^2) sin^2(k pi h / (2 L_family)).
-    """
-    if not np.allclose(grid.weights, grid.h, rtol=1e-12, atol=0):
-        raise ValueError("analytic basis requires unit kappa (weights == h)")
-    n, L, h, x = grid.n, grid.length, grid.h, grid.centers
-    if bc is BoundaryCondition.DIRICHLET:
-        k = np.arange(1, n + 1)
-        vecs = np.sin(np.pi * np.outer(x, k) / L)
-        vals = (4.0 / h**2) * np.sin(np.pi * k * h / (2.0 * L)) ** 2
-    elif bc is BoundaryCondition.NEUMANN:
-        k = np.arange(n)
-        vecs = np.cos(np.pi * np.outer(x, k) / L)
-        vals = (4.0 / h**2) * np.sin(np.pi * k * h / (2.0 * L)) ** 2
-    elif bc is BoundaryCondition.PERIODIC:
-        if n % 2 != 0:
-            raise ValueError("periodic grids have an even cell count here")
-        cols = [np.ones(n)]
-        ks = [0]
-        for k in range(1, n // 2):
-            theta = 2.0 * np.pi * k * x / L
-            cols.extend([np.cos(theta), np.sin(theta)])
-            ks.extend([k, k])
-        cols.append(np.sin(np.pi * n * x / L))  # alternating +-1 mode at the centers
-        ks.append(n // 2)
-        vecs = np.stack(cols, axis=1)
-        karr = np.asarray(ks)
-        vals = (4.0 / h**2) * np.sin(np.pi * karr / n) ** 2
-    else:  # pragma: no cover
-        raise ValueError(f"unknown boundary condition {bc}")
-    vals = vals.astype(float)
-    norms = np.sqrt((grid.weights[:, None] * vecs**2).sum(axis=0))
-    vectors = _fix_signs(vecs / norms)
-    return EigenBasis(
-        bc=bc,
-        eigenvalues=vals,
-        frequencies=np.sqrt(np.maximum(vals, 0.0)),
-        vectors=vectors,
-        grid=grid,
-    )

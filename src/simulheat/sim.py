@@ -27,9 +27,9 @@ class Trajectory:
     """States at time nodes, with cached weighted-L2 and sup norms.
 
     ghosts[t] = (left, right) are the field's values in the mirror cells just
-    across each wall; for natively propagated runs they follow the wall rule,
-    while split trajectories carry the actual circle neighbors, so the
-    boundary checks below see the pipeline rather than a tautology.
+    across each wall. Only split trajectories carry them: they are the actual
+    circle neighbors, so the boundary checks below see the pipeline rather
+    than a tautology.
     """
 
     times: np.ndarray
@@ -138,27 +138,19 @@ def split_trajectory(dd: DoubleDomain, traj: Trajectory) -> tuple[Trajectory, Tr
     )
 
 
-def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients | None = None) -> BoundaryResiduals:
-    """Wall residuals of a trajectory, relative to its largest sup norm.
+def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients) -> BoundaryResiduals:
+    """Wall residuals of a split trajectory, relative to its largest sup norm.
 
     Dirichlet trace: the wall value interpolated between the first cell and
     its ghost. Neumann flux: the conductivity times the one-sided difference
-    across the wall. Ghosts are the stored cross-wall values when present
-    (split trajectories) and the wall rule's own reflection otherwise.
+    across the wall. The ghosts are the stored cross-wall circle values.
     """
+    if traj.ghosts is None:
+        raise ValueError("only split trajectories carry wall ghosts; split the circle run first")
     h = traj.basis.grid.h
-    if traj.ghosts is not None:
-        gl, gr = traj.ghosts[:, 0], traj.ghosts[:, 1]
-    elif traj.bc is BoundaryCondition.DIRICHLET:
-        gl, gr = -traj.states[:, 0], -traj.states[:, -1]
-    elif traj.bc is BoundaryCondition.NEUMANN:
-        gl, gr = traj.states[:, 0], traj.states[:, -1]
-    else:
-        raise ValueError("circle trajectories have no walls; split first")
-    a_left = a_right = 1.0
-    if coeffs is not None:
-        a_left = coeffs.a[0] * coeffs.kappa[0]
-        a_right = coeffs.a[-1] * coeffs.kappa[-1]
+    gl, gr = traj.ghosts[:, 0], traj.ghosts[:, 1]
+    a_left = coeffs.a[0] * coeffs.kappa[0]
+    a_right = coeffs.a[-1] * coeffs.kappa[-1]
     trace = np.maximum(
         np.abs(0.5 * (traj.states[:, 0] + gl)), np.abs(0.5 * (traj.states[:, -1] + gr))
     )

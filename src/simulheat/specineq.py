@@ -11,8 +11,7 @@ warm-started from the last. Each estimate is a bracket: the best re-evaluated
 primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
 above; one wider than _BRACKET_TOL relative raises NumericalError.
 
-A cheaper sigma-min surrogate and a randomized lower bound are also provided,
-plus the exponential fit log(constant) ~ slope * lam used to compare against
+A cheaper sigma-min surrogate is also provided, plus the exponential fit log(constant) ~ slope * lam used to compare against
 the e^{C lam} growth that observability predicts.
 """
 
@@ -43,7 +42,7 @@ class SpectralConstantEstimate:
     lam: float
     mode_count: int
     region_measure: float
-    method: str  # exact-lp | sigma-min-l2 | randomized-lower
+    method: str  # exact-lp | sigma-min-l2
     constant: float
     certificate: np.ndarray | None = None
     upper: float | None = None
@@ -213,37 +212,6 @@ def estimate_constant_l2(
         method="sigma-min-l2",
         constant=float(constant),
         certificate=direction,
-    )
-
-
-def randomized_lower_bound(
-    basis: EigenBasis,
-    cutoff: SpectralCutoff,
-    region: ControlRegion,
-    *,
-    trials: int = 256,
-    seed: int = 0,
-) -> SpectralConstantEstimate:
-    """Best ratio over random coefficient draws; never exceeds the LP value."""
-    K = cutoff.count
-    if K < 1:
-        raise ValueError("cutoff admits no modes")
-    E = basis.vectors[:, :K]
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_c = None
-    for _ in range(trials):
-        c = rng.standard_normal(K)
-        val = _ratio(basis, E, region, c)
-        if val > best:
-            best, best_c = val, c
-    return SpectralConstantEstimate(
-        lam=cutoff.lam,
-        mode_count=K,
-        region_measure=region.measure,
-        method="randomized-lower",
-        constant=float(best),
-        certificate=best_c,
     )
 
 

@@ -1,12 +1,15 @@
 """Shared construction helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
 
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import make_coefficients, make_uniform_grid
-from simulheat.operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
+from simulheat.operators import BoundaryCondition, EigenBasis, _fix_signs, assemble_laplacian, eigendecompose
+from simulheat.specineq import SpectralConstantEstimate
 from simulheat.spectral import l1_norm_on, l2_norm, sup_norm
 
 D = BoundaryCondition.DIRICHLET
@@ -41,6 +44,14 @@ def double_setup(n, length=1.0, kappa=1.0, a=1.0):
 def circle_operator(dd):
     """The dense periodic operator of the doubled problem, an oracle only."""
     return assemble_laplacian(dd.doubled, dd.doubled_coeffs, P)
+
+
+def mirror_flipped(dd, k):
+    """dd with circle mode k negated on the mirror copy: odd becomes even and
+    even odd, so that column is no eigenvector of the circle any more."""
+    vectors = dd.basis_circle.vectors.copy()
+    vectors[dd.embed_minus, k] *= -1.0
+    return dataclasses.replace(dd, basis_circle=dataclasses.replace(dd.basis_circle, vectors=vectors))
 
 
 def extend_eigenfunction(dd, e, bc):
@@ -125,3 +136,71 @@ def lp_constant_oracle(basis, cutoff, region):
             if res.status == 2:  # the peak row is identically zero
                 break
     return best
+
+
+def analytic_eigenbasis(grid, bc):
+    """Closed-form trigonometric eigenbasis for constant unit coefficients.
+
+    Dirichlet: sin(k pi x / L) for k = 1..n; Neumann: cos(k pi x / L) for
+    k = 0..n-1; Periodic (length = circumference): the wavenumber-k pair,
+    with the alternating mode at the top. All share the eigenvalue form
+    (4/h^2) sin^2(k pi h / (2 L_family)). Signs follow eigendecompose's rule.
+    """
+    if not np.allclose(grid.weights, grid.h, rtol=1e-12, atol=0):
+        raise ValueError("analytic basis requires unit kappa (weights == h)")
+    n, L, h, x = grid.n, grid.length, grid.h, grid.centers
+    if bc is D:
+        k = np.arange(1, n + 1)
+        vecs = np.sin(np.pi * np.outer(x, k) / L)
+        vals = (4.0 / h**2) * np.sin(np.pi * k * h / (2.0 * L)) ** 2
+    elif bc is N:
+        k = np.arange(n)
+        vecs = np.cos(np.pi * np.outer(x, k) / L)
+        vals = (4.0 / h**2) * np.sin(np.pi * k * h / (2.0 * L)) ** 2
+    else:
+        if n % 2 != 0:
+            raise ValueError("periodic grids have an even cell count here")
+        cols = [np.ones(n)]
+        ks = [0]
+        for k in range(1, n // 2):
+            theta = 2.0 * np.pi * k * x / L
+            cols.extend([np.cos(theta), np.sin(theta)])
+            ks.extend([k, k])
+        cols.append(np.sin(np.pi * n * x / L))  # alternating +-1 mode at the centers
+        ks.append(n // 2)
+        vecs = np.stack(cols, axis=1)
+        vals = (4.0 / h**2) * np.sin(np.pi * np.asarray(ks) / n) ** 2
+    vals = vals.astype(float)
+    norms = np.sqrt((grid.weights[:, None] * vecs**2).sum(axis=0))
+    return EigenBasis(
+        bc=bc,
+        eigenvalues=vals,
+        frequencies=np.sqrt(np.maximum(vals, 0.0)),
+        vectors=_fix_signs(vecs / norms),
+        grid=grid,
+    )
+
+
+def randomized_lower_bound(basis, cutoff, region, *, trials=256, seed=0):
+    """Best sup/L1 ratio over random coefficient draws; never above the LP value."""
+    K = cutoff.count
+    if K < 1:
+        raise ValueError("cutoff admits no modes")
+    E = basis.vectors[:, :K]
+    rng = np.random.default_rng(seed)
+    best, best_c = -np.inf, None
+    for _ in range(trials):
+        c = rng.standard_normal(K)
+        p = E @ c
+        mass = l1_norm_on(basis.grid, p, region)
+        val = np.inf if mass == 0.0 else sup_norm(p) / mass
+        if val > best:
+            best, best_c = val, c
+    return SpectralConstantEstimate(
+        lam=cutoff.lam,
+        mode_count=K,
+        region_measure=region.measure,
+        method="randomized-lower",
+        constant=float(best),
+        certificate=best_c,
+    )

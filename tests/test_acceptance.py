@@ -12,15 +12,15 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from common import D, N, VARIABLE, circle_operator, double_setup, problem, unit_pair, wall_basis
+from common import D, N, VARIABLE, double_setup, problem, unit_pair, wall_basis
 from simulheat import cli
 from simulheat.control import ControlSignal, gramian, mass_matrix_on_region
-from simulheat.doubling import build_double, extend_pair, split
+from simulheat.doubling import build_double, verify
 from simulheat.grid import fat_cantor_region, region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import propagate, run_simultaneous, split_trajectory
 from simulheat.specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
-from simulheat.spectral import coefficients, l2_norm, make_cutoff, project, sup_norm
+from simulheat.spectral import make_cutoff
 
 
 def test_criterion_1_spectrum_union():
@@ -30,13 +30,7 @@ def test_criterion_1_spectrum_union():
         for label in ("constant", "variable"):
             kw = {} if label == "constant" else VARIABLE
             grid, coeffs = problem(n, **kw)
-            dd = build_double(grid, coeffs)
-            lam_d = eigendecompose(assemble_laplacian(grid, coeffs, D)).eigenvalues
-            lam_n = eigendecompose(assemble_laplacian(grid, coeffs, N)).eigenvalues
-            lam_p = eigendecompose(circle_operator(dd)).eigenvalues
-            union = np.sort(np.concatenate([lam_d, lam_n]))
-            rel = np.abs(union - lam_p) / np.maximum(np.maximum(np.abs(union), np.abs(lam_p)), 1.0)
-            worst = max(worst, float(rel.max()))
+            worst = max(worst, verify(build_double(grid, coeffs), 0).spectrum_union)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed <= 10.0
@@ -45,12 +39,7 @@ def test_criterion_1_spectrum_union():
 
 def test_criterion_2_extension_property():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
-    A = circle_operator(dd).matrix
-    res = 0.0
-    for k in range(ext.vectors.shape[1]):
-        e = ext.vectors[:, k]
-        r = A @ e - ext.eigenvalues[k] * e
-        res = max(res, l2_norm(dd.doubled, r) / max(ext.eigenvalues[k], 1.0))
+    res = verify(dd, 0).extension_eigenvectors
     G = ext.vectors.T @ (dd.doubled.weights[:, None] * ext.vectors)
     gram_dev = float(np.max(np.abs(G - np.eye(2 * 64))))
     assert res <= 1e-10
@@ -59,20 +48,9 @@ def test_criterion_2_extension_property():
 
 
 def test_criterion_3_link_identity():
+    # verify draws 100 seeded (u, v, lambda) triples, in the order double-check does
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
-    rng = np.random.default_rng(0)
-    numax = float(ext.frequencies[-1])
-    worst = 0.0
-    for _ in range(100):
-        u = rng.standard_normal(64)
-        v = rng.standard_normal(64)
-        lam = float(rng.uniform(0.0, 1.05 * numax))
-        U = extend_pair(dd, u, v)
-        pu, pv = split(dd, project(ext, make_cutoff(ext, lam), U))
-        pd = project(basis_d, make_cutoff(basis_d, lam), u)
-        pn = project(basis_n, make_cutoff(basis_n, lam), v)
-        scale = max(sup_norm(pd) + sup_norm(pn), 1.0)
-        worst = max(worst, sup_norm(pu - pd) / scale, sup_norm(pv - pn) / scale)
+    worst = verify(dd, 0).link_identity
     assert worst <= 1e-10
     print(f"CRITERION 3 PASS: link identity over 100 triples, worst gap {worst:.3e} <= 1e-10")
 

@@ -14,6 +14,7 @@ import pytest
 import simulheat.doubling
 import simulheat.operators
 import simulheat.specineq
+from common import mirror_flipped
 from simulheat import cli
 
 
@@ -60,11 +61,19 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "lambda_sweep": [2, "x"]},
         {"n": 8, "steps": "x"},
         {"n": 8, "lambda0": "x"},
+        # JSON's NaN and Infinity parse as floats, but no field takes them
+        {"n": 8, "lambda_sweep": [float("nan"), 4]},
+        {"n": 8, "method": "lr", "lambda0": float("nan")},
+        {"n": 8, "T": float("nan")},
+        {"n": 8, "T": float("inf")},
+        {"n": 8, "coefficients": {"kappa": [1.0] * 7 + [None], "a": [1.0] * 9}},
     ],
 )
-def test_config_validation_failures_exit_2(tmp_path, fields):
+def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
     code, _ = run(tmp_path, "simulate", **fields)
     assert code == 2
+    if fields:  # the message names the offending field
+        assert list(fields)[-1] in capsys.readouterr().err
 
 
 def test_unreadable_and_malformed_configs_exit_2(tmp_path):
@@ -114,6 +123,17 @@ def test_double_check_with_sampled_coefficients(tmp_path):
     report = json.loads((out / "double_check.json").read_text())
     assert report["all_pass"]
     assert report["checks"]["spectrum_union"]["max_residual"] <= 1e-9
+
+
+def test_double_check_exits_4_on_a_broken_doubling(tmp_path, monkeypatch):
+    build = cli.build_double
+    monkeypatch.setattr(cli, "build_double", lambda grid, coeffs: mirror_flipped(build(grid, coeffs), 1))
+    code, out = run(tmp_path, "double-check", n=16)
+    assert code == 4
+    report = json.loads((out / "double_check.json").read_text())
+    assert not report["all_pass"]
+    assert not report["checks"]["extension_eigenvectors"]["pass"]
+    assert report["checks"]["spectrum_union"]["pass"]
 
 
 def test_double_check_rejects_misshapen_coefficients(tmp_path):

@@ -234,7 +234,6 @@ def test_schedule_collapses_to_one_slice():
     basis = wall_basis(8, D)
     lam0 = 2.0 * float(basis.frequencies[-1])
     sched = make_lr_schedule(1.0, lam0, basis)
-    assert sched.terminal_level == 0
     (sl,) = sched.slices
     assert (sl.t_start, sl.t_mid, sl.t_end, sl.lam) == (0.0, 0.25, 0.5, lam0)
 

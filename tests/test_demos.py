@@ -1,18 +1,19 @@
 """The demos run against the current API.
 
 The two quick demos are run to completion in a subprocess; the slow LP
-sweep demo is only checked for the names it imports from simulheat.
+sweep demo, like the README's code blocks, is only checked for the names it
+imports from simulheat.
 """
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import simulheat
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -30,13 +31,20 @@ def test_quick_demo_runs(demo):
 
 
 def test_sweep_demo_imports_exist():
-    tree = ast.parse((DEMOS / "constant_sweep.py").read_text())
-    names = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "simulheat"
-        for alias in node.names
+    """Every name a demo or a README code block imports from simulheat exists."""
+    sources = {path.name: path.read_text() for path in sorted(DEMOS.glob("*.py"))}
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    sources.update((f"README block {i}", block) for i, block in enumerate(blocks))
+    imported = {}
+    for where, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simulheat":
+                imported.setdefault(where, []).extend((node.module, alias.name) for alias in node.names)
+    assert "constant_sweep.py" in imported and len(imported) >= 4
+    missing = [
+        f"{where}: {module}.{name}"
+        for where, names in imported.items()
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
     ]
-    assert names
-    missing = [name for name in names if not hasattr(simulheat, name)]
     assert not missing

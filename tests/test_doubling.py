@@ -14,10 +14,11 @@ from common import (
     double_setup,
     extend_eigenfunction,
     extended_eigenbasis,
+    mirror_flipped,
     problem,
     unit_pair,
 )
-from simulheat.doubling import build_double, extend_pair, lift_region, split
+from simulheat.doubling import build_double, extend_pair, lift_region, split, verify
 from simulheat.grid import region_from_intervals
 from simulheat.operators import eigendecompose
 from simulheat.spectral import l2_norm, make_cutoff, project, sup_norm
@@ -237,3 +238,16 @@ def test_wall_ghosts_of_parity_extensions():
     odd = extend_pair(dd, f, np.zeros(n))
     assert odd[2 * n - 1] == -odd[0]
     assert odd[n] == -odd[n - 1]
+
+
+def test_verify_flags_a_mode_of_the_wrong_parity():
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16, **VARIABLE)
+    good = verify(dd, 0)
+    assert good.extension_eigenvectors <= 1e-10
+    assert good.link_identity <= 1e-10
+    bad = verify(mirror_flipped(dd, 1), 0)
+    assert bad.extension_eigenvectors > 1e-10
+    assert bad.link_identity > 1e-10
+    # the dense eigensolve and the split round trip do not read the circle basis
+    assert bad.spectrum_union == good.spectrum_union
+    assert bad.split_roundtrip == good.split_roundtrip

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, P, problem, wall_basis
+from common import D, N, P, analytic_eigenbasis, problem, wall_basis
 from simulheat.grid import make_coefficients, make_uniform_grid
-from simulheat.operators import (
-    analytic_eigenbasis,
-    assemble_laplacian,
-    eigendecompose,
-)
+from simulheat.operators import assemble_laplacian, eigendecompose
 
 
 def test_dirichlet_stencil_frozen_n2():

@@ -108,25 +108,11 @@ def test_split_trajectory_shapes_and_guards():
         split_trajectory(dd, su)  # wall trajectories do not split
 
 
-def test_boundary_residuals_of_native_wall_runs_vanish():
-    basis = wall_basis(16, D)
-    rng = np.random.default_rng(6)
-    traj = propagate(basis, rng.standard_normal(16), None, 0.2)
-    res = check_boundary_conditions(traj)
-    assert res.dirichlet_trace == 0.0
-
-    nbasis = wall_basis(16, N)
-    ntraj = propagate(nbasis, np.full(16, 3.0), None, 0.2)
-    nres = check_boundary_conditions(ntraj)
-    assert nres.neumann_flux == 0.0
-    assert nres.dirichlet_trace == pytest.approx(1.0)  # a constant has full trace
-
-
 def test_boundary_check_rejects_unsplit_circle():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
     traj = propagate(ext, np.ones(16), None, 0.1)
     with pytest.raises(ValueError):
-        check_boundary_conditions(traj)
+        check_boundary_conditions(traj, coeffs)
 
 
 def pipeline_problem():

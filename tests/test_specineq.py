@@ -7,7 +7,16 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from common import D, N, VARIABLE, double_setup, lp_constant_oracle, wall_basis
+from common import (
+    D,
+    N,
+    VARIABLE,
+    analytic_eigenbasis,
+    double_setup,
+    lp_constant_oracle,
+    randomized_lower_bound,
+    wall_basis,
+)
 from simulheat import specineq
 from simulheat.doubling import lift_region
 from simulheat.grid import (
@@ -16,13 +25,12 @@ from simulheat.grid import (
     make_uniform_grid,
     region_from_intervals,
 )
-from simulheat.operators import NumericalError, analytic_eigenbasis
+from simulheat.operators import NumericalError
 from simulheat.specineq import (
     SpectralConstantEstimate,
     estimate_constant_l2,
     estimate_constant_lp,
     fit_exponential,
-    randomized_lower_bound,
     simultaneous_constant,
 )
 from simulheat.spectral import l1_norm_on, make_cutoff, sup_norm

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from common import D, N, wall_basis
+from common import D, N, analytic_eigenbasis, wall_basis
 from simulheat.grid import make_uniform_grid, region_from_intervals
-from simulheat.operators import analytic_eigenbasis
 from simulheat.spectral import (
     SpectralCutoff,
     coefficients,
