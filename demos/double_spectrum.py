@@ -10,12 +10,8 @@ eigenvectors really are eigenvectors of that operator.
 import numpy as np
 
 from simulheat import (
-    BoundaryCondition,
-    assemble_laplacian,
     build_double,
-    eigendecompose,
     extend_pair,
-    l2_norm,
     make_coefficients,
     make_cutoff,
     make_uniform_grid,
@@ -23,6 +19,7 @@ from simulheat import (
     split,
     sup_norm,
 )
+from simulheat.doubling import verify
 
 n = 48
 grid = make_uniform_grid(n, 1.0, lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x))
@@ -30,11 +27,12 @@ coeffs = make_coefficients(grid, lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), la
 
 dd = build_double(grid, coeffs)
 basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-circle_op = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC)
-circle = eigendecompose(circle_op)
+# verify solves the dense circle operator and checks the doubling against it
+checks = verify(dd, seed=0)
+circle = checks.circle_eigenvalues
 
 union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
-rel = np.abs(union - circle.eigenvalues) / np.maximum(np.abs(circle.eigenvalues), 1.0)
+rel = np.abs(union - circle) / np.maximum(np.abs(circle), 1.0)
 print(f"interval n={n}, circle 2n={2 * n}")
 print(f"union of wall spectra vs circle spectrum: worst relative gap {rel.max():.2e}")
 print()
@@ -42,14 +40,10 @@ print("  sorted wall union   circle      (D = dirichlet, N = neumann)")
 tags = ["D"] * n + ["N"] * n
 order = np.argsort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]), kind="stable")
 for k in range(8):
-    print(f"  {union[k]:>12.4f} ({tags[order[k]]})   {circle.eigenvalues[k]:>12.4f}")
+    print(f"  {union[k]:>12.4f} ({tags[order[k]]})   {circle[k]:>12.4f}")
 
-worst = 0.0
-for k in range(2 * n):
-    r = circle_op.matrix @ ext.vectors[:, k] - ext.eigenvalues[k] * ext.vectors[:, k]
-    worst = max(worst, l2_norm(dd.doubled, r) / max(ext.eigenvalues[k], 1.0))
 print()
-print(f"odd/even reflections as circle eigenvectors: worst residual {worst:.2e}")
+print(f"odd/even reflections as circle eigenvectors: worst residual {checks.extension_eigenvectors:.2e}")
 
 # projecting the glued pair on the circle, then splitting, matches projecting
 # each wall problem separately

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .grid import ControlRegion
 from .operators import EigenBasis
-from .spectral import SpectralCutoff, coefficients, make_cutoff
+from .spectral import SpectralCutoff, coefficients, resolution
 
 
 class SingularGramianError(RuntimeError):
@@ -262,7 +262,7 @@ class SliceSpec:
 
 @dataclass(frozen=True)
 class LRSchedule:
-    """Dyadic slices: slice j spans T 2^-(j+1) and targets frequencies <= lam0 2^j."""
+    """Dyadic slices: slice j spans T 2^-(j+1) and targets frequencies below lam0 2^j."""
 
     T: float
     slices: tuple[SliceSpec, ...]
@@ -302,11 +302,13 @@ def lr_control(
 ) -> ControlSignal:
     """Cascade control: each slice kills its low modes, then coasts.
 
-    The active half of slice j runs hum_low_mode_control for frequencies up
-    to lam_j on the current state, on its default 64 steps, to a relative
-    residual of 1e-6; the passive half is free decay. The state is marched
-    exactly through every step, so the returned per-slice ledger records true
-    norms. The terminal slice covers all modes, after which only decay remains.
+    The active half of slice j runs hum_low_mode_control on the current
+    state for the modes with lambda_k < lam_j^2 - resolution(basis), strictly
+    below lam_j whatever the rounding of a tie at it, on its default 64 steps,
+    to a relative residual of 1e-6; the passive half is free decay. The state
+    is marched exactly through every step, so the returned per-slice ledger
+    records true norms. The terminal slice steers every mode, after which only
+    decay remains.
     """
     yhat = coefficients(basis, field0)
     ledger: list[dict] = []
@@ -316,10 +318,15 @@ def lr_control(
     # once the targeted modes dip below representable precision of the input,
     # an active solve would only pump rounding noise back in
     floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(yhat))
+    r = resolution(basis)
+    terminal = len(schedule.slices) - 1
 
     for j, sl in enumerate(schedule.slices):
         pre = float(np.linalg.norm(yhat))
-        cut = make_cutoff(basis, sl.lam)
+        count = len(yhat)
+        if j < terminal:
+            count = int(np.searchsorted(basis.eigenvalues, sl.lam**2 - r, side="left"))
+        cut = SpectralCutoff(lam=sl.lam, count=count)
         tau = sl.t_mid - sl.t_start
         cost = 0.0
         if float(np.linalg.norm(yhat[: cut.count])) > floor:

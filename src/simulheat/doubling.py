@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .grid import Coefficients, ControlRegion, Grid1D, _frozen
-from .operators import BoundaryCondition, EigenBasis, assemble_laplacian, eigendecompose
+from .operators import BoundaryCondition, EigenBasis, _snap_kernel, assemble_laplacian, eigendecompose
 from .spectral import l2_norm, make_cutoff, project, sup_norm
 
 # random (u, v, lambda) triples the link identity and the split round trip are checked on
@@ -66,23 +67,24 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
     basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
     basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
 
-    # row k extends mode k: odd for the Dirichlet rows, even for the Neumann
-    # rows. _glue makes the additions extend_pair makes, so every entry,
-    # signed zeros included, matches the extension of the single mode.
-    zero = np.zeros((n, n))
-    X = np.concatenate([
-        _glue(basis_d.vectors.T, zero, embed_plus, embed_minus),
-        _glue(zero, basis_n.vectors.T, embed_plus, embed_minus),
-    ])
-    X /= np.sqrt(np.sum(doubled.weights * X * X, axis=1))[:, None]
+    # row r of X is circle mode r: the odd extension of a Dirichlet mode or
+    # the even extension of a Neumann mode, written into its sorted row and
+    # scaled by its circle norm, 2 sum(w e^2) for either parity
     vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
+    rows = np.empty(2 * n, dtype=np.intp)
+    rows[order] = np.arange(2 * n)
+    X = np.empty((2 * n, 2 * n))
+    for sign, basis, r in ((-1.0, basis_d, rows[:n]), (1.0, basis_n, rows[n:])):
+        V = basis.vectors.T / np.sqrt(2.0 * (grid.weights @ basis.vectors**2))[:, None]
+        X[r, :n] = V
+        X[r, n:] = sign * V[:, ::-1]
     basis_circle = EigenBasis(
         bc=BoundaryCondition.PERIODIC,
         eigenvalues=vals,
         frequencies=np.sqrt(np.maximum(vals, 0.0)),
-        vectors=X[order].T,  # modes contiguous in memory: BLAS rounding depends on layout
+        vectors=X.T,  # modes contiguous in memory
         grid=doubled,
     )
     return DoubleDomain(
@@ -92,20 +94,15 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
     )
 
 
-def _glue(u: np.ndarray, v: np.ndarray, embed_plus: np.ndarray, embed_minus: np.ndarray) -> np.ndarray:
-    """u + v on the plus copy and -u + v on the mirror copy, along the last axis."""
-    out = np.empty(u.shape[:-1] + (2 * u.shape[-1],))
-    out[..., embed_plus] = u + v
-    out[..., embed_minus] = -u + v
-    return out
-
-
 def extend_pair(dd: DoubleDomain, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """U with u + v on the plus copy and -u + v on the mirror copy."""
     n = dd.base.n
     if u.shape != (n,) or v.shape != (n,):
         raise ValueError(f"fields must have shape ({n},)")
-    return _glue(u, v, dd.embed_plus, dd.embed_minus)
+    U = np.empty(2 * n)
+    U[dd.embed_plus] = u + v
+    U[dd.embed_minus] = -u + v
+    return U
 
 
 def split(dd: DoubleDomain, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,14 +147,15 @@ def verify(dd: DoubleDomain, seed: int) -> DoublingResiduals:
     split_roundtrip: split(extend_pair(u, v)) against (u, v) on the same draws.
     """
     basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-    circle_op = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC)
-    circle = eigendecompose(circle_op).eigenvalues
+    A = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC).dense()
+    sqw = np.sqrt(dd.doubled.weights)
+    S = A * (sqw[:, None] / sqw[None, :])
+    circle = _snap_kernel(scipy.linalg.eigvalsh(0.5 * (S + S.T)))
 
     union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
     denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), 1.0)
     spectrum = float(np.max(np.abs(union - circle) / denom))
 
-    A = circle_op.matrix
     extension = 0.0
     for k in range(ext.vectors.shape[1]):
         e = ext.vectors[:, k]

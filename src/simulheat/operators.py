@@ -19,7 +19,7 @@ from .grid import Coefficients, Grid1D
 
 
 class NumericalError(RuntimeError):
-    """A dense linear-algebra kernel failed to converge."""
+    """A linear-algebra kernel failed to converge."""
 
 
 class BoundaryCondition(enum.Enum):
@@ -30,10 +30,24 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class Operator:
+    """The stencil as its three diagonals: diag[i] = A[i, i], upper[i] =
+    A[i, i+1] and lower[i] = A[i+1, i], plus the periodic corners A[0, n-1]
+    and A[n-1, 0] (zero on the walls)."""
+
     bc: BoundaryCondition
-    matrix: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    corners: tuple[float, float]
     grid: Grid1D
     coeffs: Coefficients
+
+    def dense(self) -> np.ndarray:
+        """The n x n stencil matrix, for oracles and checks only."""
+        A = np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
+        A[0, -1] += self.corners[0]
+        A[-1, 0] += self.corners[1]
+        return A
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,7 @@ def _face_conductivity(grid: Grid1D, coeffs: Coefficients, periodic: bool) -> np
 
 
 def assemble_laplacian(grid: Grid1D, coeffs: Coefficients, bc: BoundaryCondition) -> Operator:
-    """Dense stencil matrix for the weighted flux Laplacian under bc."""
+    """Stencil diagonals of the weighted flux Laplacian under bc."""
     n = grid.n
     if coeffs.kappa.shape[0] != n:
         raise ValueError(f"coefficients sized for n={coeffs.kappa.shape[0]}, grid has n={n}")
@@ -79,52 +93,67 @@ def assemble_laplacian(grid: Grid1D, coeffs: Coefficients, bc: BoundaryCondition
         raise ValueError("grid weights disagree with h * kappa; rebuild grid and coefficients together")
     c = _face_conductivity(grid, coeffs, periodic=bc is BoundaryCondition.PERIODIC)
     inv = 1.0 / (coeffs.kappa * grid.h**2)
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = (c[:n] + c[1 : n + 1]) * inv
-    A[idx[:-1], idx[:-1] + 1] = -c[1:n] * inv[:-1]
-    A[idx[1:], idx[1:] - 1] = -c[1:n] * inv[1:]
+    diag = (c[:n] + c[1 : n + 1]) * inv
+    corners = (0.0, 0.0)
     if bc is BoundaryCondition.DIRICHLET:
         # ghost = -first interior cell doubles the wall flux coefficient
-        A[0, 0] += c[0] * inv[0]
-        A[n - 1, n - 1] += c[n] * inv[n - 1]
+        diag[0] += c[0] * inv[0]
+        diag[n - 1] += c[n] * inv[n - 1]
     elif bc is BoundaryCondition.NEUMANN:
         # ghost = +first interior cell cancels the wall flux
-        A[0, 0] -= c[0] * inv[0]
-        A[n - 1, n - 1] -= c[n] * inv[n - 1]
+        diag[0] -= c[0] * inv[0]
+        diag[n - 1] -= c[n] * inv[n - 1]
     elif bc is BoundaryCondition.PERIODIC:
-        A[0, n - 1] += -c[0] * inv[0]
-        A[n - 1, 0] += -c[n] * inv[n - 1]
+        corners = (-c[0] * inv[0], -c[n] * inv[n - 1])
     else:  # pragma: no cover
         raise ValueError(f"unknown boundary condition {bc}")
-    return Operator(bc=bc, matrix=A, grid=grid, coeffs=coeffs)
+    return Operator(
+        bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners,
+        grid=grid, coeffs=coeffs,
+    )
+
+
+# entries this close to a column's largest magnitude, relative to it, tie with
+# it: mirror-symmetric modes have their peak twice, and which copy rounds
+# larger differs between eigensolvers
+_SIGN_TIE = 1e-8
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the entry of largest magnitude positive (first such entry on ties)."""
-    lead = np.abs(vectors).argmax(axis=0)
+    """Make each column's first entry that ties with its largest magnitude positive."""
+    mag = np.abs(vectors)
+    lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
 
 
-def eigendecompose(op: Operator) -> EigenBasis:
-    """Full weighted-orthonormal eigenbasis of op, eigenvalues ascending.
-
-    The similarity W^(1/2) A W^(-1/2) is symmetric, so a symmetric solver is
-    used and the vectors are mapped back; eigenvalues below 1e-12 * max are
-    snapped to exactly 0 (structural kernel of Neumann/Periodic walls).
-    """
-    w = op.grid.weights
-    sqw = np.sqrt(w)
-    S = op.matrix * (sqw[:, None] / sqw[None, :])
-    S = 0.5 * (S + S.T)
-    try:
-        vals, vecs = scipy.linalg.eigh(S)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigensolve failed for {op.bc.value} operator (n={op.grid.n}): {exc}") from exc
+def _snap_kernel(vals: np.ndarray) -> np.ndarray:
+    """vals with the entries below 1e-12 * max set to exactly 0: the structural
+    kernel of the Neumann and periodic operators."""
     vals = vals.copy()
     vals[np.abs(vals) <= 1e-12 * max(vals[-1], 1.0)] = 0.0
+    return vals
+
+
+def eigendecompose(op: Operator) -> EigenBasis:
+    """Full weighted-orthonormal eigenbasis of a wall operator, eigenvalues ascending.
+
+    The similarity W^(1/2) A W^(-1/2) is symmetric tridiagonal (its two
+    off-diagonals are averaged against rounding), so scipy's tridiagonal
+    divide-and-conquer solver applies and the vectors are mapped back; the
+    structural kernel of the Neumann wall is snapped to exactly 0. The circle
+    is not solved here: build_double assembles its basis from the two walls.
+    """
+    if op.bc is BoundaryCondition.PERIODIC:
+        raise ValueError("eigendecompose solves the wall problems; build_double extends them to the circle")
+    sqw = np.sqrt(op.grid.weights)
+    off = 0.5 * (op.upper * (sqw[:-1] / sqw[1:]) + op.lower * (sqw[1:] / sqw[:-1]))
+    try:
+        vals, vecs = scipy.linalg.eigh_tridiagonal(op.diag, off, lapack_driver="stevd")
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"eigensolve failed for {op.bc.value} operator (n={op.grid.n}): {exc}") from exc
+    vals = _snap_kernel(vals)
     vectors = _fix_signs(vecs / sqw[:, None])
     return EigenBasis(
         bc=op.bc,

@@ -94,7 +94,9 @@ def propagate(
     times = np.array(nodes)
 
     coeffs = march(basis, coefficients(basis, state0), times, signal)
-    states = np.array([state0] + [basis.vectors @ y for y in coeffs[1:]])
+    states = np.empty((len(times), n))
+    states[0] = state0
+    states[1:] = coeffs[1:] @ basis.vectors.T
 
     l2 = np.array([l2_norm(basis.grid, s) for s in states])
     sup = np.array([sup_norm(s) for s in states])
@@ -241,7 +243,8 @@ def run_simultaneous(
 
 
 def _default_lambda0(basis: EigenBasis) -> float:
-    """Smallest positive frequency; the zero mode alone is a degenerate target."""
+    """Smallest positive frequency: slice 0 then steers the kernel mode alone,
+    and slice j the modes below 2^j times it."""
     pos = basis.frequencies[basis.frequencies > 0]
     if len(pos) == 0:
         raise ValueError("basis has no positive frequencies")

@@ -24,9 +24,24 @@ class SpectralCutoff:
             raise ValueError(f"mode count must be nonnegative, got {self.count}")
 
 
+def resolution(basis: EigenBasis) -> float:
+    """Eigenvalues of basis closer than this count as one eigenvalue.
+
+    Each computed eigenvalue carries an absolute error of a few eps *
+    lambda_max. Exact ties, such as the double circle eigenvalues of constant
+    coefficients, come out up to 6.5 eps * lambda_max apart, and distinct
+    eigenvalues at least 2.6e9 eps * lambda_max apart (both measured up to
+    n = 2048); n eps max(lambda_max, 1) lies between.
+    """
+    return basis.grid.n * float(np.finfo(float).eps) * max(float(basis.eigenvalues[-1]), 1.0)
+
+
 def make_cutoff(basis: EigenBasis, lam: float) -> SpectralCutoff:
-    """Cutoff at lam for basis; modes with frequency == lam are included."""
-    count = int(np.searchsorted(basis.frequencies, lam, side="right"))
+    """Cutoff at lam for basis: the modes with eigenvalue <= lam^2 +
+    resolution(basis), so a frequency equal to lam up to rounding is included."""
+    with np.errstate(over="ignore"):
+        top = np.square(float(lam)) + resolution(basis)
+    count = int(np.searchsorted(basis.eigenvalues, top, side="right"))
     return SpectralCutoff(lam=float(lam), count=count)
 
 

@@ -3,12 +3,20 @@
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import make_coefficients, make_uniform_grid
-from simulheat.operators import BoundaryCondition, EigenBasis, _fix_signs, assemble_laplacian, eigendecompose
+from simulheat.operators import (
+    BoundaryCondition,
+    EigenBasis,
+    _fix_signs,
+    _snap_kernel,
+    assemble_laplacian,
+    eigendecompose,
+)
 from simulheat.specineq import SpectralConstantEstimate
 from simulheat.spectral import l1_norm_on, l2_norm, sup_norm
 
@@ -42,8 +50,25 @@ def double_setup(n, length=1.0, kappa=1.0, a=1.0):
 
 
 def circle_operator(dd):
-    """The dense periodic operator of the doubled problem, an oracle only."""
+    """The periodic operator of the doubled problem, an oracle only."""
     return assemble_laplacian(dd.doubled, dd.doubled_coeffs, P)
+
+
+def dense_eigenbasis(op):
+    """Eigenbasis from a dense eigh of the symmetrized stencil, for any
+    boundary condition: the oracle for eigendecompose, and the tests'
+    eigensolver of the periodic operator."""
+    sqw = np.sqrt(op.grid.weights)
+    S = op.dense() * (sqw[:, None] / sqw[None, :])
+    vals, vecs = scipy.linalg.eigh(0.5 * (S + S.T))
+    vals = _snap_kernel(vals)
+    return EigenBasis(
+        bc=op.bc,
+        eigenvalues=vals,
+        frequencies=np.sqrt(vals),
+        vectors=_fix_signs(vecs / sqw[:, None]),
+        grid=op.grid,
+    )
 
 
 def mirror_flipped(dd, k):

@@ -109,7 +109,7 @@ def test_criterion_6_oracle_equivalence():
         sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
         u0 = rng.standard_normal(16)
         traj = propagate(basis, u0, sig, 0.4)
-        A = op.matrix
+        A = op.dense()
         u = u0.copy()
         for m in range(5):
             dt = timegrid[m + 1] - timegrid[m]

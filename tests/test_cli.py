@@ -67,6 +67,9 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "T": float("nan")},
         {"n": 8, "T": float("inf")},
         {"n": 8, "coefficients": {"kappa": [1.0] * 7 + [None], "a": [1.0] * 9}},
+        # finite lengths whose 1/h^2 overflows or underflows
+        {"n": 8, "length": 1e200},
+        {"n": 8, "length": 1e-200},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):

@@ -287,6 +287,21 @@ def test_lr_single_slice_reduces_to_hum_low():
     assert lr.timegrid[-1] == 1.0
 
 
+def test_terminal_slice_at_the_top_frequency_steers_every_mode():
+    basis = wall_basis(16, D)
+    numax = float(basis.frequencies[-1])
+    sched = make_lr_schedule(1e-3, numax / 4.0, basis)
+    assert sched.slices[-1].lam == numax
+    whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
+    # only the top mode is excited: the earlier slices stay below it, so
+    # the terminal slice alone can steer it
+    sig = lr_control(basis, sched, whole, basis.vectors[:, -1])
+    costs = [row["active_cost"] for row in sig.slice_ledger]
+    assert costs[:-1] == [0.0, 0.0]
+    assert costs[-1] > 0.0
+    assert sig.predicted_final_norm <= 1e-6
+
+
 def test_lr_cascade_kills_the_field_and_coasts_when_done():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(32)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, P, analytic_eigenbasis, problem, wall_basis
+from common import D, N, P, VARIABLE, analytic_eigenbasis, dense_eigenbasis, problem, wall_basis
 from simulheat.grid import make_coefficients, make_uniform_grid
 from simulheat.operators import assemble_laplacian, eigendecompose
 
@@ -13,13 +13,13 @@ def test_dirichlet_stencil_frozen_n2():
     # ghost u_{-1} = -u_0 doubles the wall flux: diag 8 + 4 = 12 at h = 1/2
     grid, coeffs = problem(2)
     op = assemble_laplacian(grid, coeffs, D)
-    assert_array_equal(op.matrix, [[12.0, -4.0], [-4.0, 12.0]])
+    assert_array_equal(op.dense(), [[12.0, -4.0], [-4.0, 12.0]])
 
 
 def test_neumann_stencil_frozen_n2():
     grid, coeffs = problem(2)
     op = assemble_laplacian(grid, coeffs, N)
-    assert_array_equal(op.matrix, [[4.0, -4.0], [-4.0, 4.0]])
+    assert_array_equal(op.dense(), [[4.0, -4.0], [-4.0, 4.0]])
 
 
 def test_periodic_stencil_is_circulant():
@@ -27,7 +27,7 @@ def test_periodic_stencil_is_circulant():
     op = assemble_laplacian(grid, coeffs, P)
     first = np.array([8.0, -4.0, 0.0, -4.0])
     for i in range(4):
-        assert_array_equal(op.matrix[i], np.roll(first, i))
+        assert_array_equal(op.dense()[i], np.roll(first, i))
 
 
 def test_assembly_guards():
@@ -54,7 +54,7 @@ def test_weighted_self_adjointness():
     grid, coeffs = problem(24, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.3 * np.sin(3 * x))
     rng = np.random.default_rng(0)
     for bc in (D, N):
-        A = assemble_laplacian(grid, coeffs, bc).matrix
+        A = assemble_laplacian(grid, coeffs, bc).dense()
         for _ in range(20):
             u = rng.standard_normal(24)
             v = rng.standard_normal(24)
@@ -68,7 +68,7 @@ def test_rayleigh_quotients_nonnegative():
     grid, coeffs = problem(16, kappa=lambda x: 1.0 + x)
     rng = np.random.default_rng(4)
     for bc in (D, N):
-        A = assemble_laplacian(grid, coeffs, bc).matrix
+        A = assemble_laplacian(grid, coeffs, bc).dense()
         for _ in range(10):
             u = rng.standard_normal(16)
             assert np.sum(grid.weights * u * (A @ u)) >= -1e-12
@@ -83,7 +83,7 @@ def test_frozen_small_spectra():
     # kernel vector is the weighted-normalized constant: both entries 1
     assert_allclose(bn.vectors[:, 0], [1.0, 1.0], rtol=1e-14)
     g4, c4 = problem(4, length=2.0)
-    bp = eigendecompose(assemble_laplacian(g4, c4, P))
+    bp = dense_eigenbasis(assemble_laplacian(g4, c4, P))
     assert_allclose(bp.eigenvalues, [0.0, 8.0, 8.0, 16.0], rtol=1e-12, atol=1e-12)
 
 
@@ -112,8 +112,27 @@ def test_eigenvector_residuals():
         op = assemble_laplacian(grid, coeffs, bc)
         basis = eigendecompose(op)
         for k in range(0, 64, 7):
-            r = op.matrix @ basis.vectors[:, k] - basis.eigenvalues[k] * basis.vectors[:, k]
+            r = op.dense() @ basis.vectors[:, k] - basis.eigenvalues[k] * basis.vectors[:, k]
             assert np.linalg.norm(r) <= 1e-9 * max(basis.eigenvalues[k], 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_eigendecompose_matches_dense_oracle(n, profile):
+    grid, coeffs = problem(n, **(VARIABLE if profile == "variable" else {}))
+    for bc in (D, N):
+        op = assemble_laplacian(grid, coeffs, bc)
+        basis = eigendecompose(op)
+        oracle = dense_eigenbasis(op)
+        scale = np.maximum(np.abs(oracle.eigenvalues), 1.0)
+        assert np.max(np.abs(basis.eigenvalues - oracle.eigenvalues) / scale) <= 1e-10
+        assert np.max(np.abs(basis.vectors - oracle.vectors)) <= 1e-9
+
+
+def test_eigendecompose_leaves_the_circle_to_build_double():
+    grid, coeffs = problem(8, length=2.0)
+    with pytest.raises(ValueError):
+        eigendecompose(assemble_laplacian(grid, coeffs, P))
 
 
 def test_structural_kernel_snaps_to_exact_zero():
@@ -121,7 +140,7 @@ def test_structural_kernel_snaps_to_exact_zero():
     assert bn.eigenvalues[0] == 0.0
     assert bn.frequencies[0] == 0.0
     grid, coeffs = problem(32, length=2.0)
-    bp = eigendecompose(assemble_laplacian(grid, coeffs, P))
+    bp = dense_eigenbasis(assemble_laplacian(grid, coeffs, P))
     assert bp.eigenvalues[0] == 0.0
     assert wall_basis(32, D).eigenvalues[0] > 0.0
 
@@ -165,7 +184,7 @@ def test_analytic_matches_numeric_wall_bases():
 def test_analytic_matches_numeric_periodic_subspaces():
     # each nonzero periodic eigenvalue is double, compare projectors per group
     grid, coeffs = problem(32, length=2.0)
-    num = eigendecompose(assemble_laplacian(grid, coeffs, P))
+    num = dense_eigenbasis(assemble_laplacian(grid, coeffs, P))
     ana = analytic_eigenbasis(grid, P)
     assert_allclose(num.eigenvalues, ana.eigenvalues, rtol=1e-10, atol=1e-9)
     w = grid.weights

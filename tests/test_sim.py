@@ -6,9 +6,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, double_setup, problem, wall_basis
-from simulheat.control import ControlSignal
-from simulheat.doubling import build_double
+from common import D, N, VARIABLE, dense_eigenbasis, double_setup, problem, unit_pair, wall_basis
+from simulheat import doubling
+from simulheat.control import ControlSignal, march
+from simulheat.doubling import build_double, lift_region
 from simulheat.grid import region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import (
@@ -18,6 +19,7 @@ from simulheat.sim import (
     run_simultaneous,
     split_trajectory,
 )
+from simulheat.spectral import coefficients
 
 
 def zero_signal(grid, region, t_end, steps):
@@ -84,7 +86,7 @@ def test_propagate_matches_expm_duhamel_oracle():
     traj = propagate(basis, u0, sig, 0.4)
 
     # independent route: u' = -A u + g stepped with the matrix exponential
-    A = op.matrix
+    A = op.dense()
     u = u0.copy()
     for m in range(5):
         dt = timegrid[m + 1] - timegrid[m]
@@ -94,6 +96,36 @@ def test_propagate_matches_expm_duhamel_oracle():
         u = E @ u + np.linalg.solve(A, (np.eye(12) - E) @ g)
         i = int(np.argmin(np.abs(traj.times - timegrid[m + 1])))
         assert np.max(np.abs(traj.states[i] - u)) <= 1e-8
+
+
+def test_propagate_states_match_the_per_node_reconstruction():
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(32, **VARIABLE)
+    region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
+    rng = np.random.default_rng(11)
+    timegrid = np.linspace(0.0, 0.5, 9)
+    values = rng.standard_normal((8, int(region.mask.sum())))
+    sig = ControlSignal(timegrid, values, region, ext.grid.weights[region.mask])
+    U0 = rng.standard_normal(64)
+    traj = propagate(ext, U0, sig, 0.7)
+    # the loop the single product replaced: one matrix-vector product per node
+    coeffs_t = march(ext, coefficients(ext, U0), traj.times, sig)
+    loop = np.array([U0] + [ext.vectors @ y for y in coeffs_t[1:]])
+    assert_array_equal(traj.states[0], U0)
+    for state, ref in zip(traj.states, loop):
+        assert np.max(np.abs(state - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_lr_costs_agree_with_a_dense_eigensolve(monkeypatch):
+    # the mode counts at the tied circle eigenvalues of constant coefficients
+    # must not depend on how either eigensolver rounds the tie
+    grid, coeffs = problem(128)
+    region = region_from_intervals(grid, [(0.2, 0.3)])
+    pairs = [unit_pair(grid, seed) for seed in range(8)]
+    reports = [run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
+    monkeypatch.setattr(doubling, "eigendecompose", dense_eigenbasis)
+    oracle = [run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
+    assert all(rep.passed for rep in reports + oracle)
+    assert_allclose([r.control_cost for r in reports], [r.control_cost for r in oracle], rtol=1e-8)
 
 
 def test_split_trajectory_shapes_and_guards():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from common import D, N, analytic_eigenbasis, wall_basis
+from common import D, N, analytic_eigenbasis, double_setup, wall_basis
 from simulheat.grid import make_uniform_grid, region_from_intervals
 from simulheat.spectral import (
     SpectralCutoff,
@@ -25,6 +25,16 @@ def test_cutoff_counts_include_equality():
     assert make_cutoff(basis, 1e9).count == 8
     neumann = wall_basis(8, N)
     assert make_cutoff(neumann, 0.0).count == 1  # kernel mode sits at frequency 0
+
+
+def test_cutoff_counts_the_exact_ties_of_constant_coefficients():
+    # Dirichlet mode k and Neumann mode k+1 share the wavenumber k+1, so the
+    # two wall solves give the same eigenvalue up to rounding
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(512)
+    for k in range(200):
+        lam = float(basis_d.frequencies[k])
+        assert make_cutoff(basis_n, lam).count == k + 2
+        assert make_cutoff(ext, lam).count == 2 * k + 3
 
 
 def test_cutoff_validation():
