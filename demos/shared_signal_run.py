@@ -32,7 +32,7 @@ def main(seed: int) -> None:
         print(f"  initial weighted-L2 norms   u {rep.initial_u_l2:.4f}, v {rep.initial_v_l2:.4f}")
         print(f"  final weighted-L2 norms     u {rep.final_u_l2:.3e}, v {rep.final_v_l2:.3e}")
         print(f"  control cost (L2 in t,x)    {rep.control_cost:.4f}")
-        print(f"  wall residuals after split  trace {rep.dirichlet_trace_residual:.2e}, "
+        print(f"  walls: direct vs circle     trace {rep.dirichlet_trace_residual:.2e}, "
               f"flux {rep.neumann_flux_residual:.2e}")
         print(f"  tolerance {rep.tolerance:.0e} -> {'pass' if rep.passed else 'MISS'}")
         if rep.signal.slice_ledger is not None:

@@ -325,19 +325,18 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     u0 = _seeded_unit_pair(grid, cfg.seed)[0]
     times = np.linspace(0.0, cfg.T, 65)
     states = march(basis, coefficients(basis, u0), times) @ basis.vectors.T
+    l2s = l2_norm(grid, states)
     lines = ["trajectory,t,l2,sup"]
-    l2s = []
-    for t, u in zip(times, states):
-        l2s.append(l2_norm(grid, u))
-        lines.append(f"{cfg.bc},{_fmt(t)},{_fmt(l2s[-1])},{_fmt(sup_norm(u))}")
+    for t, l2, sup in zip(times, l2s, sup_norm(states)):
+        lines.append(f"{cfg.bc},{_fmt(t)},{_fmt(l2)},{_fmt(sup)}")
     _write_atomic(os.path.join(outdir, "norms.csv"), "\n".join(lines) + "\n")
     monotone = bool(np.all(np.diff(l2s) <= 1e-12))
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
             "bc": cfg.bc,
-            "initial_l2": l2s[0],
-            "final_l2": l2s[-1],
+            "initial_l2": float(l2s[0]),
+            "final_l2": float(l2s[-1]),
             "dissipative": monotone,
             "config": asdict(cfg),
         },

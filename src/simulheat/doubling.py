@@ -31,7 +31,8 @@ class DoubleDomain:
 
     basis_circle merges the odd Dirichlet and even Neumann extensions, unit-norm
     and ascending; odd against even cancels across the two copies, so it is a
-    complete eigenbasis of the periodic operator.
+    complete eigenbasis of the periodic operator. circle_rows[k] is the circle
+    mode of Dirichlet mode k, and circle_rows[n + k] that of Neumann mode k.
     """
 
     base: Grid1D
@@ -40,6 +41,7 @@ class DoubleDomain:
     doubled_coeffs: Coefficients
     embed_plus: np.ndarray
     embed_minus: np.ndarray
+    circle_rows: np.ndarray
     basis_d: EigenBasis = field(repr=False)
     basis_n: EigenBasis = field(repr=False)
     basis_circle: EigenBasis = field(repr=False)
@@ -89,7 +91,7 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
     )
     return DoubleDomain(
         base=grid, base_coeffs=coeffs, doubled=doubled, doubled_coeffs=dcoeffs,
-        embed_plus=embed_plus, embed_minus=embed_minus,
+        embed_plus=embed_plus, embed_minus=embed_minus, circle_rows=rows,
         basis_d=basis_d, basis_n=basis_n, basis_circle=basis_circle,
     )
 
@@ -106,14 +108,15 @@ def extend_pair(dd: DoubleDomain, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def split(dd: DoubleDomain, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Odd/even parts of a circle field, pulled back to the interval.
+    """Odd/even parts of a circle field, or of each row of a stack of them,
+    pulled back to the interval.
 
     Inverse of extend_pair: u = (U o i+ - U o i-)/2, v = (U o i+ + U o i-)/2.
     """
-    if U.shape != (dd.doubled.n,):
-        raise ValueError(f"field must have shape ({dd.doubled.n},)")
-    up = U[dd.embed_plus]
-    um = U[dd.embed_minus]
+    if U.ndim < 1 or U.shape[-1] != dd.doubled.n:
+        raise ValueError(f"fields must have a last axis of width {dd.doubled.n}")
+    up = U[..., dd.embed_plus]
+    um = U[..., dd.embed_minus]
     return 0.5 * (up - um), 0.5 * (up + um)
 
 

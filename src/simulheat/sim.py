@@ -3,8 +3,9 @@
 propagate integrates the mode ODEs in closed form across each constant
 segment of the control, so trajectories carry no time-stepping error. The
 pipeline doubles the interval, synthesizes one control on the lifted region,
-and drives the Dirichlet and Neumann systems with that same signal; splitting
-the controlled circle trajectory must then reproduce both runs exactly.
+and drives the Dirichlet and Neumann systems with that same signal. The wall
+residuals then hold each direct run's wall cells against the odd and even
+parts of the controlled circle run, which supply the cross-wall values.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlSignal, hum_full_control, lr_control, make_lr_schedule, march
-from .doubling import DoubleDomain, build_double, extend_pair, lift_region, split
+from .doubling import build_double, extend_pair, lift_region, split
 from .grid import Coefficients, ControlRegion, Grid1D
-from .operators import BoundaryCondition, EigenBasis
+from .operators import EigenBasis
 from .spectral import coefficients, l2_norm, sup_norm
 
 DEFAULT_TOLERANCES = {"hum": 1e-6, "lr": 1e-4}
@@ -24,27 +25,13 @@ DEFAULT_TOLERANCES = {"hum": 1e-6, "lr": 1e-4}
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States at time nodes, with cached weighted-L2 and sup norms.
-
-    ghosts[t] = (left, right) are the field's values in the mirror cells just
-    across each wall. Only split trajectories carry them: they are the actual
-    circle neighbors, so the boundary checks below see the pipeline rather
-    than a tautology.
-    """
+    """States at time nodes, one row per node, with each row's weighted-L2
+    and sup norm."""
 
     times: np.ndarray
     states: np.ndarray
-    bc: BoundaryCondition
     l2_norms: np.ndarray
     sup_norms: np.ndarray
-    basis: EigenBasis = field(repr=False)
-    ghosts: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class BoundaryResiduals:
-    dirichlet_trace: float
-    neumann_flux: float
 
 
 @dataclass(frozen=True)
@@ -98,74 +85,8 @@ def propagate(
     states[0] = state0
     states[1:] = coeffs[1:] @ basis.vectors.T
 
-    l2 = np.array([l2_norm(basis.grid, s) for s in states])
-    sup = np.array([sup_norm(s) for s in states])
-    return Trajectory(times=times, states=states, bc=basis.bc, l2_norms=l2, sup_norms=sup, basis=basis)
-
-
-def split_trajectory(dd: DoubleDomain, traj: Trajectory) -> tuple[Trajectory, Trajectory]:
-    """Odd/even parts of a circle trajectory, with true cross-wall ghosts.
-
-    The ghost entries are the odd/even readings of the circle state in the
-    cells just beyond each wall (circle indices 2n-1 and n), which is what
-    the wall rules assert they should equal.
-    """
-    if traj.bc is not BoundaryCondition.PERIODIC:
-        raise ValueError("only circle trajectories split")
-    n = dd.base.n
-    T = len(traj.times)
-    states_u = np.empty((T, n))
-    states_v = np.empty((T, n))
-    ghosts_u = np.empty((T, 2))
-    ghosts_v = np.empty((T, 2))
-    for i, U in enumerate(traj.states):
-        u, v = split(dd, U)
-        states_u[i] = u
-        states_v[i] = v
-        # extend the split formula one cell past each wall
-        ghosts_u[i] = (0.5 * (U[2 * n - 1] - U[0]), 0.5 * (U[n] - U[n - 1]))
-        ghosts_v[i] = (0.5 * (U[2 * n - 1] + U[0]), 0.5 * (U[n] + U[n - 1]))
-    mk = lambda states, bc, ghosts: Trajectory(
-        times=traj.times,
-        states=states,
-        bc=bc,
-        l2_norms=np.array([l2_norm(dd.base, s) for s in states]),
-        sup_norms=np.array([sup_norm(s) for s in states]),
-        basis=traj.basis,
-        ghosts=ghosts,
-    )
-    return (
-        mk(states_u, BoundaryCondition.DIRICHLET, ghosts_u),
-        mk(states_v, BoundaryCondition.NEUMANN, ghosts_v),
-    )
-
-
-def check_boundary_conditions(traj: Trajectory, coeffs: Coefficients) -> BoundaryResiduals:
-    """Wall residuals of a split trajectory, relative to its largest sup norm.
-
-    Dirichlet trace: the wall value interpolated between the first cell and
-    its ghost. Neumann flux: the conductivity times the one-sided difference
-    across the wall. The ghosts are the stored cross-wall circle values.
-    """
-    if traj.ghosts is None:
-        raise ValueError("only split trajectories carry wall ghosts; split the circle run first")
-    h = traj.basis.grid.h
-    gl, gr = traj.ghosts[:, 0], traj.ghosts[:, 1]
-    a_left = coeffs.a[0] * coeffs.kappa[0]
-    a_right = coeffs.a[-1] * coeffs.kappa[-1]
-    trace = np.maximum(
-        np.abs(0.5 * (traj.states[:, 0] + gl)), np.abs(0.5 * (traj.states[:, -1] + gr))
-    )
-    flux = np.maximum(
-        np.abs(a_left * (traj.states[:, 0] - gl) / h),
-        np.abs(a_right * (gr - traj.states[:, -1]) / h),
-    )
-    scale = float(np.max(traj.sup_norms))
-    if scale == 0.0:
-        scale = 1.0
-    return BoundaryResiduals(
-        dirichlet_trace=float(np.max(trace)) / scale,
-        neumann_flux=float(np.max(flux)) / scale,
+    return Trajectory(
+        times=times, states=states, l2_norms=l2_norm(basis.grid, states), sup_norms=sup_norm(states)
     )
 
 
@@ -216,9 +137,15 @@ def run_simultaneous(
     traj_v = propagate(basis_n, v0, base_signal, T)
     traj_double = propagate(ext, U0, signal, T)
 
-    su, sv = split_trajectory(dd, traj_double)
-    res_u = check_boundary_conditions(su, coeffs)
-    res_v = check_boundary_conditions(sv, coeffs)
+    # Wall recovery: the circle cell across each wall reads -u_split (odd
+    # part) and v_split (even part) of the wall cell, so the direct runs'
+    # wall cells against the split ones give the Dirichlet trace and the
+    # Neumann flux, each relative to the largest sup norm of its own run.
+    u_split, v_split = split(dd, traj_double.states)
+    walls = [0, -1]
+    trace = 0.5 * np.max(np.abs(traj_u.states[:, walls] - u_split[:, walls]))
+    a_wall = coeffs.a[walls] * coeffs.kappa[walls]
+    flux = np.max(a_wall * np.abs(traj_v.states[:, walls] - v_split[:, walls])) / grid.h
 
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[method]
     scale = max(l2_norm(grid, u0), l2_norm(grid, v0), 1e-300)
@@ -228,8 +155,8 @@ def run_simultaneous(
         final_u_l2=final_u,
         final_v_l2=final_v,
         control_cost=signal.l2_cost,
-        dirichlet_trace_residual=res_u.dirichlet_trace,
-        neumann_flux_residual=res_v.neumann_flux,
+        dirichlet_trace_residual=float(trace) / (float(np.max(traj_u.sup_norms)) or 1.0),
+        neumann_flux_residual=float(flux) / (float(np.max(traj_v.sup_norms)) or 1.0),
         method=method,
         initial_u_l2=l2_norm(grid, u0),
         initial_v_l2=l2_norm(grid, v0),

@@ -245,9 +245,6 @@ def simultaneous_constant(
     # the single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
     n = dd.base.n
-    merged = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
-    pos = np.empty(2 * n, dtype=int)
-    pos[np.argsort(merged, kind="stable")] = np.arange(2 * n)
     Eext = ext.vectors[:, : cut.count]
     for slot, (wall_basis, offset) in enumerate(((basis_d, 0), (basis_n, n))):
         wall_cut = make_cutoff(wall_basis, cutoff_lam)
@@ -262,7 +259,7 @@ def simultaneous_constant(
         if wall_est.certificate is None:
             continue
         embedded = np.zeros(cut.count)
-        embedded[pos[offset : offset + wall_cut.count]] = wall_est.certificate
+        embedded[dd.circle_rows[offset : offset + wall_cut.count]] = wall_est.certificate
         val = _ratio(ext, Eext, lifted, embedded)
         if val > best:
             best, best_cert = val, embedded

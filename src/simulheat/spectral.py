@@ -59,12 +59,20 @@ def coefficients(basis: EigenBasis, u: np.ndarray) -> np.ndarray:
     return basis.vectors.T @ (basis.grid.weights * u)
 
 
-def sup_norm(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u))) if u.size else 0.0
+def sup_norm(u: np.ndarray) -> float | np.ndarray:
+    """Largest |entry| of a field, or of each row of an (m, n) stack."""
+    norms = np.max(np.abs(u), axis=-1, initial=0.0)
+    return norms if u.ndim > 1 else float(norms)
 
 
-def l2_norm(grid: Grid1D, u: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.weights * u * u)))
+def l2_norm(grid: Grid1D, u: np.ndarray) -> float | np.ndarray:
+    """Weighted L2 norm of a field, or of each row of an (m, n) stack."""
+    # in C order each row is summed pairwise, as a single field is; a stack in
+    # Fortran order, as split returns, would be summed a column at a time and
+    # differ from the per-row norms in the last bits
+    u = np.ascontiguousarray(u)
+    norms = np.sqrt(np.sum(grid.weights * u * u, axis=-1))
+    return norms if u.ndim > 1 else float(norms)
 
 
 def l1_norm_on(grid: Grid1D, u: np.ndarray, region: ControlRegion) -> float:

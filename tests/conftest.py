@@ -1,13 +1,26 @@
 """Suite-wide invariants: no estimate reports a constant above its upper end,
-and every basis eigendecompose returns is ascending and weighted-orthonormal."""
+and every basis eigendecompose returns is ascending and weighted-orthonormal.
+Property tests run under one deterministic hypothesis profile."""
 
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from simulheat import operators
 from simulheat.specineq import SpectralConstantEstimate
+
+# the same examples on every run, and no example database in the checkout
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+# hypothesis still caches the constants it reads from local sources (while
+# collecting, before any fixture runs) and failing-example patches under its
+# home directory, which would otherwise be .hypothesis/ in the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "simulheat-hypothesis")
 
 _init = SpectralConstantEstimate.__init__
 _eigendecompose = operators.eigendecompose

@@ -15,10 +15,10 @@ import scipy.linalg
 from common import D, N, VARIABLE, double_setup, problem, unit_pair, wall_basis
 from simulheat import cli
 from simulheat.control import ControlSignal, gramian, mass_matrix_on_region
-from simulheat.doubling import build_double, verify
+from simulheat.doubling import build_double, split, verify
 from simulheat.grid import fat_cantor_region, region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
-from simulheat.sim import propagate, run_simultaneous, split_trajectory
+from simulheat.sim import propagate, run_simultaneous
 from simulheat.specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
 from simulheat.spectral import make_cutoff
 
@@ -189,11 +189,12 @@ def test_criterion_8_boundary_recovery():
     rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
     assert rep.dirichlet_trace_residual <= 1e-10
     assert rep.neumann_flux_residual <= 1e-10
-    # the residuals above come from splitting the controlled circle run
+    # the residuals above hold the direct wall runs against the split
+    # controlled circle run at the walls; the split agrees at every cell
     dd = build_double(grid, coeffs)
-    su, sv = split_trajectory(dd, rep.trajectory_double)
-    assert np.max(np.abs(su.states - rep.trajectory_u.states)) <= 1e-10
-    assert np.max(np.abs(sv.states - rep.trajectory_v.states)) <= 1e-10
+    su, sv = split(dd, rep.trajectory_double.states)
+    assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
+    assert np.max(np.abs(sv - rep.trajectory_v.states)) <= 1e-10
     print(
         f"CRITERION 8 PASS: Dirichlet trace {rep.dirichlet_trace_residual:.3e} and "
         f"Neumann flux {rep.neumann_flux_residual:.3e} residuals <= 1e-10"

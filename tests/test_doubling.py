@@ -213,6 +213,25 @@ def test_circle_basis_matches_per_column_oracle(n, profile):
     assert ext.grid is dd.doubled
 
 
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_circle_rows_place_each_wall_mode(n, profile):
+    kw = VARIABLE if profile == "variable" else {}
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    eps = np.finfo(float).eps
+    for wall, rows, sign in ((basis_d, dd.circle_rows[:n], -1.0), (basis_n, dd.circle_rows[n:], 1.0)):
+        # a circle mode is its wall mode over sqrt(2) on the plus copy and its
+        # odd or even mirror on the other, once the wall mode's weighted norm
+        # (1 to within about 10 eps) is divided out; the mirror copy tells
+        # modes apart that agree on the plus copy, as at n = 2
+        unit = wall.vectors / np.sqrt(grid.weights @ wall.vectors**2)
+        plus = np.sqrt(2.0) * ext.vectors[dd.embed_plus][:, rows]
+        minus = sign * np.sqrt(2.0) * ext.vectors[dd.embed_minus][:, rows]
+        gap = max(np.max(np.abs(plus - unit)), np.max(np.abs(minus - unit)))
+        assert gap <= 4 * eps * np.max(np.abs(unit))
+    assert_array_equal(np.sort(dd.circle_rows), np.arange(2 * n))
+
+
 def test_link_identity_random_triples():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64)
     rng = np.random.default_rng(12)

@@ -1,24 +1,20 @@
 """Trajectory propagation, circle splitting, wall residuals, and the full
 shared-control pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from common import D, N, VARIABLE, dense_eigenbasis, double_setup, problem, unit_pair, wall_basis
-from simulheat import doubling
+from simulheat import doubling, sim
 from simulheat.control import ControlSignal, march
-from simulheat.doubling import build_double, lift_region
+from simulheat.doubling import build_double, lift_region, split
 from simulheat.grid import region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
-from simulheat.sim import (
-    DEFAULT_TOLERANCES,
-    check_boundary_conditions,
-    propagate,
-    run_simultaneous,
-    split_trajectory,
-)
+from simulheat.sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 from simulheat.spectral import coefficients
 
 
@@ -128,23 +124,19 @@ def test_lr_costs_agree_with_a_dense_eigensolve(monkeypatch):
     assert_allclose([r.control_cost for r in reports], [r.control_cost for r in oracle], rtol=1e-8)
 
 
-def test_split_trajectory_shapes_and_guards():
+def test_split_of_a_trajectory_stack_equals_per_state_splits():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
+    region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.5)]))
     rng = np.random.default_rng(4)
-    traj = propagate(ext, rng.standard_normal(16), None, 0.5)
-    su, sv = split_trajectory(dd, traj)
-    assert su.states.shape == sv.states.shape == (2, 8)
-    assert su.bc is D and sv.bc is N
-    assert su.ghosts.shape == sv.ghosts.shape == (2, 2)
+    traj = propagate(ext, rng.standard_normal(16), zero_signal(ext.grid, region, 0.5, 5), 0.5)
+    su, sv = split(dd, traj.states)
+    assert su.shape == sv.shape == (6, 8)
+    for U, u, v in zip(traj.states, su, sv):
+        ru, rv = split(dd, U)
+        assert_array_equal(u, ru)
+        assert_array_equal(v, rv)
     with pytest.raises(ValueError):
-        split_trajectory(dd, su)  # wall trajectories do not split
-
-
-def test_boundary_check_rejects_unsplit_circle():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
-    traj = propagate(ext, np.ones(16), None, 0.1)
-    with pytest.raises(ValueError):
-        check_boundary_conditions(traj, coeffs)
+        split(dd, su)  # a stack of wall states does not split
 
 
 def pipeline_problem():
@@ -179,10 +171,10 @@ def test_pipeline_split_route_equals_direct_wall_runs():
     grid, coeffs, region, u0, v0 = pipeline_problem()
     rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
     dd = build_double(grid, coeffs)
-    su, sv = split_trajectory(dd, rep.trajectory_double)
-    assert_array_equal(su.times, rep.trajectory_u.times)
-    assert np.max(np.abs(su.states - rep.trajectory_u.states)) <= 1e-10
-    assert np.max(np.abs(sv.states - rep.trajectory_v.states)) <= 1e-10
+    su, sv = split(dd, rep.trajectory_double.states)
+    assert_array_equal(rep.trajectory_double.times, rep.trajectory_u.times)
+    assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
+    assert np.max(np.abs(sv - rep.trajectory_v.states)) <= 1e-10
 
 
 def test_pipeline_recovers_wall_conditions():
@@ -190,6 +182,29 @@ def test_pipeline_recovers_wall_conditions():
     rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
     assert rep.dirichlet_trace_residual <= 1e-10
     assert rep.neumann_flux_residual <= 1e-10
+
+
+@pytest.mark.parametrize("bc, broken, intact", [
+    (D, "dirichlet_trace_residual", "neumann_flux_residual"),
+    (N, "neumann_flux_residual", "dirichlet_trace_residual"),
+], ids=["dirichlet", "neumann"])
+def test_wall_residuals_flag_a_broken_direct_run(monkeypatch, bc, broken, intact):
+    # a direct wall run that drifts at one wall cell must show in its residual
+    clean = sim.propagate
+
+    def propagate_broken(basis, *args):
+        traj = clean(basis, *args)
+        if basis.bc is not bc:
+            return traj
+        states = traj.states.copy()
+        states[:, -1] += 1e-6
+        return dataclasses.replace(traj, states=states)
+
+    monkeypatch.setattr(sim, "propagate", propagate_broken)
+    grid, coeffs, region, u0, v0 = pipeline_problem()
+    rep = sim.run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    assert getattr(rep, broken) > 1e-10
+    assert getattr(rep, intact) <= 1e-10
 
 
 def test_pipeline_handles_the_neumann_kernel():
