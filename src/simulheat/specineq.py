@@ -9,10 +9,13 @@ K right-hand sides change from cell to cell, so one HiGHS model with rows
 orthonormalized through the SVD of B serves the sweep, each dual-simplex solve
 warm-started from the last. Each estimate is a bracket: the best re-evaluated
 primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
-above; one wider than _BRACKET_TOL relative raises NumericalError.
+above; one wider than _BRACKET_TOL relative raises NumericalError. The same
+upper end taken at the minimum-norm point bounds every C_i before any LP runs,
+so a cell whose bound is already below the best certificate is skipped.
 
-A cheaper sigma-min surrogate is also provided, plus the exponential fit log(constant) ~ slope * lam used to compare against
-the e^{C lam} growth that observability predicts.
+A cheaper sigma-min surrogate is also provided, plus the exponential fit
+log(constant) ~ slope * lam used to compare against the e^{C lam} growth that
+observability predicts.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ _BRACKET_TOL = 1e-3
 @dataclass(frozen=True)
 class SpectralConstantEstimate:
     """One measured constant. certificate holds the extremal mode coefficients;
-    upper closes the exact-lp bracket [constant, upper] (None for other methods)."""
+    upper closes the exact-lp bracket [constant, upper] (None for other methods).
+    lp_solves counts the exact-lp cells whose LP ran and lp_retries their
+    re-runs from a cleared basis (0 for other methods and rank-deficient ones)."""
 
     lam: float
     mode_count: int
@@ -46,6 +51,8 @@ class SpectralConstantEstimate:
     constant: float
     certificate: np.ndarray | None = None
     upper: float | None = None
+    lp_solves: int = 0
+    lp_retries: int = 0
 
 
 class FitResult(NamedTuple):
@@ -106,12 +113,17 @@ def estimate_constant_lp(
     cutoff: SpectralCutoff,
     region: ControlRegion,
 ) -> SpectralConstantEstimate:
-    """Exact discrete constant from one warm-started LP per candidate peak cell.
+    """Exact discrete constant from warm-started LPs over the candidate peak cells.
 
-    The constant is the best re-evaluated certificate ratio, so it is
-    self-verifying, and upper bounds it. Returns +inf (with a null-direction
-    certificate) when the restriction is rank-deficient; raises NumericalError
-    when every cell's LP fails or the bracket is wider than _BRACKET_TOL.
+    Every cell is first bounded through its minimum-norm point. The cell with
+    the largest bound is solved first, then the others in grid order, and a
+    cell whose bound lies below the best re-evaluated certificate so far is
+    skipped: it cannot hold the maximum. A skipped or failed cell enters upper
+    through its minimum-norm point. The constant is the best re-evaluated
+    certificate ratio, so it is self-verifying, and upper bounds it. Returns
+    +inf (with a null-direction certificate) when the restriction is
+    rank-deficient; raises NumericalError when every cell's LP fails or the
+    bracket is wider than _BRACKET_TOL.
     """
     K = cutoff.count
     if K < 1:
@@ -144,39 +156,55 @@ def estimate_constant_lp(
     rows = (T.astype(ld) @ Bl).astype(float)
     rhs = (El @ T.T.astype(ld) * s_min).astype(float)
 
+    def upper_ends(Z: np.ndarray) -> np.ndarray:
+        """Per cell ||y_i||_inf + ||E_i - B y_i||_2 / s_min at y = Z / s_min.
+
+        (Ec)_i = y.B^T c + r.c <= ||y||_inf + ||r||_2 / s_min whenever
+        ||B^T c||_1 <= 1, so this bounds C_i. Two refinement steps with
+        residuals in extended precision shrink r, which the solver leaves at
+        its feasibility tolerance."""
+        Y = Z.astype(ld) / s_min
+        for _ in range(2):
+            Y += (((El - Y @ Bl.T).astype(float) @ T.T) @ Vt).astype(ld)
+        R = El - Y @ Bl.T
+        return (np.max(np.abs(Y), axis=1) + np.sqrt(np.sum(R * R, axis=1)) / s_min).astype(float)
+
+    Z = rhs @ Vt  # the minimum-norm feasible point, kept where a cell is skipped or fails
+    bounds = upper_ends(Z)
+    # the cell with the largest bound first, cold; the rest in grid order,
+    # each warm-started from the last
+    first = int(np.argmax(bounds))
+    order = np.r_[first, np.delete(np.arange(basis.grid.n), first)]
     model = _dual_model(rows)
-    Z = rhs @ Vt  # the minimum-norm feasible point, kept where a cell's LP fails
-    certs = []  # c = T^T lam from the row duals lam of each solved cell
-    for i in range(basis.grid.n):
+    best_val = 0.0
+    best_cert: np.ndarray | None = None
+    solved = solves = retries = 0
+    for i in order:
+        # best_val is a re-evaluated certificate, so a skipped cell has
+        # C_i <= bounds[i] < constant; a NaN bound is never skipped
+        if bounds[i] < best_val:
+            continue
         for k in range(K):
             model.changeRowBounds(k, rhs[i, k], rhs[i, k])
         model.run()
+        solves += 1
         if model.getModelStatus() != HighsModelStatus.kOptimal:
             model.clearSolver()  # once more from scratch, without the warm basis
             model.run()
+            retries += 1
         if model.getModelStatus() == HighsModelStatus.kOptimal:
             sol = model.getSolution()
             Z[i] = sol.col_value[: Z.shape[1]]
-            certs.append(T.T @ sol.row_dual[:K])
-    if not certs:
+            solved += 1
+            c = T.T @ sol.row_dual[:K]  # c = T^T lam from the row duals lam
+            if c.any():
+                val = _ratio(basis, E, region, c)  # re-evaluated, trims solver slack
+                if val > best_val:
+                    best_val, best_cert = val, c
+    if not solved:
         raise NumericalError("LP solver failed on every candidate peak cell")
+    upper = float(np.max(upper_ends(Z)))
 
-    # Upper end: (Ec)_i = y.B^T c + r.c <= ||y||_inf + ||r||_2 / s_min whenever
-    # ||B^T c||_1 <= 1. Two refinement steps with residuals in extended
-    # precision shrink r, which the solver leaves at its feasibility tolerance.
-    Y = Z.astype(ld) / s_min
-    for _ in range(2):
-        Y += (((El - Y @ Bl.T).astype(float) @ T.T) @ Vt).astype(ld)
-    R = El - Y @ Bl.T
-    upper = float(np.max(np.max(np.abs(Y), axis=1) + np.sqrt(np.sum(R * R, axis=1)) / s_min))
-
-    best_val = 0.0
-    best_cert: np.ndarray | None = None
-    for c in certs:
-        if c.any():
-            val = _ratio(basis, E, region, c)  # re-evaluated, trims solver slack
-            if val > best_val:
-                best_val, best_cert = val, c
     if not upper - best_val <= _BRACKET_TOL * best_val:
         raise NumericalError(
             f"exact-lp bracket [{best_val:.6e}, {upper:.6e}] at lam={cutoff.lam:g} is wider "
@@ -191,6 +219,8 @@ def estimate_constant_lp(
         certificate=best_cert,
         # the ratio's own rounding may put it a hair above a tight upper end
         upper=max(upper, float(best_val)),
+        lp_solves=solves,
+        lp_retries=retries,
     )
 
 
@@ -273,6 +303,8 @@ def simultaneous_constant(
         certificate=best_cert,
         # a folded wall ratio lies below the circle's constant, up to rounding
         upper=max(est.upper, float(best)),
+        lp_solves=est.lp_solves,
+        lp_retries=est.lp_retries,
     )
 
 

@@ -121,13 +121,12 @@ def unit_pair(grid, seed):
     return u / wu, v / wv
 
 
-def lp_constant_oracle(basis, cutoff, region):
-    """Exact-LP constant from one fresh linprog per candidate peak cell.
+def lp_cell_values(basis, cutoff, region, cells=None):
+    """One fresh linprog per peak cell i in cells (default: every cell).
 
-    The per-cell sweep estimate_constant_lp replaced, kept as its oracle on
-    well-conditioned instances. For peak cell i the LP minimizes the weighted
-    L1 mass on the region with (Ec)_i pinned at theta; the constant is the
-    best re-evaluated certificate ratio.
+    The LP minimizes the weighted L1 mass on the region with (Ec)_i pinned at
+    theta. Returns each cell's re-evaluated certificate ratio, at least C_i up
+    to solver tolerance; 0 where the peak row is zero or every method fails.
     """
     K = cutoff.count
     E = basis.vectors[:, :K]
@@ -147,8 +146,9 @@ def lp_constant_oracle(basis, cutoff, region):
     b_ub = np.zeros(2 * nw)
     obj = np.concatenate([np.zeros(K), basis.grid.weights[m]])
     bounds = [(None, None)] * K + [(0.0, None)] * nw
-    best = 0.0
-    for i in range(basis.grid.n):
+    values = []
+    for i in range(basis.grid.n) if cells is None else cells:
+        values.append(0.0)
         A_eq = np.concatenate([E[i, :], np.zeros(nw)])[None, :]
         # presolve, then no presolve, then interior point
         for method, options in (("highs", None), ("highs", {"presolve": False}), ("highs-ipm", None)):
@@ -156,11 +156,18 @@ def lp_constant_oracle(basis, cutoff, region):
                           bounds=bounds, method=method, options=options)
             if res.status == 0 and res.fun > 0.0:
                 p = E @ res.x[:K]
-                best = max(best, sup_norm(p) / l1_norm_on(basis.grid, p, region))
+                values[-1] = sup_norm(p) / l1_norm_on(basis.grid, p, region)
                 break
             if res.status == 2:  # the peak row is identically zero
                 break
-    return best
+    return np.array(values)
+
+
+def lp_constant_oracle(basis, cutoff, region):
+    """Exact-LP constant as the best ratio over every cell's fresh linprog:
+    the full sweep estimate_constant_lp replaced, kept as its oracle on
+    well-conditioned instances."""
+    return float(np.max(lp_cell_values(basis, cutoff, region), initial=0.0))
 
 
 def analytic_eigenbasis(grid, bc):

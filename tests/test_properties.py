@@ -1,18 +1,20 @@
 """Property tests over drawn sizes and coefficient profiles: the stacked
-paths against their per-field calls, the split round trip, and the wall
-residuals of the shared-control pipeline."""
+paths against their per-field calls, the split round trip, the wall
+residuals of the shared-control pipeline, and the exact-lp bracket."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from common import problem, unit_pair
+from common import D, N, problem, randomized_lower_bound, unit_pair
 from simulheat.control import InfeasibleControlError, SingularGramianError
 from simulheat.doubling import build_double, extend_pair, split
 from simulheat.grid import region_from_intervals
+from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import run_simultaneous
-from simulheat.spectral import l2_norm, sup_norm
+from simulheat.specineq import estimate_constant_lp
+from simulheat.spectral import l2_norm, make_cutoff, sup_norm
 
 
 @st.composite
@@ -26,8 +28,8 @@ def profiles(draw):
 
 
 @st.composite
-def interval_problems(draw, min_n=2):
-    n = draw(st.integers(min_n, 48))
+def interval_problems(draw, min_n=2, max_n=48):
+    n = draw(st.integers(min_n, max_n))
     grid, coeffs = problem(n, kappa=draw(profiles()), a=draw(profiles()))
     return grid, coeffs
 
@@ -83,3 +85,24 @@ def test_pipeline_wall_residuals_hold_or_exit_certified(problem_, left, width, m
         return  # the CLI reports both as exit 3
     assert rep.dirichlet_trace_residual <= 1e-10
     assert rep.neumann_flux_residual <= 1e-10
+
+
+@settings(max_examples=25)
+@given(
+    interval_problems(min_n=8, max_n=40),
+    st.sampled_from([D, N]),
+    st.floats(0.0, 0.7),
+    st.floats(0.15, 0.3),
+    st.integers(0, 4),
+)
+def test_exact_lp_bracket_holds_the_randomized_lower_bound(problem_, bc, left, width, k):
+    grid, coeffs = problem_
+    basis = eigendecompose(assemble_laplacian(grid, coeffs, bc))
+    region = region_from_intervals(grid, [(left, left + width)])
+    cut = make_cutoff(basis, float(basis.frequencies[k]))
+    est = estimate_constant_lp(basis, cut, region)
+    if not np.isfinite(est.constant):
+        return  # a rank-deficient restriction: fewer window cells than modes
+    assert est.constant <= est.upper
+    assert est.constant >= randomized_lower_bound(basis, cut, region).constant * (1.0 - 1e-9)
+    assert est.lp_solves <= grid.n

@@ -13,6 +13,7 @@ from common import (
     VARIABLE,
     analytic_eigenbasis,
     double_setup,
+    lp_cell_values,
     lp_constant_oracle,
     randomized_lower_bound,
     wall_basis,
@@ -75,6 +76,7 @@ def test_lp_rank_deficiency_returns_infinity():
     est = estimate_constant_lp(basis, cut, one_cell_region(8, 3))
     assert est.constant == np.inf
     assert est.certificate is not None  # the null direction witnesses deficiency
+    assert est.lp_solves == est.lp_retries == 0
 
 
 def test_lp_constant_nondecreasing_in_lambda():
@@ -147,9 +149,67 @@ def test_lp_retries_a_failed_cell_from_a_cleared_basis(monkeypatch):
     cold = estimate_constant_lp(basis, cut, region)
     assert_allclose(cold.constant, warm.constant, rtol=1e-10)
     assert_allclose(cold.upper, warm.upper, rtol=1e-10)
+    assert cold.lp_solves > 0 and cold.lp_retries == cold.lp_solves
     monkeypatch.setattr(specineq, "_Highs", _BrokenHighs)
     with pytest.raises(NumericalError, match="every candidate peak cell"):
         estimate_constant_lp(basis, cut, region)
+
+
+class _SpyHighs(specineq._Highs):
+    """Logs every right-hand side value set: a solved cell sets its K in row order."""
+
+    log: list = []
+
+    def changeRowBounds(self, row, lower, upper):
+        _SpyHighs.log.append(lower)
+        return super().changeRowBounds(row, lower, upper)
+
+
+def _solved_cells(basis, cut, region, monkeypatch):
+    """The estimate plus the cells whose LP ran, matched through their right-hand sides."""
+    monkeypatch.setattr(specineq, "_Highs", _SpyHighs)
+    _SpyHighs.log = []
+    est = estimate_constant_lp(basis, cut, region)
+    K = cut.count
+    E = basis.vectors[:, :K]
+    B = (basis.grid.weights[region.mask][:, None] * E[region.mask]).T
+    U, S, _ = scipy.linalg.svd(B, full_matrices=False)
+    rhs = E @ (U / S) * S[-1]
+    logged = np.reshape(_SpyHighs.log, (-1, K))
+    assert len(logged) == est.lp_solves
+    dist = np.linalg.norm(logged[:, None, :] - rhs[None, :, :], axis=2)
+    cells = np.argmin(dist, axis=1)
+    assert np.all(dist[np.arange(len(cells)), cells] <= 1e-9 * np.linalg.norm(rhs[cells], axis=1))
+    return est, set(cells.tolist())
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("family", ["dirichlet", "neumann", "circle"])
+def test_lp_skipped_cells_cannot_hold_the_maximum(family, k, monkeypatch):
+    grid, _, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
+    region = region_from_intervals(grid, [(0.3, 0.5)])
+    basis, reg = {
+        "dirichlet": (basis_d, region),
+        "neumann": (basis_n, region),
+        "circle": (ext, lift_region(dd, region)),
+    }[family]
+    cut = make_cutoff(basis, float(basis.frequencies[k]))
+    assert 3 <= cut.count <= 5
+    est, solved = _solved_cells(basis, cut, reg, monkeypatch)
+    skipped = sorted(set(range(basis.grid.n)) - solved)
+    assert skipped, "the prune skipped no cell"
+    assert np.all(lp_cell_values(basis, cut, reg, skipped) <= est.constant * (1.0 + 1e-9))
+
+
+def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
+    grid, _, dd, _, _, ext = double_setup(160)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    est, solved = _solved_cells(ext, make_cutoff(ext, 7.0), lift_region(dd, region), monkeypatch)
+    assert est.mode_count == 5
+    assert len(solved) == est.lp_solves < ext.grid.n // 2
+    # simultaneous_constant carries the circle estimate's counts through
+    sim = simultaneous_constant(dd, 7.0, region)
+    assert (sim.lp_solves, sim.lp_retries) == (est.lp_solves, est.lp_retries)
 
 
 def test_lp_bracket_wider_than_tolerance_raises(monkeypatch):
@@ -232,6 +292,7 @@ def test_l2_surrogate_frozen_cases():
     est = estimate_constant_l2(basis, make_cutoff(basis, float(basis.frequencies[4])), whole)
     assert_allclose(est.constant, 1.0, atol=1e-12)  # orthonormal restriction
     assert est.method == "sigma-min-l2"
+    assert est.lp_solves == est.lp_retries == 0
     # more modes than observation cells forces rank deficiency
     est = estimate_constant_l2(basis, make_cutoff(basis, float(basis.frequencies[2])), one_cell_region(16, 5))
     assert est.constant == np.inf
