@@ -156,6 +156,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """One CSV line per row of table, each value written as _fmt writes it;
+    one .tolist() and a repr per Python float is about twice as fast."""
+    return [",".join(["INF" if math.isinf(x) else repr(x) for x in row]) for row in table.tolist()]
+
+
 def _write_json(path: str, obj: Any) -> None:
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -271,11 +277,9 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     sig = report.signal
     cells = np.flatnonzero(sig.region.mask)  # the circle signal lives on the lifted region
     header = "t," + ",".join(f"cell_{int(c)}" for c in cells)
-    lines = [header]
-    for m in range(sig.values.shape[0]):
-        lines.append(_fmt(sig.timegrid[m]) + "," + ",".join(_fmt(x) for x in sig.values[m]))
-    lines.append(_fmt(sig.timegrid[-1]) + "," + ",".join(_fmt(0.0) for _ in cells))
-    _write_atomic(os.path.join(outdir, "control.csv"), "\n".join(lines) + "\n")
+    # each node with the value holding from it; the last node closes with zeros
+    table = np.column_stack([sig.timegrid, np.vstack([sig.values, np.zeros(len(cells))])])
+    _write_atomic(os.path.join(outdir, "control.csv"), "\n".join([header] + _csv_rows(table)) + "\n")
 
     nlines = ["trajectory,t,l2,sup"]
     for name, traj in (
@@ -283,8 +287,8 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
         ("neumann", report.trajectory_v),
         ("double", report.trajectory_double),
     ):
-        for t, l2, sup in zip(traj.times, traj.l2_norms, traj.sup_norms):
-            nlines.append(f"{name},{_fmt(t)},{_fmt(l2)},{_fmt(sup)}")
+        rows = _csv_rows(np.column_stack([traj.times, traj.l2_norms, traj.sup_norms]))
+        nlines.extend(f"{name},{row}" for row in rows)
     _write_atomic(os.path.join(outdir, "norms.csv"), "\n".join(nlines) + "\n")
 
     if sig.slice_ledger is not None:

@@ -8,9 +8,10 @@ discretization. The adjoint parametrization f = sum_l q_l avg_l(t) e_l
 restricted to the region turns the minimal-weighted-norm problem into a
 K x K system with the sampled Gramian H = (I I^T / dt) o M, the Hadamard
 product of the step-integral outer product with the region mass matrix.
-Both syntheses solve that system the same way: one Cholesky factorization of
-H + 1e-12 max(diag H) I (LU if roundoff makes it indefinite), then defect
-correction against the unregularized H.
+Both syntheses solve that system the same way: block elimination of
+H + 1e-12 max(diag H) I, with an nw x nw Woodbury factor for the modes that
+only the last step reaches and a Schur complement on the rest (see _steer),
+then defect correction against the unregularized H in factored form.
 """
 
 from __future__ import annotations
@@ -140,26 +141,31 @@ def gramian(basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion, ta
     return M * factor
 
 
-def _sampled_gramian(
-    basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion, timegrid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H, avg, Phi): the exact Gramian of the piecewise-constant adjoint class.
+def _step_integrals(lam: np.ndarray, timegrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I, avg): I[k, m] is the integral of e^{-lam_k (tau - t)} over
+    [t_m, t_{m+1}] and avg = I / dt its mean there.
 
-    I[k, m] is the integral of e^{-lam_k (tau - t)} over [t_m, t_{m+1}] and
-    avg = I / dt its mean there; H = (avg I^T) o M -> gramian(...) as the grid
+    The sampled Gramian H = (avg I^T) o M -> gramian(...) as the grid
     refines. At any resolution H is exactly the input-to-final-state map
     composed with the adjoint parametrization, so solving with H steers the
     sampled dynamics without discretization bias.
     """
-    K = cutoff.count
-    lam = basis.eigenvalues[:K]
     dt = np.diff(timegrid)
     _, source = decay_factors(lam, dt)
     I = np.exp(-lam[:, None] * (timegrid[-1] - timegrid[1:][None, :])) * source.T
-    avg = I / dt[None, :]
-    H = (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
-    Phi = basis.vectors[:, :K][region.mask, :]
-    return H, avg, Phi
+    return I, I / dt[None, :]
+
+
+def _factor(A: np.ndarray):
+    """Solver for A x = b through the Cholesky factor of A; roundoff can push
+    the smallest eigenvalue of a shifted Gramian a hair below zero, where the
+    LU factorization still applies."""
+    try:
+        cho = scipy.linalg.cho_factor(A)
+        return lambda b: scipy.linalg.cho_solve(cho, b)
+    except scipy.linalg.LinAlgError:
+        lu = scipy.linalg.lu_factor(A)
+        return lambda b: scipy.linalg.lu_solve(lu, b)
 
 
 _STEER_TOL = 1e-8
@@ -176,46 +182,83 @@ def _steer(
     steer_tol: float,
 ) -> tuple[ControlSignal | None, float, np.ndarray | None]:
     """Adjoint-sampled signal on timegrid that steers the modes below the
-    cutoff from y0 to zero, with the verified relative residual and H.
+    cutoff from y0 to zero, with the verified relative residual, and on a
+    miss the dense H.
 
-    Solves H q = -e^{-lam tau} y0 through the regularized Cholesky factor and
-    keeps a defect-correction step only if it lowers the residual against the
-    unregularized H. The signal is None when the residual misses steer_tol.
+    Solves (H + sigma I) q = -e^{-lam tau} y0, sigma = 1e-12 max(diag H), by
+    block elimination. H is the steps before the last, H', nonzero only on
+    the block S of modes whose step integrals there do not underflow, plus
+    the last step's V V^T, V = sqrt(dt) avg[:, -1] o (W^{1/2} Phi)^T of width
+    nw. On the other modes F that is all of H, so the F block is inverted
+    through the nw x nw matrix G = sigma I + V_F^T V_F (Woodbury), leaving
+    the Schur complement sigma I + H'_SS + sigma V_S G^{-1} V_S^T on S; each
+    is factored by Cholesky, or LU if roundoff makes it indefinite. F is a
+    sparsity pattern, not a cutoff: moving a mode from F to S solves the same
+    system. A defect-correction step is kept only if it lowers the residual
+    against the unregularized H = H' + V V^T. The signal is None when the
+    residual misses steer_tol; only then is the dense H formed.
     """
     K = cutoff.count
     nw = int(region.mask.sum())
     weights = basis.grid.weights[region.mask]
     if not y0.any():
         return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0, None
-    H, avg, Phi = _sampled_gramian(basis, cutoff, region, timegrid)
-    rhs = -np.exp(-basis.eigenvalues[:K] * timegrid[-1]) * y0
-    Hreg = H.copy()
-    Hreg.flat[:: K + 1] += _TIKHONOV * float(np.max(np.diag(H)))
-    try:
-        cho = scipy.linalg.cho_factor(Hreg)
-        solve = lambda b: scipy.linalg.cho_solve(cho, b)
-    except scipy.linalg.LinAlgError:
-        # roundoff can push the smallest eigenvalue a hair below zero at
-        # large K; the LU factorization still applies
-        lu = scipy.linalg.lu_factor(Hreg)
-        solve = lambda b: scipy.linalg.lu_solve(lu, b)
+    lam = basis.eigenvalues[:K]
+    I, avg = _step_integrals(lam, timegrid)
+    Phi = basis.vectors[region.mask, :K]
+    rhs = -np.exp(-lam * timegrid[-1]) * y0
+
+    reached = I[:, :-1].any(axis=1)
+    S, F = np.flatnonzero(reached), np.flatnonzero(~reached)
+    V = (np.sqrt(timegrid[-1] - timegrid[-2]) * avg[:, -1])[:, None] * (np.sqrt(weights)[:, None] * Phi).T
+    VS, VF = V[S], V[F]
+    PhiS = Phi[:, S]
+    # the steps before the last, on S
+    HS = (avg[S, :-1] @ I[S, :-1].T) * (PhiS.T @ (weights[:, None] * PhiS))
+    diag = np.einsum("km,km->k", avg, I) * (weights @ Phi**2)
+    sigma = _TIKHONOV * float(np.max(diag))
+
+    G = VF.T @ VF
+    G.flat[:: nw + 1] += sigma
+    solve_G = _factor(G)
+    schur = HS + sigma * (VS @ solve_G(VS.T))
+    schur.flat[:: len(S) + 1] += sigma
+    solve_schur = _factor(schur)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        q = np.empty(K)
+        z = solve_G(VF.T @ r[F])
+        q[S] = solve_schur(r[S] - VS @ z)
+        q[F] = (r[F] - VF @ z) / sigma - VF @ solve_G(VS.T @ q[S])
+        return q
+
+    def gram(q: np.ndarray) -> np.ndarray:
+        Hq = V @ (V.T @ q)
+        Hq[S] += HS @ q[S]
+        return Hq
+
     # a single solve floors at eps*cond relative; defect correction against
-    # the exactly evaluated Gramian recovers the rest
+    # the unregularized Gramian recovers the rest
     scale = float(np.linalg.norm(y0))
     q = solve(rhs)
-    achieved = float(np.linalg.norm(rhs - H @ q)) / scale
+    r = rhs - gram(q)
+    achieved = float(np.linalg.norm(r)) / scale
     for _ in range(4):
         if achieved <= 0.25 * steer_tol:
             break
-        candidate = q + solve(rhs - H @ q)
-        better = float(np.linalg.norm(rhs - H @ candidate)) / scale
+        candidate = q + solve(r)
+        r_candidate = rhs - gram(candidate)
+        better = float(np.linalg.norm(r_candidate)) / scale
         if better >= achieved:
             break
-        q, achieved = candidate, better
+        q, r, achieved = candidate, r_candidate, better
     if achieved > steer_tol:
-        return None, achieved, H
-    values = avg.T @ (q[:, None] * Phi.T)
-    return ControlSignal(timegrid, values, region, weights), achieved, H
+        return None, achieved, (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
+    # avg[F, :-1] is exactly zero, so F only enters the last step's values
+    values = np.empty((len(timegrid) - 1, nw))
+    values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
+    values[-1] = Phi @ (avg[:, -1] * q)
+    return ControlSignal(timegrid, values, region, weights), achieved, None
 
 
 def hum_low_mode_control(

@@ -140,12 +140,15 @@ def run_simultaneous(
     # Wall recovery: the circle cell across each wall reads -u_split (odd
     # part) and v_split (even part) of the wall cell, so the direct runs'
     # wall cells against the split ones give the Dirichlet trace and the
-    # Neumann flux, each relative to the largest sup norm of its own run.
+    # Neumann flux. The split run rounds at the scale of the whole circle
+    # field u + v, so both are relative to the larger of the two direct
+    # runs' sup norms, not each to its own.
     u_split, v_split = split(dd, traj_double.states)
     walls = [0, -1]
     trace = 0.5 * np.max(np.abs(traj_u.states[:, walls] - u_split[:, walls]))
     a_wall = coeffs.a[walls] * coeffs.kappa[walls]
     flux = np.max(a_wall * np.abs(traj_v.states[:, walls] - v_split[:, walls])) / grid.h
+    sup = float(max(np.max(traj_u.sup_norms), np.max(traj_v.sup_norms))) or 1.0
 
     tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[method]
     scale = max(l2_norm(grid, u0), l2_norm(grid, v0), 1e-300)
@@ -155,8 +158,8 @@ def run_simultaneous(
         final_u_l2=final_u,
         final_v_l2=final_v,
         control_cost=signal.l2_cost,
-        dirichlet_trace_residual=float(trace) / (float(np.max(traj_u.sup_norms)) or 1.0),
-        neumann_flux_residual=float(flux) / (float(np.max(traj_v.sup_norms)) or 1.0),
+        dirichlet_trace_residual=float(trace) / sup,
+        neumann_flux_residual=float(flux) / sup,
         method=method,
         initial_u_l2=l2_norm(grid, u0),
         initial_v_l2=l2_norm(grid, v0),

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linprog
 
+from simulheat.control import _step_integrals, mass_matrix_on_region
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import make_coefficients, make_uniform_grid
 from simulheat.operators import (
@@ -119,6 +120,43 @@ def unit_pair(grid, seed):
     wu = float(np.sqrt(np.sum(grid.weights * u * u)))
     wv = float(np.sqrt(np.sum(grid.weights * v * v)))
     return u / wu, v / wv
+
+
+def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
+    """(values, verified residual) of the dense steering solve that
+    control._steer's block elimination replaced, kept as its oracle.
+
+    Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
+    Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and, until
+    the residual reaches steer_tol / 4, keeps up to four defect-correction
+    steps against H while each lowers it; values = avg^T (q o Phi^T) on the region.
+    """
+    K = cutoff.count
+    lam = basis.eigenvalues[:K]
+    I, avg = _step_integrals(lam, timegrid)
+    H = (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
+    Hreg = H.copy()
+    Hreg.flat[:: K + 1] += 1e-12 * float(np.max(np.diag(H)))
+    try:
+        cho = scipy.linalg.cho_factor(Hreg)
+        solve = lambda b: scipy.linalg.cho_solve(cho, b)
+    except scipy.linalg.LinAlgError:
+        lu = scipy.linalg.lu_factor(Hreg)
+        solve = lambda b: scipy.linalg.lu_solve(lu, b)
+    rhs = -np.exp(-lam * timegrid[-1]) * y0
+    scale = float(np.linalg.norm(y0))
+    q = solve(rhs)
+    achieved = float(np.linalg.norm(rhs - H @ q)) / scale
+    for _ in range(4):
+        if achieved <= 0.25 * steer_tol:
+            break
+        candidate = q + solve(rhs - H @ q)
+        better = float(np.linalg.norm(rhs - H @ candidate)) / scale
+        if better >= achieved:
+            break
+        q, achieved = candidate, better
+    Phi = basis.vectors[region.mask, :K]
+    return avg.T @ (q[:, None] * Phi.T), achieved
 
 
 def lp_cell_values(basis, cutoff, region, cells=None):

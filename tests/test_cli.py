@@ -227,6 +227,12 @@ def test_control_one_shot_artifacts(tmp_path):
     assert not (out / "cost_ledger.json").exists()  # one-shot runs have no slices
 
 
+def test_csv_rows_write_each_value_as_fmt_does():
+    table = np.array([[np.inf, -np.inf, np.nan, -0.0, 5e-324], [1.0 / 3.0, -2.5e-310, 0.0, 1e300, -7.0]])
+    assert cli._csv_rows(table) == [",".join(cli._fmt(x) for x in row) for row in table]
+    assert cli._csv_rows(table)[0] == "INF,INF,nan,-0.0,5e-324"
+
+
 def count_calls(monkeypatch, home, name):
     """Record the results of home.name called through any simulheat module."""
     original = getattr(home, name)

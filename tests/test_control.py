@@ -9,9 +9,11 @@ the check shares no code with the synthesis path.
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, double_setup, wall_basis
+from common import D, N, dense_steer, double_setup, unit_pair, wall_basis
+from simulheat import control
 from simulheat.control import (
     ControlSignal,
     InfeasibleControlError,
@@ -25,9 +27,9 @@ from simulheat.control import (
     march,
     mass_matrix_on_region,
 )
-from simulheat.doubling import lift_region
-from simulheat.grid import ControlRegion, region_from_intervals
-from simulheat.spectral import coefficients, make_cutoff
+from simulheat.doubling import extend_pair, lift_region
+from simulheat.grid import ControlRegion, fat_cantor_region, region_from_intervals
+from simulheat.spectral import SpectralCutoff, coefficients, make_cutoff
 
 
 def step_heat(basis, yhat, signal, mode_count=None):
@@ -43,6 +45,24 @@ def step_heat(basis, yhat, signal, mode_count=None):
         src = np.where(lam > 0, -np.expm1(-lam * dt) / np.where(lam > 0, lam, 1.0), dt)
         y = np.exp(-lam * dt) * y + b * src
     return y
+
+
+def full_steering_problem(n, region_of):
+    """(circle basis, full cutoff, lifted region, y0, timegrid) of the hum
+    solve for a seeded unit pair on n cells, over T = 1 on hum_full_control's
+    default steps."""
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n)
+    region = lift_region(dd, region_of(grid))
+    y0 = coefficients(ext, extend_pair(dd, *unit_pair(grid, 0)))
+    K, nw = 2 * n, int(region.mask.sum())
+    timegrid = np.linspace(0.0, 1.0, max(64, -(-2 * K // nw)) + 1)
+    return ext, SpectralCutoff(lam=float(ext.frequencies[-1]), count=K), region, y0, timegrid
+
+
+def last_step_only(basis, timegrid):
+    """The modes F whose step integrals vanish before the last step."""
+    I, _ = control._step_integrals(basis.eigenvalues, timegrid)
+    return np.flatnonzero(~I[:, :-1].any(axis=1))
 
 
 def center_cell_region(n):
@@ -423,3 +443,68 @@ def test_hum_full_raises_on_unreachable_target():
     field0 = basis.vectors[:, 1] + 0.1 * basis.vectors[:, 0]
     with pytest.raises(InfeasibleControlError):
         hum_full_control(basis, region, field0, 0.1, steps=16)
+
+
+@pytest.mark.parametrize(
+    "n, region_of, f_size",
+    [
+        (16, lambda g: region_from_intervals(g, [(0.1, 0.45)]), lambda f, nw: f == 0),
+        (128, lambda g: region_from_intervals(g, [(0.05, 0.95)]), lambda f, nw: 0 < f < nw),
+        (256, lambda g: fat_cantor_region(g, 0.3, depth=6, seed=0), lambda f, nw: f >= nw),
+    ],
+    ids=["no-F", "F-below-nw", "F-above-nw"],
+)
+def test_block_steer_matches_the_dense_oracle(n, region_of, f_size):
+    basis, cut, region, y0, timegrid = full_steering_problem(n, region_of)
+    assert f_size(len(last_step_only(basis, timegrid)), int(region.mask.sum()))
+    sig, achieved, H = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    values, dense_achieved = dense_steer(basis, cut, region, y0, timegrid)
+    assert H is None
+    assert np.linalg.norm(sig.values - values) <= 1e-8 * np.linalg.norm(values)
+    assert achieved == pytest.approx(dense_achieved, rel=1e-3)
+
+
+def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
+    basis, cut, region, y0, timegrid = full_steering_problem(
+        256, lambda g: fat_cantor_region(g, 0.3, depth=6, seed=0)
+    )
+    F = last_step_only(basis, timegrid)
+    sig, *_ = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    step_integrals = control._step_integrals
+
+    def nudged(lam, tg):
+        # the smallest subnormal where the step integral underflowed moves
+        # the lowest and the highest F mode into S and leaves H as it was
+        I, _ = step_integrals(lam, tg)
+        I[F[[0, -1]], -2] = 5e-324
+        return I, I / np.diff(tg)
+
+    monkeypatch.setattr(control, "_step_integrals", nudged)
+    assert len(last_step_only(basis, timegrid)) == len(F) - 2
+    moved, *_ = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    assert np.linalg.norm(moved.values - sig.values) <= 1e-10 * np.linalg.norm(sig.values)
+
+
+def test_hum_factors_no_matrix_wider_than_the_region_or_s(monkeypatch):
+    sides = []
+    for name in ("cho_factor", "lu_factor"):
+        original = getattr(scipy.linalg, name)
+
+        def recorded(a, *args, original=original, **kwargs):
+            sides.append(max(np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(control.scipy.linalg, name, recorded)
+    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(512)
+    region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
+    sig = hum_full_control(ext, region, extend_pair(dd, *unit_pair(grid, 0)), 1.0)
+    nw = int(region.mask.sum())
+    s_size = ext.grid.n - len(last_step_only(ext, sig.timegrid))
+    assert sides and max(sides) <= max(nw, s_size) < ext.grid.n // 4
+
+
+def test_factor_falls_back_to_lu_on_an_indefinite_matrix():
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(A)
+    assert_allclose(A @ control._factor(A)(np.array([3.0, -1.0])), [3.0, -1.0], rtol=1e-15)

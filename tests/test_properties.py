@@ -3,7 +3,7 @@ paths against their per-field calls, the split round trip, the wall
 residuals of the shared-control pipeline, and the exact-lp bracket."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -17,14 +17,18 @@ from simulheat.specineq import estimate_constant_lp
 from simulheat.spectral import l2_norm, make_cutoff, sup_norm
 
 
+def piecewise_linear(values):
+    """The profile on [0, 1] through values at evenly spaced knots."""
+    xs = np.linspace(0.0, 1.0, len(values))
+    return lambda x: np.interp(x, xs, values)
+
+
 @st.composite
 def profiles(draw):
     """A positive profile on [0, 1]: piecewise linear through 2-5 even knots
     with values in [0.2, 5]."""
     knots = draw(st.integers(2, 5))
-    values = draw(st.lists(st.floats(0.2, 5.0), min_size=knots, max_size=knots))
-    xs = np.linspace(0.0, 1.0, knots)
-    return lambda x: np.interp(x, xs, values)
+    return piecewise_linear(draw(st.lists(st.floats(0.2, 5.0), min_size=knots, max_size=knots)))
 
 
 @st.composite
@@ -72,13 +76,20 @@ def test_split_inverts_extend_pair(problem_, seed):
     st.floats(0.15, 0.3),
     st.sampled_from(["hum", "lr"]),
     st.integers(0, 2**32 - 1),
+    st.floats(-5.0, 5.0),
 )
-def test_pipeline_wall_residuals_hold_or_exit_certified(problem_, left, width, method, seed):
+# a pair 10^4.83 apart whose Neumann flux residual read 2.2e-10 when each
+# residual was scaled by its own run's sup norm
+@example(problem(8, kappa=piecewise_linear([4.864, 1.57]), a=piecewise_linear([3.791, 2.325])),
+         0.146, 0.286, "hum", 493, -4.83)
+def test_pipeline_wall_residuals_hold_or_exit_certified(problem_, left, width, method, seed, log_ratio):
     # the window is wider than any cell, so it holds a cell center; the pair
-    # is weighted-unit, as the CLI draws it
+    # is weighted-unit, as the CLI draws it, then one side is rescaled so the
+    # amplitudes differ by up to 1e5 either way
     grid, coeffs = problem_
     region = region_from_intervals(grid, [(left, left + width)])
     u0, v0 = unit_pair(grid, seed)
+    v0 = v0 * 10.0**log_ratio
     try:
         rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, method)
     except (InfeasibleControlError, SingularGramianError):
