@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .control import InfeasibleControlError, SingularGramianError, march
+from .control import InfeasibleControlError, SingularGramianError
 from .doubling import build_double, lift_region, verify
 from .grid import (
     Coefficients,
@@ -33,9 +33,9 @@ from .grid import (
     write_mask_file,
 )
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
-from .sim import DEFAULT_TOLERANCES, run_simultaneous
+from .sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 from .specineq import estimate_constant_l2, estimate_constant_lp, fit_exponential, simultaneous_constant
-from .spectral import coefficients, l2_norm, make_cutoff, sup_norm
+from .spectral import l2_norm, make_cutoff
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -326,21 +326,17 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     grid, coeffs = build_problem(cfg)
     bc = BoundaryCondition.DIRICHLET if cfg.bc == "dirichlet" else BoundaryCondition.NEUMANN
     basis = eigendecompose(assemble_laplacian(grid, coeffs, bc))
-    u0 = _seeded_unit_pair(grid, cfg.seed)[0]
-    times = np.linspace(0.0, cfg.T, 65)
-    states = march(basis, coefficients(basis, u0), times) @ basis.vectors.T
-    l2s = l2_norm(grid, states)
-    lines = ["trajectory,t,l2,sup"]
-    for t, l2, sup in zip(times, l2s, sup_norm(states)):
-        lines.append(f"{cfg.bc},{_fmt(t)},{_fmt(l2)},{_fmt(sup)}")
+    traj = propagate(basis, _seeded_unit_pair(grid, cfg.seed)[0], np.linspace(0.0, cfg.T, 65))
+    rows = _csv_rows(np.column_stack([traj.times, traj.l2_norms, traj.sup_norms]))
+    lines = ["trajectory,t,l2,sup"] + [f"{cfg.bc},{row}" for row in rows]
     _write_atomic(os.path.join(outdir, "norms.csv"), "\n".join(lines) + "\n")
-    monotone = bool(np.all(np.diff(l2s) <= 1e-12))
+    monotone = bool(np.all(np.diff(traj.l2_norms) <= 1e-12))
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
             "bc": cfg.bc,
-            "initial_l2": float(l2s[0]),
-            "final_l2": float(l2s[-1]),
+            "initial_l2": float(traj.l2_norms[0]),
+            "final_l2": float(traj.l2_norms[-1]),
             "dissipative": monotone,
             "config": asdict(cfg),
         },

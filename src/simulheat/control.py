@@ -11,7 +11,9 @@ product of the step-integral outer product with the region mass matrix.
 Both syntheses solve that system the same way: block elimination of
 H + 1e-12 max(diag H) I, with an nw x nw Woodbury factor for the modes that
 only the last step reaches and a Schur complement on the rest (see _steer),
-then defect correction against the unregularized H in factored form.
+then defect correction against the unregularized H in factored form. The
+cascade lays out its own dyadic slices from the horizon T and lambda0, and
+march projects every step of a signal onto the modes in one product.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from .spectral import SpectralCutoff, coefficients, resolution
 class SingularGramianError(RuntimeError):
     """The Gramian cannot certify steering for this cutoff and region."""
 
-    def __init__(self, lam: float, region: ControlRegion, cond: float, achieved: float):
+    def __init__(self, lam: float, region: ControlRegion, achieved: float):
         self.lam = lam
         self.region_measure = region.measure
-        self.cond = cond
         super().__init__(
             f"near-singular Gramian at cutoff lam={lam:.6g} on region of measure {region.measure:.6g} "
-            f"({int(region.mask.sum())} cells): cond={cond:.3e}, verified low-mode residual {achieved:.3e}"
+            f"({int(region.mask.sum())} cells): verified low-mode residual {achieved:.3e}"
         )
 
 
@@ -58,7 +59,6 @@ class ControlSignal:
     region: ControlRegion
     region_weights: np.ndarray
     slice_ledger: tuple[dict, ...] | None = field(default=None, compare=False)
-    predicted_final_norm: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.timegrid.ndim != 1 or len(self.timegrid) < 2:
@@ -101,18 +101,21 @@ def march(
     holding at the segment's start (zero outside the signal's window, or
     without a signal); a signal node that is not one of the times goes unseen.
     """
-    decay, source = decay_factors(basis.eigenvalues, np.diff(times))
-    out = np.empty((len(times), len(yhat)))
-    out[0] = yhat
+    decay, forcing = decay_factors(basis.eigenvalues, np.diff(times))
+    live = slice(0, 0)  # without a signal no step is forced
     if signal is not None:
         m = signal.region.mask
-        wreg, Phi = basis.grid.weights[m], basis.vectors[m, :]
         segs = np.searchsorted(signal.timegrid, times[:-1], side="right") - 1
+        # segs ascends, so the steps inside the window are one run of them,
+        # all projected by one product and scaled in place
+        live = slice(*np.searchsorted(segs, [0, len(signal.values)]))
+        forcing[live] *= (basis.grid.weights[m] * signal.values[segs[live]]) @ basis.vectors[m, :]
+    forcing[: live.start] = 0.0
+    forcing[live.stop :] = 0.0
+    out = np.empty((len(times), len(yhat)))
+    out[0] = yhat
     for i in range(len(times) - 1):
-        b = 0.0
-        if signal is not None and 0 <= segs[i] < signal.values.shape[0]:
-            b = (wreg * signal.values[segs[i]]) @ Phi
-        out[i + 1] = decay[i] * out[i] + b * source[i]
+        out[i + 1] = decay[i] * out[i] + forcing[i]
     return out
 
 
@@ -180,10 +183,9 @@ def _steer(
     y0: np.ndarray,
     timegrid: np.ndarray,
     steer_tol: float,
-) -> tuple[ControlSignal | None, float, np.ndarray | None]:
+) -> tuple[ControlSignal | None, float]:
     """Adjoint-sampled signal on timegrid that steers the modes below the
-    cutoff from y0 to zero, with the verified relative residual, and on a
-    miss the dense H.
+    cutoff from y0 to zero, with the verified relative residual.
 
     Solves (H + sigma I) q = -e^{-lam tau} y0, sigma = 1e-12 max(diag H), by
     block elimination. H is the steps before the last, H', nonzero only on
@@ -196,13 +198,13 @@ def _steer(
     sparsity pattern, not a cutoff: moving a mode from F to S solves the same
     system. A defect-correction step is kept only if it lowers the residual
     against the unregularized H = H' + V V^T. The signal is None when the
-    residual misses steer_tol; only then is the dense H formed.
+    residual misses steer_tol.
     """
     K = cutoff.count
     nw = int(region.mask.sum())
     weights = basis.grid.weights[region.mask]
     if not y0.any():
-        return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0, None
+        return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
     Phi = basis.vectors[region.mask, :K]
@@ -253,12 +255,12 @@ def _steer(
             break
         q, r, achieved = candidate, r_candidate, better
     if achieved > steer_tol:
-        return None, achieved, (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
+        return None, achieved
     # avg[F, :-1] is exactly zero, so F only enters the last step's values
     values = np.empty((len(timegrid) - 1, nw))
     values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
     values[-1] = Phi @ (avg[:, -1] * q)
-    return ControlSignal(timegrid, values, region, weights), achieved, None
+    return ControlSignal(timegrid, values, region, weights), achieved
 
 
 def hum_low_mode_control(
@@ -289,44 +291,10 @@ def hum_low_mode_control(
         raise ValueError(f"horizon must be positive, got {tau}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    signal, achieved, H = _steer(basis, cutoff, region, y0, np.linspace(0.0, tau, steps + 1), steer_tol)
+    signal, achieved = _steer(basis, cutoff, region, y0, np.linspace(0.0, tau, steps + 1), steer_tol)
     if signal is None:
-        raise SingularGramianError(cutoff.lam, region, float(np.linalg.cond(H)), achieved)
+        raise SingularGramianError(cutoff.lam, region, achieved)
     return signal
-
-
-@dataclass(frozen=True)
-class SliceSpec:
-    t_start: float
-    t_mid: float
-    t_end: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class LRSchedule:
-    """Dyadic slices: slice j spans T 2^-(j+1) and targets frequencies below lam0 2^j."""
-
-    T: float
-    slices: tuple[SliceSpec, ...]
-
-
-def make_lr_schedule(T: float, lambda0: float, basis: EigenBasis) -> LRSchedule:
-    """Slices until lam0 2^J covers the whole discrete spectrum of basis."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if lambda0 <= 0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    numax = float(basis.frequencies[-1])
-    J = 0
-    while lambda0 * 2**J < numax * (1.0 - 1e-12) and J < 60:
-        J += 1
-    slices = []
-    for j in range(J + 1):
-        t_start = T * (1.0 - 2.0**-j)
-        t_end = T * (1.0 - 2.0 ** -(j + 1))
-        slices.append(SliceSpec(t_start=t_start, t_mid=0.5 * (t_start + t_end), t_end=t_end, lam=lambda0 * 2**j))
-    return LRSchedule(T=T, slices=tuple(slices))
 
 
 # The per-slice verified steering bar. It is looser than the one-shot default
@@ -339,20 +307,39 @@ _SLICE_TOL = 1e-6
 
 def lr_control(
     basis: EigenBasis,
-    schedule: LRSchedule,
     region: ControlRegion,
     field0: np.ndarray,
+    T: float,
+    lambda0: float | None = None,
 ) -> ControlSignal:
-    """Cascade control: each slice kills its low modes, then coasts.
+    """Cascade control over [0, T]: each dyadic slice kills its low modes,
+    then coasts.
 
-    The active half of slice j runs hum_low_mode_control on the current
-    state for the modes with lambda_k < lam_j^2 - resolution(basis), strictly
-    below lam_j whatever the rounding of a tie at it, on its default 64 steps,
-    to a relative residual of 1e-6; the passive half is free decay. The state
-    is marched exactly through every step, so the returned per-slice ledger
-    records true norms. The terminal slice steers every mode, after which only
-    decay remains.
+    Slice j spans [T(1 - 2^-j), T(1 - 2^-(j+1))] and targets the frequencies
+    below lambda0 2^j; slices are added until that covers the top frequency
+    of basis, and the last one, the terminal slice, steers every mode. The
+    default lambda0 is the smallest positive frequency, so slice 0 steers the
+    kernel mode alone. The active half of slice j runs hum_low_mode_control
+    on the current state for the modes with lambda_k < lam_j^2 -
+    resolution(basis), strictly below lam_j whatever the rounding of a tie at
+    it, on its default 64 steps, to a relative residual of 1e-6; the passive
+    half and the tail after the terminal slice are free decay. The state is
+    marched exactly through every step, so the returned per-slice ledger
+    records true norms.
     """
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    if lambda0 is None:
+        pos = basis.frequencies[basis.frequencies > 0]
+        if len(pos) == 0:
+            raise ValueError("basis has no positive frequencies")
+        lambda0 = float(pos[0])
+    if lambda0 <= 0:
+        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    J = 0
+    while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12) and J < 60:
+        J += 1
+
     yhat = coefficients(basis, field0)
     ledger: list[dict] = []
     times: list[np.ndarray] = []
@@ -362,15 +349,18 @@ def lr_control(
     # an active solve would only pump rounding noise back in
     floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(yhat))
     r = resolution(basis)
-    terminal = len(schedule.slices) - 1
 
-    for j, sl in enumerate(schedule.slices):
+    for j in range(J + 1):
+        t_start = T * (1.0 - 2.0**-j)
+        t_end = T * (1.0 - 2.0 ** -(j + 1))
+        t_mid = 0.5 * (t_start + t_end)
+        lam = lambda0 * 2**j
         pre = float(np.linalg.norm(yhat))
         count = len(yhat)
-        if j < terminal:
-            count = int(np.searchsorted(basis.eigenvalues, sl.lam**2 - r, side="left"))
-        cut = SpectralCutoff(lam=sl.lam, count=count)
-        tau = sl.t_mid - sl.t_start
+        if j < J:
+            count = int(np.searchsorted(basis.eigenvalues, lam**2 - r, side="left"))
+        cut = SpectralCutoff(lam=lam, count=count)
+        tau = t_mid - t_start
         cost = 0.0
         if float(np.linalg.norm(yhat[: cut.count])) > floor:
             sig = hum_low_mode_control(
@@ -379,33 +369,23 @@ def lr_control(
             cost = sig.l2_cost
             # exact propagation of the full state through the active half
             yhat = march(basis, yhat, sig.timegrid, sig)[-1]
-            times.append(sl.t_start + sig.timegrid[:-1])
+            times.append(t_start + sig.timegrid[:-1])
             vals.append(sig.values)
         else:
             yhat = yhat * np.exp(-basis.eigenvalues * tau)
-            times.append(np.array([sl.t_start]))
+            times.append(np.array([t_start]))
             vals.append(np.zeros((1, nw)))
-        yhat = yhat * np.exp(-basis.eigenvalues * (sl.t_end - sl.t_mid))
+        yhat = yhat * np.exp(-basis.eigenvalues * (t_end - t_mid))
         post = float(np.linalg.norm(yhat))
-        ledger.append({"j": j, "lambda": sl.lam, "active_cost": cost, "pre_norm": pre, "post_norm": post})
-        times.append(np.array([sl.t_mid]))
+        ledger.append({"j": j, "lambda": lam, "active_cost": cost, "pre_norm": pre, "post_norm": post})
+        times.append(np.array([t_mid]))
         vals.append(np.zeros((1, nw)))
 
-    tail = schedule.T - schedule.slices[-1].t_end
-    if tail > 0:
-        times.append(np.array([schedule.slices[-1].t_end]))
-        vals.append(np.zeros((1, nw)))
-        yhat = yhat * np.exp(-basis.eigenvalues * tail)
-    times.append(np.array([schedule.T]))
-    timegrid = np.concatenate(times)
-    values = np.vstack(vals)
+    # the tail [t_end, T] of length T 2^-(J+1) is free decay
+    times.append(np.array([t_end, T]))
+    vals.append(np.zeros((1, nw)))
     return ControlSignal(
-        timegrid,
-        values,
-        region,
-        basis.grid.weights[region.mask],
-        slice_ledger=tuple(ledger),
-        predicted_final_norm=float(np.linalg.norm(yhat)),
+        np.concatenate(times), np.vstack(vals), region, basis.grid.weights[region.mask], slice_ledger=tuple(ledger)
     )
 
 
@@ -434,7 +414,7 @@ def hum_full_control(
         raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
 
     cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
-    signal, achieved, _ = _steer(
+    signal, achieved = _steer(
         basis, cut, region, coefficients(basis, field0), np.linspace(0.0, T, steps + 1), _STEER_TOL
     )
     if signal is None:

@@ -1,11 +1,13 @@
 """Exact per-mode heat propagation and the simultaneous control pipeline.
 
-propagate integrates the mode ODEs in closed form across each constant
-segment of the control, so trajectories carry no time-stepping error. The
-pipeline doubles the interval, synthesizes one control on the lifted region,
-and drives the Dirichlet and Neumann systems with that same signal. The wall
-residuals then hold each direct run's wall cells against the odd and even
-parts of the controlled circle run, which supply the cross-wall values.
+propagate is the one way to advance a state in time: it reports exactly the
+nodes it is given, which must hold every node of the control, and integrates
+the mode ODEs in closed form between them, so trajectories carry no
+time-stepping error. The pipeline doubles the interval, synthesizes one
+control on the lifted region, and drives the Dirichlet and Neumann systems
+with that same signal. The wall residuals then hold each direct run's wall
+cells against the odd and even parts of the controlled circle run, which
+supply the cross-wall values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlSignal, hum_full_control, lr_control, make_lr_schedule, march
+from .control import ControlSignal, hum_full_control, lr_control, march
 from .doubling import build_double, extend_pair, lift_region, split
 from .grid import Coefficients, ControlRegion, Grid1D
 from .operators import EigenBasis
@@ -55,30 +57,27 @@ class SimultaneousReport:
 def propagate(
     basis: EigenBasis,
     state0: np.ndarray,
-    signal: ControlSignal | None,
-    t_end: float,
+    times: np.ndarray,
+    signal: ControlSignal | None = None,
 ) -> Trajectory:
-    """Drive state0 by the signal (zero control if None) up to t_end.
+    """Drive state0, given at times[0], by the signal (zero control if None)
+    and report the state at every node of times.
 
-    States are reconstructed at 0, every signal node inside (0, t_end), and
-    t_end itself; each segment uses the closed-form mode update, so a signal
-    node falling inside a segment would silently change nothing but its own
-    reporting grid.
+    Each step between two nodes uses the closed-form mode update with the
+    signal value holding at its start, so every signal node must be one of
+    the times; a node inside a step would go unseen, and is refused.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("times need at least two strictly increasing nodes")
     n = basis.grid.n
     if state0.shape != (n,):
         raise ValueError(f"state has shape {state0.shape}, expected ({n},)")
-    nodes = [0.0]
     if signal is not None:
-        if signal.timegrid[0] < 0 or signal.timegrid[-1] > t_end + 1e-12:
-            raise ValueError("signal window must sit inside [0, t_end]")
         if signal.region.mask.shape != (n,):
             raise ValueError("signal region lives on a different grid")
-        nodes.extend(float(t) for t in signal.timegrid if 0.0 < t < t_end)
-    nodes.append(float(t_end))
-    times = np.array(nodes)
+        if not np.isin(signal.timegrid, times).all():
+            raise ValueError("every signal node must be one of the times")
 
     coeffs = march(basis, coefficients(basis, state0), times, signal)
     states = np.empty((len(times), n))
@@ -121,9 +120,7 @@ def run_simultaneous(
     if method == "hum":
         signal = hum_full_control(ext, lifted, U0, T, steps=steps)
     else:
-        lam0 = lambda0 if lambda0 is not None else _default_lambda0(ext)
-        schedule = make_lr_schedule(T, lam0, ext)
-        signal = lr_control(ext, schedule, region=lifted, field0=U0)
+        signal = lr_control(ext, lifted, U0, T, lambda0)
 
     # Read the shared signal off the plus copy.  The halving is forced by the
     # split normalization: a source g supported on the embedded copy has odd
@@ -133,9 +130,9 @@ def run_simultaneous(
         signal.timegrid, 0.5 * signal.values, region, grid.weights[region.mask],
         slice_ledger=signal.slice_ledger,
     )
-    traj_u = propagate(basis_d, u0, base_signal, T)
-    traj_v = propagate(basis_n, v0, base_signal, T)
-    traj_double = propagate(ext, U0, signal, T)
+    traj_u = propagate(basis_d, u0, signal.timegrid, base_signal)
+    traj_v = propagate(basis_n, v0, signal.timegrid, base_signal)
+    traj_double = propagate(ext, U0, signal.timegrid, signal)
 
     # Wall recovery: the circle cell across each wall reads -u_split (odd
     # part) and v_split (even part) of the wall cell, so the direct runs'
@@ -170,12 +167,3 @@ def run_simultaneous(
         trajectory_v=traj_v,
         trajectory_double=traj_double,
     )
-
-
-def _default_lambda0(basis: EigenBasis) -> float:
-    """Smallest positive frequency: slice 0 then steers the kernel mode alone,
-    and slice j the modes below 2^j times it."""
-    pos = basis.frequencies[basis.frequencies > 0]
-    if len(pos) == 0:
-        raise ValueError("basis has no positive frequencies")
-    return float(pos[0])

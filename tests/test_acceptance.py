@@ -108,7 +108,7 @@ def test_criterion_6_oracle_equivalence():
         values = rng.standard_normal((5, int(region.mask.sum())))
         sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
         u0 = rng.standard_normal(16)
-        traj = propagate(basis, u0, sig, 0.4)
+        traj = propagate(basis, u0, timegrid, sig)
         A = op.dense()
         u = u0.copy()
         for m in range(5):

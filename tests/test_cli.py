@@ -11,11 +11,14 @@ import sys
 import numpy as np
 import pytest
 
+import simulheat.control
 import simulheat.doubling
 import simulheat.operators
+import simulheat.sim
 import simulheat.specineq
 from common import mirror_flipped
 from simulheat import cli
+from simulheat.spectral import l2_norm
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -257,6 +260,20 @@ def test_control_builds_the_doubled_problem_once(tmp_path, monkeypatch):
     assert len(solves) == 2  # one per wall; the circle basis is built from them
 
 
+def test_simulate_propagates_once(tmp_path, monkeypatch):
+    propagations = count_calls(monkeypatch, simulheat.sim, "propagate")
+    code, _ = run(tmp_path, "simulate", n=16, T=0.5)
+    assert code == 0
+    assert len(propagations) == 1
+
+
+def test_control_marches_once_per_trajectory(tmp_path, monkeypatch):
+    marches = count_calls(monkeypatch, simulheat.control, "march")
+    code, _ = run(tmp_path, "control", n=16, region="0.2,0.5", T=1.0, method="hum")
+    assert code == 0
+    assert len(marches) == 3  # the Dirichlet, Neumann and circle runs
+
+
 def test_specineq_builds_the_circle_basis_once(tmp_path, monkeypatch):
     bases = count_calls(monkeypatch, simulheat.operators, "EigenBasis")
     code, out = run(tmp_path, "specineq", n=16, region="0.2,0.8", lambda_sweep=[4.0, 7.0])
@@ -332,6 +349,9 @@ def test_simulate_reports_dissipation(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dissipative"] is True
     assert summary["final_l2"] <= summary["initial_l2"]
+    # the first row is the seeded u0 itself, not u0 rebuilt from its modes
+    grid, _ = cli.build_problem(cli.ExperimentConfig(n=24))
+    assert summary["initial_l2"] == l2_norm(grid, cli._seeded_unit_pair(grid, 0)[0])
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -23,7 +23,6 @@ from simulheat.control import (
     hum_full_control,
     hum_low_mode_control,
     lr_control,
-    make_lr_schedule,
     march,
     mass_matrix_on_region,
 )
@@ -97,7 +96,10 @@ def test_march_matches_the_step_integrator():
     path = march(ext, y0, sig.timegrid, sig)
     assert path.shape == (len(sig.timegrid), ext.grid.n)
     assert_array_equal(path[0], y0)
-    assert_array_equal(path[-1], step_heat(ext, y0, sig))
+    # march projects every step in one product and step_heat one step at a
+    # time, so the two round apart, but only at the level of the state's scale
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(path[-1] - step_heat(ext, y0, sig))) <= eps * np.max(np.abs(path))
     # nodes past the signal's window only decay
     tail = march(ext, path[-1], np.array([0.5, 0.7]), sig)[-1]
     assert_array_equal(tail, np.exp(-ext.eigenvalues * (0.7 - 0.5)) * path[-1] + 0.0)
@@ -224,7 +226,6 @@ def test_hum_low_raises_on_unobservable_mode():
     with pytest.raises(SingularGramianError) as err:
         hum_low_mode_control(basis, cut, region, np.array([0.3, -0.2, 1.0]), 0.2)
     assert err.value.lam == pytest.approx(9.0, rel=1e-12)
-    assert not np.isfinite(err.value.cond) or err.value.cond > 1e14
     assert err.value.region_measure == pytest.approx(1.0 / 9.0)
 
 
@@ -252,42 +253,44 @@ def test_signal_cost_cache_and_validation():
 
 def test_schedule_collapses_to_one_slice():
     basis = wall_basis(8, D)
+    region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     lam0 = 2.0 * float(basis.frequencies[-1])
-    sched = make_lr_schedule(1.0, lam0, basis)
-    (sl,) = sched.slices
-    assert (sl.t_start, sl.t_mid, sl.t_end, sl.lam) == (0.0, 0.25, 0.5, lam0)
+    sig = lr_control(basis, region, np.zeros(8), 1.0, lam0)
+    # one slice [0, 0.5], its active half ending at 0.25, then the tail
+    assert [(row["j"], row["lambda"]) for row in sig.slice_ledger] == [(0, lam0)]
+    assert_array_equal(sig.timegrid, [0.0, 0.25, 0.5, 1.0])
 
 
 def test_schedule_tiles_dyadically():
     basis = wall_basis(8, D)
+    region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     numax = float(basis.frequencies[-1])
-    sched = make_lr_schedule(2.0, numax / 4.0, basis)
-    assert len(sched.slices) == 3
-    assert_allclose([s.t_start for s in sched.slices], [0.0, 1.0, 1.5])
-    assert_allclose([s.t_end for s in sched.slices], [1.0, 1.5, 1.75])
-    assert_allclose([s.lam for s in sched.slices], numax / 4.0 * np.array([1.0, 2.0, 4.0]))
-    assert sched.slices[-1].lam >= numax * (1.0 - 1e-12)
-    # midpoints split each slice into its active and passive halves
-    for s in sched.slices:
-        assert s.t_mid == pytest.approx(0.5 * (s.t_start + s.t_end), rel=1e-15)
+    sig = lr_control(basis, region, np.zeros(8), 2.0, numax / 4.0)
+    ledger = sig.slice_ledger
+    assert [row["j"] for row in ledger] == [0, 1, 2]
+    assert_allclose([row["lambda"] for row in ledger], numax / 4.0 * np.array([1.0, 2.0, 4.0]))
+    assert ledger[-1]["lambda"] >= numax * (1.0 - 1e-12)
+    # a zero field leaves every slice passive: each slice start [0, 1, 1.5]
+    # and the midpoint splitting it into its active and passive halves, then
+    # the last slice's end 1.75 and T
+    assert_array_equal(sig.timegrid, [0.0, 0.5, 1.0, 1.25, 1.5, 1.625, 1.75, 2.0])
 
 
 def test_schedule_rejects_bad_parameters():
     basis = wall_basis(8, D)
+    region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     with pytest.raises(ValueError):
-        make_lr_schedule(0.0, 1.0, basis)
+        lr_control(basis, region, np.ones(8), 0.0, 1.0)
     with pytest.raises(ValueError):
-        make_lr_schedule(1.0, 0.0, basis)
+        lr_control(basis, region, np.ones(8), 1.0, 0.0)
 
 
 def test_lr_zero_field_is_silent():
     basis = wall_basis(16, D)
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
-    sched = make_lr_schedule(1.0, float(basis.frequencies[0]), basis)
-    sig = lr_control(basis, sched, region, np.zeros(16))
+    sig = lr_control(basis, region, np.zeros(16), 1.0)
     assert not sig.values.any()
-    assert sig.predicted_final_norm == 0.0
-    assert all(row["active_cost"] == 0.0 for row in sig.slice_ledger)
+    assert all(row["active_cost"] == 0.0 == row["post_norm"] for row in sig.slice_ledger)
 
 
 def test_lr_single_slice_reduces_to_hum_low():
@@ -296,7 +299,7 @@ def test_lr_single_slice_reduces_to_hum_low():
     rng = np.random.default_rng(5)
     field0 = rng.standard_normal(16)
     lam0 = 2.0 * float(basis.frequencies[-1])
-    lr = lr_control(basis, make_lr_schedule(1.0, lam0, basis), region, field0)
+    lr = lr_control(basis, region, field0, 1.0, lam0)
     hum = hum_low_mode_control(
         basis, make_cutoff(basis, lam0), region,
         coefficients(basis, field0), 0.25, steps=64, steer_tol=1e-6,
@@ -310,16 +313,16 @@ def test_lr_single_slice_reduces_to_hum_low():
 def test_terminal_slice_at_the_top_frequency_steers_every_mode():
     basis = wall_basis(16, D)
     numax = float(basis.frequencies[-1])
-    sched = make_lr_schedule(1e-3, numax / 4.0, basis)
-    assert sched.slices[-1].lam == numax
     whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
     # only the top mode is excited: the earlier slices stay below it, so
     # the terminal slice alone can steer it
-    sig = lr_control(basis, sched, whole, basis.vectors[:, -1])
+    top = basis.vectors[:, -1]
+    sig = lr_control(basis, whole, top, 1e-3, numax / 4.0)
+    assert sig.slice_ledger[-1]["lambda"] == numax
     costs = [row["active_cost"] for row in sig.slice_ledger]
     assert costs[:-1] == [0.0, 0.0]
     assert costs[-1] > 0.0
-    assert sig.predicted_final_norm <= 1e-6
+    assert np.linalg.norm(step_heat(basis, coefficients(basis, top), sig)) <= 1e-6
 
 
 def test_lr_cascade_kills_the_field_and_coasts_when_done():
@@ -327,13 +330,11 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     pos = ext.frequencies[ext.frequencies > 1e-9]
     lam0 = float(np.unique(np.round(pos, 12))[1])
-    sched = make_lr_schedule(1.0, lam0, ext)
-    assert len(sched.slices) == 5
     rng = np.random.default_rng(7)
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
 
-    sig = lr_control(ext, sched, region, field0)
+    sig = lr_control(ext, region, field0, 1.0, lam0)
     ledger = sig.slice_ledger
     assert [row["j"] for row in ledger] == list(range(5))
     for row in ledger:
@@ -349,7 +350,6 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
     yhat0 = coefficients(ext, field0)
     final = step_heat(ext, yhat0, sig)
     assert np.linalg.norm(final) <= 1e-6 * np.linalg.norm(yhat0)
-    assert sig.predicted_final_norm <= 1e-6 * np.linalg.norm(yhat0)
 
 
 def test_hum_full_zero_field_is_silent():
@@ -421,7 +421,7 @@ def test_one_shot_beats_the_cascade_on_cost():
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
     lam0 = float(ext.frequencies[ext.frequencies > 1e-9][0])
-    cascade = lr_control(ext, make_lr_schedule(1.0, lam0, ext), region, field0)
+    cascade = lr_control(ext, region, field0, 1.0, lam0)
     one_shot = hum_full_control(ext, region, field0, 1.0)
     assert one_shot.l2_cost <= cascade.l2_cost
     final = step_heat(ext, coefficients(ext, field0), one_shot)
@@ -457,9 +457,8 @@ def test_hum_full_raises_on_unreachable_target():
 def test_block_steer_matches_the_dense_oracle(n, region_of, f_size):
     basis, cut, region, y0, timegrid = full_steering_problem(n, region_of)
     assert f_size(len(last_step_only(basis, timegrid)), int(region.mask.sum()))
-    sig, achieved, H = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    sig, achieved = control._steer(basis, cut, region, y0, timegrid, 1e-8)
     values, dense_achieved = dense_steer(basis, cut, region, y0, timegrid)
-    assert H is None
     assert np.linalg.norm(sig.values - values) <= 1e-8 * np.linalg.norm(values)
     assert achieved == pytest.approx(dense_achieved, rel=1e-3)
 

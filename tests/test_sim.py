@@ -31,7 +31,7 @@ def zero_signal(grid, region, t_end, steps):
 def test_free_eigenmode_decays_exactly():
     basis = wall_basis(16, D)
     mode = basis.vectors[:, 2]
-    traj = propagate(basis, mode, None, 0.3)
+    traj = propagate(basis, mode, np.array([0.0, 0.3]))
     assert_array_equal(traj.times, [0.0, 0.3])
     assert_allclose(traj.states[-1], np.exp(-basis.eigenvalues[2] * 0.3) * mode, rtol=1e-12, atol=1e-15)
 
@@ -39,7 +39,7 @@ def test_free_eigenmode_decays_exactly():
 def test_constant_field_is_stationary_under_insulation():
     basis = wall_basis(16, N)
     state0 = np.full(16, 2.5)
-    traj = propagate(basis, state0, None, 2.0)
+    traj = propagate(basis, state0, np.array([0.0, 2.0]))
     assert_allclose(traj.states[-1], state0, atol=1e-13)
 
 
@@ -48,7 +48,8 @@ def test_free_decay_norms_never_increase():
     basis = eigendecompose(assemble_laplacian(grid, coeffs, D))
     region = region_from_intervals(grid, [(0.4, 0.6)])
     rng = np.random.default_rng(2)
-    traj = propagate(basis, rng.standard_normal(24), zero_signal(grid, region, 1.0, 8), 1.0)
+    sig = zero_signal(grid, region, 1.0, 8)
+    traj = propagate(basis, rng.standard_normal(24), sig.timegrid, sig)
     assert len(traj.times) == 9
     assert np.all(np.diff(traj.l2_norms) <= 1e-12)
     assert np.all(np.diff(traj.sup_norms) <= 1e-12)
@@ -59,14 +60,16 @@ def test_propagate_validates_inputs():
     region = region_from_intervals(basis.grid, [(0.4, 0.6)])
     sig = zero_signal(basis.grid, region, 1.0, 4)
     with pytest.raises(ValueError):
-        propagate(basis, np.zeros(16), None, 0.0)
+        propagate(basis, np.zeros(16), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        propagate(basis, np.zeros(15), None, 1.0)
+        propagate(basis, np.zeros(15), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        propagate(basis, np.zeros(16), sig, 0.5)  # signal runs past t_end
+        propagate(basis, np.zeros(16), np.array([0.0, 0.25, 0.5]), sig)  # signal runs past times[-1]
+    with pytest.raises(ValueError):
+        propagate(basis, np.zeros(16), np.array([0.0, 0.25, 0.75, 1.0]), sig)  # skips the node 0.5
     other = wall_basis(8, D)
     with pytest.raises(ValueError):
-        propagate(other, np.zeros(8), sig, 1.0)  # region from another grid
+        propagate(other, np.zeros(8), sig.timegrid, sig)  # region from another grid
 
 
 def test_propagate_matches_expm_duhamel_oracle():
@@ -79,7 +82,7 @@ def test_propagate_matches_expm_duhamel_oracle():
     values = rng.standard_normal((5, int(region.mask.sum())))
     sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
     u0 = rng.standard_normal(12)
-    traj = propagate(basis, u0, sig, 0.4)
+    traj = propagate(basis, u0, timegrid, sig)
 
     # independent route: u' = -A u + g stepped with the matrix exponential
     A = op.dense()
@@ -102,7 +105,7 @@ def test_propagate_states_match_the_per_node_reconstruction():
     values = rng.standard_normal((8, int(region.mask.sum())))
     sig = ControlSignal(timegrid, values, region, ext.grid.weights[region.mask])
     U0 = rng.standard_normal(64)
-    traj = propagate(ext, U0, sig, 0.7)
+    traj = propagate(ext, U0, np.r_[timegrid, 0.7], sig)
     # the loop the single product replaced: one matrix-vector product per node
     coeffs_t = march(ext, coefficients(ext, U0), traj.times, sig)
     loop = np.array([U0] + [ext.vectors @ y for y in coeffs_t[1:]])
@@ -128,7 +131,8 @@ def test_split_of_a_trajectory_stack_equals_per_state_splits():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.5)]))
     rng = np.random.default_rng(4)
-    traj = propagate(ext, rng.standard_normal(16), zero_signal(ext.grid, region, 0.5, 5), 0.5)
+    sig = zero_signal(ext.grid, region, 0.5, 5)
+    traj = propagate(ext, rng.standard_normal(16), sig.timegrid, sig)
     su, sv = split(dd, traj.states)
     assert su.shape == sv.shape == (6, 8)
     for U, u, v in zip(traj.states, su, sv):
