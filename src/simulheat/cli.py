@@ -3,7 +3,8 @@
 One JSON config document drives every verb; outputs are written atomically
 and floats are formatted with shortest round-trip reprs, so a repeated run
 with the same config and seed produces byte-identical artifacts. Exit codes:
-0 ok, 2 config error, 3 numerically infeasible, 4 tolerance miss.
+0 ok, 2 config error, 3 numerically infeasible or out of memory, 4 tolerance
+miss.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .control import InfeasibleControlError, SingularGramianError
-from .doubling import build_double, lift_region, verify
+from .doubling import build_double, verify
 from .grid import (
     Coefficients,
     EmptyRegionError,
@@ -34,7 +35,7 @@ from .grid import (
 )
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
-from .specineq import estimate_constant_l2, estimate_constant_lp, fit_exponential, simultaneous_constant
+from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
 from .spectral import l2_norm, make_cutoff
 
 EXIT_OK = 0
@@ -212,51 +213,34 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
         raise ConfigError("specineq needs a region")
     region = parse_region_spec(cfg.region, grid)
     dd = build_double(grid, coeffs)
-    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-    lifted = lift_region(dd, region)
 
-    per_family: dict[str, tuple[list[str], list]] = {
-        "dirichlet": ([], []),
-        "neumann": ([], []),
-        "simultaneous": ([], []),
-    }
-
-    def record(family: str, est_lp, est_l2) -> None:
-        lines, lp_estimates = per_family[family]
-        for est in (est_lp, est_l2):
-            lines.append(
-                f"{family},{_fmt(est.lam)},{est.mode_count},{_fmt(est.region_measure)},"
-                f"{est.method},{_fmt(est.constant)}"
-            )
-        lp_estimates.append(est_lp)
-
+    # one exact-lp estimate per family and cutoff; a wall family with no mode
+    # below the cutoff has none, while the circle always holds the kernel mode
+    estimates: dict[str, list] = {"dirichlet": [], "neumann": [], "simultaneous": []}
     for lam in cfg.lambda_sweep:
-        cut_d = make_cutoff(basis_d, lam)
-        cut_n = make_cutoff(basis_n, lam)
-        cut_x = make_cutoff(ext, lam)
-        est_d = est_n = None
-        if cut_d.count:
-            est_d = estimate_constant_lp(basis_d, cut_d, region)
-            record("dirichlet", est_d, estimate_constant_l2(basis_d, cut_d, region))
-        if cut_n.count:
-            est_n = estimate_constant_lp(basis_n, cut_n, region)
-            record("neumann", est_n, estimate_constant_l2(basis_n, cut_n, region))
-        if cut_x.count:
-            est_s = simultaneous_constant(dd, lam, region, wall_estimates=(est_d, est_n))
-            record("simultaneous", est_s, estimate_constant_l2(ext, cut_x, lifted))
+        walls = []
+        for basis in (dd.basis_d, dd.basis_n):
+            cut = make_cutoff(basis, lam)
+            walls.append(estimate_constant_lp(basis, cut, region) if cut.count else None)
+        walls.append(simultaneous_constant(dd, lam, region, tuple(walls)))
+        for family, est in zip(estimates, walls):
+            if est is not None:
+                estimates[family].append(est)
 
     rows = ["family,lambda,mode_count,region_measure,method,constant"]
     fits: dict[str, Any] = {}
-    any_finite = False
-    for family, (lines, lp_estimates) in per_family.items():
-        rows.extend(lines)
-        any_finite |= any(np.isfinite(e.constant) for e in lp_estimates)
-        finite = [e for e in lp_estimates if np.isfinite(e.constant)]
+    for family, ests in estimates.items():
+        for est in ests:  # the exact-lp row and, from the same SVD, the sigma-min-l2 row
+            head = f"{family},{_fmt(est.lam)},{est.mode_count},{_fmt(est.region_measure)}"
+            l2 = np.inf if est.sigma_min == 0.0 else 1.0 / est.sigma_min
+            rows += [f"{head},{est.method},{_fmt(est.constant)}", f"{head},sigma-min-l2,{_fmt(l2)}"]
+        finite = [e for e in ests if np.isfinite(e.constant)]
         if len(finite) >= 3:
             fit = fit_exponential(finite)
             fits[family] = {"logC": fit.logC, "slope": fit.slope, "residual": fit.residual}
         else:
             fits[family] = None
+    any_finite = any(np.isfinite(e.constant) for ests in estimates.values() for e in ests)
     _write_atomic(os.path.join(outdir, "constants.csv"), "\n".join(rows) + "\n")
     _write_json(os.path.join(outdir, "fit.json"), {"fits": fits, "config": asdict(cfg)})
     return EXIT_OK if any_finite else EXIT_INFEASIBLE
@@ -315,6 +299,8 @@ def cmd_fatcantor(cfg: ExperimentConfig, outdir: str) -> int:
     grid, _ = build_problem(cfg)
     if cfg.cantor_measure is None or cfg.cantor_depth is None:
         raise ConfigError("fatcantor needs cantor_measure and cantor_depth")
+    if cfg.cantor_depth > cfg.n:  # a mask stops changing long before depth n
+        raise ConfigError(f"cantor_depth must be at most n={cfg.n}, got {cfg.cantor_depth}")
     region = fat_cantor_region(grid, cfg.cantor_measure, cfg.cantor_depth, cfg.seed)
     path = os.path.join(outdir, "cantor_mask.txt")
     write_mask_file(path, region)
@@ -378,6 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except (SingularGramianError, InfeasibleControlError, NumericalError) as exc:
         print(f"numerical infeasibility: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

@@ -1,13 +1,13 @@
 """Doubling the interval to a circle so both wall conditions become interior.
 
 A field pair (u, v) on [0, L] is carried to the 2n-cell circle of
-circumference 2L by U = u + v on the original copy and U = -u + v on the
-mirrored copy. With evenly reflected coefficients this intertwines exactly
-with the stencils: odd extensions of Dirichlet modes and even extensions of
-Neumann modes are eigenvectors of the periodic operator with the same
-eigenvalues, so the circle's spectrum is the disjoint union of the two wall
-problems' spectra. verify checks this against a dense eigensolve of the
-periodic operator.
+circumference 2L by U = u + v on the plus copy, cells 0..n-1, and U = v - u
+on the mirror copy, cells n..2n-1 in reverse order. With evenly reflected
+coefficients this intertwines exactly with the stencils: odd extensions of
+Dirichlet modes and even extensions of Neumann modes are eigenvectors of the
+periodic operator with the same eigenvalues, so the circle's spectrum is the
+disjoint union of the two wall problems' spectra. verify checks this against
+a dense eigensolve of the periodic operator.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ _LINK_TRIPLES = 100
 class DoubleDomain:
     """The doubled problem: both wall eigenbases and the circle basis they extend to.
 
+    Base cell i is circle cell i on the plus copy and 2n-1-i on the mirror copy.
     basis_circle merges the odd Dirichlet and even Neumann extensions, unit-norm
     and ascending; odd against even cancels across the two copies, so it is a
     complete eigenbasis of the periodic operator. circle_rows[k] is the circle
@@ -36,11 +37,8 @@ class DoubleDomain:
     """
 
     base: Grid1D
-    base_coeffs: Coefficients
     doubled: Grid1D
     doubled_coeffs: Coefficients
-    embed_plus: np.ndarray
-    embed_minus: np.ndarray
     circle_rows: np.ndarray
     basis_d: EigenBasis = field(repr=False)
     basis_n: EigenBasis = field(repr=False)
@@ -64,8 +62,6 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
         weights=_frozen(grid.h * kappa2),
     )
     dcoeffs = Coefficients(kappa=_frozen(kappa2), a=_frozen(a2))
-    embed_plus = np.arange(n)
-    embed_minus = np.arange(2 * n - 1, n - 1, -1)
     basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
     basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
 
@@ -90,40 +86,36 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
         grid=doubled,
     )
     return DoubleDomain(
-        base=grid, base_coeffs=coeffs, doubled=doubled, doubled_coeffs=dcoeffs,
-        embed_plus=embed_plus, embed_minus=embed_minus, circle_rows=rows,
+        base=grid, doubled=doubled, doubled_coeffs=dcoeffs, circle_rows=rows,
         basis_d=basis_d, basis_n=basis_n, basis_circle=basis_circle,
     )
 
 
 def extend_pair(dd: DoubleDomain, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U with u + v on the plus copy and -u + v on the mirror copy."""
+    """U with u + v on the plus copy and v - u on the mirror copy."""
     n = dd.base.n
     if u.shape != (n,) or v.shape != (n,):
         raise ValueError(f"fields must have shape ({n},)")
-    U = np.empty(2 * n)
-    U[dd.embed_plus] = u + v
-    U[dd.embed_minus] = -u + v
-    return U
+    return np.concatenate([u + v, (v - u)[::-1]], dtype=float)
 
 
 def split(dd: DoubleDomain, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Odd/even parts of a circle field, or of each row of a stack of them,
     pulled back to the interval.
 
-    Inverse of extend_pair: u = (U o i+ - U o i-)/2, v = (U o i+ + U o i-)/2.
+    Inverse of extend_pair: u = (U+ - U-)/2 and v = (U+ + U-)/2, with U+ the
+    plus copy and U- the mirror copy read back in base order.
     """
     if U.ndim < 1 or U.shape[-1] != dd.doubled.n:
         raise ValueError(f"fields must have a last axis of width {dd.doubled.n}")
-    up = U[..., dd.embed_plus]
-    um = U[..., dd.embed_minus]
+    n = dd.base.n
+    up, um = U[..., :n], U[..., : n - 1 : -1]
     return 0.5 * (up - um), 0.5 * (up + um)
 
 
 def lift_region(dd: DoubleDomain, region: ControlRegion) -> ControlRegion:
     """Carry a control region to the plus copy only; the mirror stays silent."""
-    mask = np.zeros(dd.doubled.n, dtype=bool)
-    mask[dd.embed_plus[region.mask]] = True
+    mask = np.concatenate([region.mask, np.zeros(dd.base.n, dtype=bool)])
     return ControlRegion(mask=mask, measure=dd.doubled.h * int(mask.sum()))
 
 

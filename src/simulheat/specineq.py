@@ -13,14 +13,16 @@ above; one wider than _BRACKET_TOL relative raises NumericalError. The same
 upper end taken at the minimum-norm point bounds every C_i before any LP runs,
 so a cell whose bound is already below the best certificate is skipped.
 
-A cheaper sigma-min surrogate is also provided, plus the exponential fit
-log(constant) ~ slope * lam used to compare against the e^{C lam} growth that
-observability predicts.
+The estimate also carries sigma_min of the sqrt(w)-weighted restriction, from
+the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
+costs no second SVD. simultaneous_constant folds the two wall estimates it is
+handed into the circle's; fit_exponential fits log(constant) ~ slope * lam to
+compare against the e^{C lam} growth that observability predicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,17 +44,20 @@ class SpectralConstantEstimate:
     """One measured constant. certificate holds the extremal mode coefficients;
     upper closes the exact-lp bracket [constant, upper] (None for other methods).
     lp_solves counts the exact-lp cells whose LP ran and lp_retries their
-    re-runs from a cleared basis (0 for other methods and rank-deficient ones)."""
+    re-runs from a cleared basis (0 for other methods and rank-deficient ones).
+    sigma_min is the smallest singular value of the sqrt(w)-weighted
+    restriction, 0.0 where it is rank-deficient or not computed."""
 
     lam: float
     mode_count: int
     region_measure: float
-    method: str  # exact-lp | sigma-min-l2
+    method: str
     constant: float
     certificate: np.ndarray | None = None
     upper: float | None = None
     lp_solves: int = 0
     lp_retries: int = 0
+    sigma_min: float = 0.0
 
 
 class FitResult(NamedTuple):
@@ -120,10 +125,11 @@ def estimate_constant_lp(
     cell whose bound lies below the best re-evaluated certificate so far is
     skipped: it cannot hold the maximum. A skipped or failed cell enters upper
     through its minimum-norm point. The constant is the best re-evaluated
-    certificate ratio, so it is self-verifying, and upper bounds it. Returns
-    +inf (with a null-direction certificate) when the restriction is
-    rank-deficient; raises NumericalError when every cell's LP fails or the
-    bracket is wider than _BRACKET_TOL.
+    certificate ratio, so it is self-verifying, and upper bounds it; sigma_min
+    is that of the rank decision. Returns +inf (with a null-direction
+    certificate and sigma_min 0.0) when the restriction is rank-deficient;
+    raises NumericalError when every cell's LP fails or the bracket is wider
+    than _BRACKET_TOL.
     """
     K = cutoff.count
     if K < 1:
@@ -221,27 +227,7 @@ def estimate_constant_lp(
         upper=max(upper, float(best_val)),
         lp_solves=solves,
         lp_retries=retries,
-    )
-
-
-def estimate_constant_l2(
-    basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion
-) -> SpectralConstantEstimate:
-    """L2 surrogate 1/sigma_min of the weighted restriction; inf where the
-    restriction is rank-deficient by the exact-lp rule."""
-    K = cutoff.count
-    if K < 1:
-        raise ValueError("cutoff admits no modes")
-    E = basis.vectors[:, :K]
-    smin, direction = _restriction_sigma_min(basis, E, region)
-    constant = np.inf if smin == 0.0 else 1.0 / smin
-    return SpectralConstantEstimate(
-        lam=cutoff.lam,
-        mode_count=K,
-        region_measure=region.measure,
-        method="sigma-min-l2",
-        constant=float(constant),
-        certificate=direction,
+        sigma_min=smin,
     )
 
 
@@ -249,9 +235,7 @@ def simultaneous_constant(
     dd: DoubleDomain,
     cutoff_lam: float,
     region: ControlRegion,
-    *,
-    wall_estimates: tuple[SpectralConstantEstimate | None, SpectralConstantEstimate | None]
-    | None = None,
+    wall_estimates: tuple[SpectralConstantEstimate | None, SpectralConstantEstimate | None],
 ) -> SpectralConstantEstimate:
     """Joint constant for both wall families observed through one region.
 
@@ -260,52 +244,36 @@ def simultaneous_constant(
     max(||P_D u + P_N v||_inf, ||P_D u - P_N v||_inf) over the pair span, so
     this dominates each single-family constant.
 
-    wall_estimates may carry already computed exact-lp estimates for the
-    Dirichlet and Neumann families at the same cutoff, sparing their re-solve.
+    wall_estimates holds the exact-lp estimates of the Dirichlet and the
+    Neumann family at the same cutoff and region, None for a family with no
+    mode below it; they are folded in, not solved again.
     """
-    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
+    ext = dd.basis_circle
     cut = make_cutoff(ext, cutoff_lam)
     lifted = lift_region(dd, region)
     est = estimate_constant_lp(ext, cut, lifted)
-    best = est.constant
-    best_cert = est.certificate
+    best, best_cert = est.constant, est.certificate
 
     # Each wall certificate extends to the circle with peak and region mass
     # both scaled by 1/sqrt(2), so its ratio carries over unchanged. Folding
     # the single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
-    n = dd.base.n
     Eext = ext.vectors[:, : cut.count]
-    for slot, (wall_basis, offset) in enumerate(((basis_d, 0), (basis_n, n))):
-        wall_cut = make_cutoff(wall_basis, cutoff_lam)
-        if wall_cut.count < 1:
-            continue
-        wall_est = wall_estimates[slot] if wall_estimates is not None else None
+    for wall_est, offset in zip(wall_estimates, (0, dd.base.n)):
         if wall_est is None:
-            wall_est = estimate_constant_lp(wall_basis, wall_cut, region)
+            continue
         if not np.isfinite(wall_est.constant):
             best, best_cert = np.inf, wall_est.certificate
             break
-        if wall_est.certificate is None:
-            continue
         embedded = np.zeros(cut.count)
-        embedded[dd.circle_rows[offset : offset + wall_cut.count]] = wall_est.certificate
+        embedded[dd.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
         val = _ratio(ext, Eext, lifted, embedded)
         if val > best:
             best, best_cert = val, embedded
 
-    return SpectralConstantEstimate(
-        lam=est.lam,
-        mode_count=est.mode_count,
-        region_measure=region.measure,
-        method=est.method,
-        constant=float(best),
-        certificate=best_cert,
-        # a folded wall ratio lies below the circle's constant, up to rounding
-        upper=max(est.upper, float(best)),
-        lp_solves=est.lp_solves,
-        lp_retries=est.lp_retries,
-    )
+    # a folded wall ratio lies below the circle's constant, up to rounding
+    return replace(est, region_measure=region.measure, constant=float(best), certificate=best_cert,
+                   upper=max(est.upper, float(best)))
 
 
 def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:

@@ -72,11 +72,18 @@ def dense_eigenbasis(op):
     )
 
 
+def copies(dd, X):
+    """The rows of X on the plus copy, circle cells 0..n-1, and on the mirror
+    copy, cells 2n-1 down to n; both in base cell order, as views."""
+    n = dd.base.n
+    return X[:n], X[: n - 1 : -1]
+
+
 def mirror_flipped(dd, k):
     """dd with circle mode k negated on the mirror copy: odd becomes even and
     even odd, so that column is no eigenvector of the circle any more."""
     vectors = dd.basis_circle.vectors.copy()
-    vectors[dd.embed_minus, k] *= -1.0
+    copies(dd, vectors)[1][:, k] *= -1.0
     return dataclasses.replace(dd, basis_circle=dataclasses.replace(dd.basis_circle, vectors=vectors))
 
 

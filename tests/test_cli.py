@@ -4,9 +4,12 @@ Every test drives cli.main in process and reads the artifacts back from a
 temporary directory.
 """
 
+import itertools
 import json
 import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +83,15 @@ def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
     assert code == 2
     if fields:  # the message names the offending field
         assert list(fields)[-1] in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("| key | meaning | default |") + 2  # past the header and its rule
+    keys = set()
+    for line in itertools.takewhile(lambda l: l.startswith("|"), readme[start:]):
+        keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == set(cli.ExperimentConfig.__dataclass_fields__)
 
 
 def test_unreadable_and_malformed_configs_exit_2(tmp_path):
@@ -285,6 +297,15 @@ def test_specineq_builds_the_circle_basis_once(tmp_path, monkeypatch):
     assert len(bases) == 3  # the two wall bases and the circle basis
 
 
+def test_specineq_takes_one_restriction_svd_per_family(tmp_path, monkeypatch):
+    # the sigma-min-l2 row comes from the exact-lp estimate's own rank decision
+    decisions = count_calls(monkeypatch, simulheat.specineq, "_restriction_sigma_min")
+    code, out = run(tmp_path, "specineq", n=16, region="0.2,0.8", lambda_sweep=[7.0])
+    assert code == 0
+    assert len((out / "constants.csv").read_text().splitlines()) == 1 + 3 * 2
+    assert len(decisions) == 3
+
+
 def test_control_cascade_writes_the_cost_ledger(tmp_path):
     code, out = run(tmp_path, "control", n=32, region="0.2,0.3", T=1.0, method="lr")
     assert code == 0
@@ -337,6 +358,24 @@ def test_fatcantor_requires_parameters(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "fatcantor", n=64, cantor_measure=0.25)
     assert code == 2
+
+
+def test_fatcantor_depth_above_n_exits_2_naming_the_field(tmp_path, capsys):
+    code, _ = run(tmp_path, "fatcantor", n=64, cantor_measure=0.3, cantor_depth=10**12)
+    assert code == 2
+    assert "cantor_depth" in capsys.readouterr().err
+    code, _ = run(tmp_path, "fatcantor", n=64, cantor_measure=0.3, cantor_depth=64)
+    assert code == 0
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, outdir):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "cmd_control", exhausted)
+    code, _ = run(tmp_path, "control", n=32, region="0.2,0.3", steps=10**11)
+    assert code == 3
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_simulate_reports_dissipation(tmp_path):

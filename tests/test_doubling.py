@@ -11,6 +11,7 @@ from common import (
     P,
     VARIABLE,
     circle_operator,
+    copies,
     dense_eigenbasis,
     double_setup,
     extend_eigenfunction,
@@ -29,15 +30,24 @@ def test_embedding_maps_n2():
     dd = build_double(grid, coeffs)
     assert dd.doubled.n == 4
     assert dd.doubled.length == 2.0
-    assert_array_equal(dd.embed_plus, [0, 1])
-    assert_array_equal(dd.embed_minus, [3, 2])
+    # u + v on cells 0 and 1, v - u on the mirror copy, base cell 0 at cell 3
+    U = extend_pair(dd, np.array([1.0, 2.0]), np.array([10.0, 20.0]))
+    assert_array_equal(U, [11.0, 22.0, 18.0, 9.0])
+    ru, rv = split(dd, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert_array_equal(ru, [-1.5, -0.5])
+    assert_array_equal(rv, [2.5, 2.5])
 
 
 def test_embeddings_cover_circle_disjointly():
     grid, coeffs = problem(13)
     dd = build_double(grid, coeffs)
-    both = np.concatenate([dd.embed_plus, dd.embed_minus])
-    assert_array_equal(np.sort(both), np.arange(26))
+    # split reads each circle cell at exactly one base cell, and each base
+    # cell from exactly two circle cells, one on each copy
+    u, v = split(dd, np.eye(26))
+    assert_array_equal(np.abs(u), np.abs(v))
+    assert_array_equal(np.count_nonzero(u, axis=1), np.ones(26))
+    assert_array_equal(np.count_nonzero(u, axis=0), np.full(13, 2))
+    assert_array_equal(np.sum(u, axis=0), np.zeros(13))
 
 
 def test_reflected_coefficients():
@@ -57,8 +67,8 @@ def test_reflected_coefficients():
 def test_doubled_weights_pull_back_to_base():
     grid, coeffs = problem(9, kappa=lambda x: 1.0 + 0.7 * x)
     dd = build_double(grid, coeffs)
-    assert_array_equal(dd.doubled.weights[dd.embed_plus], grid.weights)
-    assert_array_equal(dd.doubled.weights[dd.embed_minus], grid.weights)
+    for copy in copies(dd, dd.doubled.weights):
+        assert_array_equal(copy, grid.weights)
 
 
 def test_extend_pair_frozen_example():
@@ -72,10 +82,10 @@ def test_extend_pair_parity_special_cases():
     grid, coeffs = problem(6)
     dd = build_double(grid, coeffs)
     v = np.random.default_rng(0).standard_normal(6)
-    even = extend_pair(dd, np.zeros(6), v)
-    assert_array_equal(even[dd.embed_plus], even[dd.embed_minus])
-    odd = extend_pair(dd, v, np.zeros(6))
-    assert_array_equal(odd[dd.embed_plus], -odd[dd.embed_minus])
+    plus, minus = copies(dd, extend_pair(dd, np.zeros(6), v))
+    assert_array_equal(plus, minus)
+    plus, minus = copies(dd, extend_pair(dd, v, np.zeros(6)))
+    assert_array_equal(plus, -minus)
     with pytest.raises(ValueError):
         extend_pair(dd, np.zeros(5), v)
 
@@ -151,8 +161,8 @@ def test_lift_region_targets_plus_copy_only():
     whole = region_from_intervals(g, [(0.0, 1.0)])
     lw = lift_region(d, whole)
     assert lw.measure == 1.0
-    assert not lw.mask[d.embed_minus].any()
-    assert lw.mask[d.embed_plus].all()
+    plus, minus = copies(d, lw.mask)
+    assert plus.all() and not minus.any()
 
 
 @pytest.mark.parametrize("n,kappa,a", [
@@ -186,7 +196,7 @@ def test_extended_basis_input_order_guard():
     grid, coeffs, dd, basis_d, basis_n, ext = double_setup(4)
     assert basis_d.bc is D and basis_n.bc is N and ext.bc is P
     # every circle mode is an odd (Dirichlet) or an even (Neumann) extension
-    plus, minus = ext.vectors[dd.embed_plus], ext.vectors[dd.embed_minus]
+    plus, minus = copies(dd, ext.vectors)
     odd = np.all(plus == -minus, axis=0)
     even = np.all(plus == minus, axis=0)
     assert np.all(odd ^ even)
@@ -225,8 +235,8 @@ def test_circle_rows_place_each_wall_mode(n, profile):
         # (1 to within about 10 eps) is divided out; the mirror copy tells
         # modes apart that agree on the plus copy, as at n = 2
         unit = wall.vectors / np.sqrt(grid.weights @ wall.vectors**2)
-        plus = np.sqrt(2.0) * ext.vectors[dd.embed_plus][:, rows]
-        minus = sign * np.sqrt(2.0) * ext.vectors[dd.embed_minus][:, rows]
+        plus, minus = copies(dd, ext.vectors[:, rows])
+        plus, minus = np.sqrt(2.0) * plus, sign * np.sqrt(2.0) * minus
         gap = max(np.max(np.abs(plus - unit)), np.max(np.abs(minus - unit)))
         assert gap <= 4 * eps * np.max(np.abs(unit))
     assert_array_equal(np.sort(dd.circle_rows), np.arange(2 * n))

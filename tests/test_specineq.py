@@ -1,5 +1,6 @@
-"""Spectral constant estimators: exact LP, sigma-min surrogate, randomized
-lower bounds, the simultaneous (circle) constant, and the growth fit."""
+"""Spectral constant estimators: exact LP and the sigma-min it carries,
+randomized lower bounds, the simultaneous (circle) constant, and the growth
+fit."""
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from simulheat.grid import (
 from simulheat.operators import NumericalError
 from simulheat.specineq import (
     SpectralConstantEstimate,
-    estimate_constant_l2,
     estimate_constant_lp,
     fit_exponential,
     simultaneous_constant,
@@ -41,6 +41,16 @@ def one_cell_region(n, i):
     mask = np.zeros(n, dtype=bool)
     mask[i] = True
     return ControlRegion(mask=mask, measure=1.0 / n)
+
+
+def wall_estimates(dd, lam, region):
+    """The Dirichlet and Neumann exact-lp estimates at lam, None for a wall
+    with no mode below it, as simultaneous_constant takes them."""
+    ests = []
+    for basis in (dd.basis_d, dd.basis_n):
+        cut = make_cutoff(basis, lam)
+        ests.append(estimate_constant_lp(basis, cut, region) if cut.count else None)
+    return tuple(ests)
 
 
 def test_lp_single_mode_matches_closed_form():
@@ -208,7 +218,7 @@ def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
     assert est.mode_count == 5
     assert len(solved) == est.lp_solves < ext.grid.n // 2
     # simultaneous_constant carries the circle estimate's counts through
-    sim = simultaneous_constant(dd, 7.0, region)
+    sim = simultaneous_constant(dd, 7.0, region, wall_estimates(dd, 7.0, region))
     assert (sim.lp_solves, sim.lp_retries) == (est.lp_solves, est.lp_retries)
 
 
@@ -229,7 +239,7 @@ def test_simultaneous_constant_certified_at_float64_horizon():
     grid, _, dd, _, _, ext = double_setup(128)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     lifted = lift_region(dd, region)
-    est = simultaneous_constant(dd, 13.0, region)
+    est = simultaneous_constant(dd, 13.0, region, wall_estimates(dd, 13.0, region))
     assert est.mode_count == 9
     E = ext.vectors[:, :9]
     R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
@@ -254,13 +264,14 @@ def test_neumann_lp_sweep_nondecreasing_at_n512():
 
 def test_l2_surrogate_shares_the_lp_rank_rule_at_n512():
     # Neumann at the 12th Dirichlet frequency (K=13): sigma_min ~ 6e-14 sits
-    # above the relative rank floor, so both estimators see a full rank
+    # above the relative rank floor, so the estimate is finite and carries it
     grid, _, dd, basis_d, basis_n, _ = double_setup(512)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     cut = make_cutoff(basis_n, float(basis_d.frequencies[11]))
     assert cut.count == 13
-    assert np.isfinite(estimate_constant_lp(basis_n, cut, region).constant)
-    assert np.isfinite(estimate_constant_l2(basis_n, cut, region).constant)
+    est = estimate_constant_lp(basis_n, cut, region)
+    assert np.isfinite(est.constant)
+    assert 0.0 < est.sigma_min < 1e-12
 
 
 def test_randomized_bound_stays_below_lp():
@@ -289,30 +300,29 @@ def test_certificates_reproduce_reported_constants():
 def test_l2_surrogate_frozen_cases():
     basis = wall_basis(16, D)
     whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
-    est = estimate_constant_l2(basis, make_cutoff(basis, float(basis.frequencies[4])), whole)
-    assert_allclose(est.constant, 1.0, atol=1e-12)  # orthonormal restriction
-    assert est.method == "sigma-min-l2"
-    assert est.lp_solves == est.lp_retries == 0
+    est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[4])), whole)
+    assert_allclose(est.sigma_min, 1.0, atol=1e-12)  # orthonormal restriction
     # more modes than observation cells forces rank deficiency
-    est = estimate_constant_l2(basis, make_cutoff(basis, float(basis.frequencies[2])), one_cell_region(16, 5))
+    est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[2])), one_cell_region(16, 5))
     assert est.constant == np.inf
+    assert est.sigma_min == 0.0
 
 
 def test_l2_surrogate_against_svd_oracle():
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.4, 0.6)])
     cut = make_cutoff(basis, float(basis.frequencies[1]))
-    est = estimate_constant_l2(basis, cut, region)
+    est = estimate_constant_lp(basis, cut, region)
     R = np.sqrt(basis.grid.weights[region.mask])[:, None] * basis.vectors[region.mask, :2]
     smin = scipy.linalg.svdvals(R)[-1]
-    assert_allclose(est.constant, 1.0 / smin, rtol=1e-10)
+    assert_allclose(est.sigma_min, smin, rtol=1e-10)
 
 
 def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
     grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     # lam below every positive frequency: only the circle's constant mode
-    est = simultaneous_constant(dd, 1.0, region)
+    est = simultaneous_constant(dd, 1.0, region, wall_estimates(dd, 1.0, region))
     assert est.mode_count == 1
     assert_allclose(est.constant, 1.0 / region.measure, rtol=1e-10)
 
@@ -321,7 +331,7 @@ def test_simultaneous_needs_as_many_cells_as_modes():
     grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
     narrow = region_from_intervals(grid, [(0.45, 0.55)])  # 6 cells
     lam = float(basis_d.frequencies[2])  # 3 odd + 4 even modes on the circle
-    est = simultaneous_constant(dd, lam, narrow)
+    est = simultaneous_constant(dd, lam, narrow, wall_estimates(dd, lam, narrow))
     assert est.mode_count == 7
     assert est.constant == np.inf
 
@@ -332,12 +342,13 @@ def test_simultaneous_dominates_both_walls():
     lam = float(basis_d.frequencies[2])
     cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), region)
     cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), region)
-    cs = simultaneous_constant(dd, lam, region)
+    cs = simultaneous_constant(dd, lam, region, (cd, cn))
     assert np.isfinite(cs.constant)
-    assert cs.constant >= max(cd.constant, cn.constant) - 1e-8
-    # passing the wall estimates in must not change the answer
-    again = simultaneous_constant(dd, lam, region, wall_estimates=(cd, cn))
-    assert_allclose(again.constant, cs.constant, rtol=1e-12)
+    assert cs.constant >= max(cd.constant, cn.constant) * (1.0 - 1e-12)
+    # the circle LP alone dominates both walls up to its solver slack
+    alone = simultaneous_constant(dd, lam, region, (None, None))
+    assert alone.constant >= max(cd.constant, cn.constant) - 1e-8
+    assert alone.constant <= cs.constant
 
 
 def test_fit_recovers_exact_exponential():
@@ -378,8 +389,7 @@ def test_empty_cutoff_rejected_everywhere():
     basis = wall_basis(8, D)
     region = region_from_intervals(basis.grid, [(0.2, 0.8)])
     empty = make_cutoff(basis, 0.0)
-    for fn in (estimate_constant_lp, estimate_constant_l2):
-        with pytest.raises(ValueError):
-            fn(basis, empty, region)
+    with pytest.raises(ValueError):
+        estimate_constant_lp(basis, empty, region)
     with pytest.raises(ValueError):
         randomized_lower_bound(basis, empty, region)
