@@ -10,10 +10,10 @@ K x K system with the sampled Gramian H = (I I^T / dt) o M, the Hadamard
 product of the step-integral outer product with the region mass matrix.
 Both syntheses solve that system the same way: block elimination of
 H + 1e-12 max(diag H) I, with an nw x nw Woodbury factor for the modes that
-only the last step reaches and a Schur complement on the rest (see _steer),
-then defect correction against the unregularized H in factored form. The
-cascade lays out its own dyadic slices from the horizon T and lambda0, and
-march projects every step of a signal onto the modes in one product.
+only the last step reaches and a Schur complement on the rest, then defect
+correction against the unregularized H in factored form. The cascade lays
+out its own dyadic slices from the horizon T and lambda0, and march projects
+every step of a signal onto the modes in one product.
 """
 
 from __future__ import annotations
@@ -25,24 +25,23 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ControlRegion
-from .operators import EigenBasis
+from .operators import EigenBasis, NumericalError
 from .spectral import SpectralCutoff, coefficients, resolution
 
 
-class SingularGramianError(RuntimeError):
-    """The Gramian cannot certify steering for this cutoff and region."""
+class SingularGramianError(NumericalError):
+    """The steering solve missed its tolerance: the Gramian is singular or the
+    target unreachable for this cutoff and region, or its arithmetic under-
+    or overflowed."""
 
-    def __init__(self, lam: float, region: ControlRegion, achieved: float):
-        self.lam = lam
+    def __init__(self, cutoff: SpectralCutoff, region: ControlRegion, steps: int, achieved: float):
+        self.lam = cutoff.lam
         self.region_measure = region.measure
+        self.achieved = achieved
         super().__init__(
-            f"near-singular Gramian at cutoff lam={lam:.6g} on region of measure {region.measure:.6g} "
-            f"({int(region.mask.sum())} cells): verified low-mode residual {achieved:.3e}"
+            f"steering {cutoff.count} modes below cutoff lam={cutoff.lam:.6g} from {int(region.mask.sum())} "
+            f"cells (region measure {region.measure:.6g}) on {steps} steps: verified residual {achieved:.3e}"
         )
-
-
-class InfeasibleControlError(RuntimeError):
-    """The discrete input map cannot reach the required final state."""
 
 
 @dataclass(frozen=True)
@@ -162,13 +161,14 @@ def _step_integrals(lam: np.ndarray, timegrid: np.ndarray) -> tuple[np.ndarray, 
 def _factor(A: np.ndarray):
     """Solver for A x = b through the Cholesky factor of A; roundoff can push
     the smallest eigenvalue of a shifted Gramian a hair below zero, where the
-    LU factorization still applies."""
+    LU factorization still applies. Neither screens for NaN or infinity: an
+    under- or overflowed system solves to a non-finite residual, a miss."""
     try:
-        cho = scipy.linalg.cho_factor(A)
-        return lambda b: scipy.linalg.cho_solve(cho, b)
+        cho = scipy.linalg.cho_factor(A, check_finite=False)
+        return lambda b: scipy.linalg.cho_solve(cho, b, check_finite=False)
     except scipy.linalg.LinAlgError:
-        lu = scipy.linalg.lu_factor(A)
-        return lambda b: scipy.linalg.lu_solve(lu, b)
+        lu = scipy.linalg.lu_factor(A, check_finite=False)
+        return lambda b: scipy.linalg.lu_solve(lu, b, check_finite=False)
 
 
 _STEER_TOL = 1e-8
@@ -176,35 +176,54 @@ _STEER_TOL = 1e-8
 _TIKHONOV = 1e-12
 
 
-def _steer(
+def hum_low_mode_control(
     basis: EigenBasis,
     cutoff: SpectralCutoff,
     region: ControlRegion,
     y0: np.ndarray,
-    timegrid: np.ndarray,
-    steer_tol: float,
-) -> tuple[ControlSignal | None, float]:
-    """Adjoint-sampled signal on timegrid that steers the modes below the
-    cutoff from y0 to zero, with the verified relative residual.
+    tau: float,
+    *,
+    steps: int = 64,
+    steer_tol: float = _STEER_TOL,
+) -> ControlSignal:
+    """Null control for the modes below the cutoff, minimal weighted norm.
 
-    Solves (H + sigma I) q = -e^{-lam tau} y0, sigma = 1e-12 max(diag H), by
-    block elimination. H is the steps before the last, H', nonzero only on
-    the block S of modes whose step integrals there do not underflow, plus
-    the last step's V V^T, V = sqrt(dt) avg[:, -1] o (W^{1/2} Phi)^T of width
-    nw. On the other modes F that is all of H, so the F block is inverted
-    through the nw x nw matrix G = sigma I + V_F^T V_F (Woodbury), leaving
-    the Schur complement sigma I + H'_SS + sigma V_S G^{-1} V_S^T on S; each
-    is factored by Cholesky, or LU if roundoff makes it indefinite. F is a
-    sparsity pattern, not a cutoff: moving a mode from F to S solves the same
-    system. A defect-correction step is kept only if it lowers the residual
-    against the unregularized H = H' + V V^T. The signal is None when the
-    residual misses steer_tol.
+    Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
+    f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
+    intervals, where avg_l is the exact per-step average of e^{-lam_l(tau-t)}.
+    Steering of the sampled dynamics is exact up to arithmetic; a verified
+    residual above steer_tol or not a number, or values that overflow, raise
+    SingularGramianError.
+
+    The shifted system (H + sigma I) q = -e^{-lam tau} y0, sigma = 1e-12
+    max(diag H), is solved by block elimination. H is the steps before the
+    last, H', nonzero only on the block S of modes whose step integrals there
+    do not underflow, plus the last step's V V^T, V = sqrt(dt) avg[:, -1] o
+    (W^{1/2} Phi)^T of width nw. On the other modes F that is all of H, so the
+    F block is inverted through the nw x nw matrix G = sigma I + V_F^T V_F
+    (Woodbury), leaving the Schur complement sigma I + H'_SS + sigma V_S
+    G^{-1} V_S^T on S; each is factored by Cholesky, or LU if roundoff makes
+    it indefinite. F is a sparsity pattern, not a cutoff: moving a mode from F
+    to S solves the same system. A defect-correction step is kept only if it
+    lowers the residual against the unregularized H = H' + V V^T.
     """
     K = cutoff.count
+    if K < 1:
+        raise ValueError("cutoff admits no modes")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (K,):
+        raise ValueError(f"y0 must hold {K} mode coefficients, got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("y0 holds a non-finite mode coefficient")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"horizon must be positive and finite, got {tau}")
+    if steps < 1:
+        raise ValueError(f"need at least one step, got {steps}")
+    timegrid = np.linspace(0.0, tau, steps + 1)
     nw = int(region.mask.sum())
     weights = basis.grid.weights[region.mask]
     if not y0.any():
-        return ControlSignal(timegrid, np.zeros((len(timegrid) - 1, nw)), region, weights), 0.0
+        return ControlSignal(timegrid, np.zeros((steps, nw)), region, weights)
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
     Phi = basis.vectors[region.mask, :K]
@@ -254,47 +273,15 @@ def _steer(
         if better >= achieved:
             break
         q, r, achieved = candidate, r_candidate, better
-    if achieved > steer_tol:
-        return None, achieved
+    if not achieved <= steer_tol:  # a NaN residual, from under- or overflow, is a miss too
+        raise SingularGramianError(cutoff, region, steps, achieved)
     # avg[F, :-1] is exactly zero, so F only enters the last step's values
-    values = np.empty((len(timegrid) - 1, nw))
+    values = np.empty((steps, nw))
     values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
     values[-1] = Phi @ (avg[:, -1] * q)
-    return ControlSignal(timegrid, values, region, weights), achieved
-
-
-def hum_low_mode_control(
-    basis: EigenBasis,
-    cutoff: SpectralCutoff,
-    region: ControlRegion,
-    y0: np.ndarray,
-    tau: float,
-    *,
-    steps: int = 64,
-    steer_tol: float = _STEER_TOL,
-) -> ControlSignal:
-    """Null control for the modes below the cutoff, minimal weighted norm.
-
-    Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
-    f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
-    intervals, where avg_l is the exact per-step average of e^{-lam_l(tau-t)}.
-    Steering of the sampled dynamics is exact up to arithmetic; a verified
-    residual above steer_tol raises SingularGramianError.
-    """
-    K = cutoff.count
-    if K < 1:
-        raise ValueError("cutoff admits no modes")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (K,):
-        raise ValueError(f"y0 must hold {K} mode coefficients, got shape {y0.shape}")
-    if tau <= 0:
-        raise ValueError(f"horizon must be positive, got {tau}")
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
-    signal, achieved = _steer(basis, cutoff, region, y0, np.linspace(0.0, tau, steps + 1), steer_tol)
-    if signal is None:
-        raise SingularGramianError(cutoff.lam, region, achieved)
-    return signal
+    if not np.isfinite(values).all():  # a signal beyond float64 steers nothing
+        raise SingularGramianError(cutoff, region, steps, np.inf)
+    return ControlSignal(timegrid, values, region, weights)
 
 
 # The per-slice verified steering bar. It is looser than the one-shot default
@@ -327,15 +314,15 @@ def lr_control(
     marched exactly through every step, so the returned per-slice ledger
     records true norms.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if lambda0 is None:
         pos = basis.frequencies[basis.frequencies > 0]
         if len(pos) == 0:
             raise ValueError("basis has no positive frequencies")
         lambda0 = float(pos[0])
-    if lambda0 <= 0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    if not (np.isfinite(lambda0) and lambda0 > 0):
+        raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
     J = 0
     while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12) and J < 60:
         J += 1
@@ -397,29 +384,15 @@ def hum_full_control(
     *,
     steps: int | None = None,
 ) -> ControlSignal:
-    """One-shot minimal-norm steering of every mode over [0, T].
-
-    The low-mode synthesis at the cutoff that admits the whole spectrum, on
-    at least enough steps to make the input map onto. The exact final-state
-    residual is checked against 1e-8 relative; a miss raises
-    InfeasibleControlError.
-    """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    """One-shot minimal-norm steering of every mode over [0, T]:
+    hum_low_mode_control at the cutoff that admits the whole spectrum, on at
+    least enough steps to make the input map onto, to its default 1e-8
+    relative residual."""
     K = basis.vectors.shape[1]
     nw = int(region.mask.sum())
     if steps is None:
         steps = max(64, -(-2 * K // nw))
     if steps * nw < K:
         raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
-
     cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
-    signal, achieved = _steer(
-        basis, cut, region, coefficients(basis, field0), np.linspace(0.0, T, steps + 1), _STEER_TOL
-    )
-    if signal is None:
-        raise InfeasibleControlError(
-            f"discrete input map cannot reach the target: residual {achieved:.3e} "
-            f"relative (steps={steps}, {nw} cells, {K} modes)"
-        )
-    return signal
+    return hum_low_mode_control(basis, cut, region, coefficients(basis, field0), T, steps=steps)

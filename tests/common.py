@@ -130,8 +130,8 @@ def unit_pair(grid, seed):
 
 
 def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
-    """(values, verified residual) of the dense steering solve that
-    control._steer's block elimination replaced, kept as its oracle.
+    """(values, verified residual) of the dense steering solve that the block
+    elimination in control.hum_low_mode_control replaced, kept as its oracle.
 
     Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
     Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and, until

@@ -4,9 +4,12 @@ Every test drives cli.main in process and reads the artifacts back from a
 temporary directory.
 """
 
+import importlib
+import inspect
 import itertools
 import json
 import os
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import simulheat
 import simulheat.control
 import simulheat.doubling
 import simulheat.operators
@@ -333,6 +337,33 @@ def test_control_unobservable_region_exits_3(tmp_path):
     code, out = run(tmp_path, "control", n=9, region="0.45,0.55", T=0.1, method="hum")
     assert code == 3
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("method", ["hum", "lr"])
+@pytest.mark.parametrize("T", [1e-300, 1e-320])
+def test_control_whose_steering_underflows_exits_3(tmp_path, capsys, method, T):
+    # a well-formed config: the miss lies in the arithmetic, not in a field
+    code, out = run(tmp_path, "control", n=16, region="0.2,0.5", T=T, method=method)
+    assert code == 3
+    assert "numerical infeasibility: steering" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_one_hum_run_makes_one_steering_call(tmp_path, monkeypatch):
+    steers = count_calls(monkeypatch, simulheat.control, "hum_low_mode_control")
+    code, _ = run(tmp_path, "control", n=16, region="0.2,0.5", T=1.0, method="hum")
+    assert code == 0
+    assert len(steers) == 1
+
+
+def test_every_program_error_exits_2_or_3():
+    # main maps ValueError to exit 2 and NumericalError to exit 3; any other
+    # exception class would escape as a traceback with exit 1
+    for info in pkgutil.iter_modules(simulheat.__path__):
+        module = importlib.import_module(f"simulheat.{info.name}")
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                assert issubclass(obj, (ValueError, simulheat.operators.NumericalError)), name
 
 
 def test_control_requires_region(tmp_path):

@@ -16,7 +16,6 @@ from common import D, N, dense_steer, double_setup, unit_pair, wall_basis
 from simulheat import control
 from simulheat.control import (
     ControlSignal,
-    InfeasibleControlError,
     SingularGramianError,
     decay_factors,
     gramian,
@@ -219,6 +218,21 @@ def test_hum_low_rejects_malformed_problems():
         hum_low_mode_control(basis, cut, region, np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         hum_low_mode_control(basis, cut, region, np.zeros(2), 0.5, steps=0)
+    # the factors do not screen their input, so a NaN target must not pass
+    # for a steering miss
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="y0"):
+            hum_low_mode_control(basis, cut, region, np.array([1.0, bad]), 0.5)
+
+
+def test_a_signal_beyond_float64_is_a_miss():
+    # on a horizon of 1.8e-308 the two-mode solve verifies, but the sampled
+    # values, q times step averages of order 1/dt, overflow
+    basis = wall_basis(16, D)
+    region = region_from_intervals(basis.grid, [(0.2, 0.45)])
+    cut = make_cutoff(basis, float(basis.frequencies[1]))
+    with pytest.raises(SingularGramianError, match="residual inf"):
+        hum_low_mode_control(basis, cut, region, np.ones(2), 1.8e-308)
 
 
 def test_hum_low_raises_on_unobservable_mode():
@@ -286,8 +300,21 @@ def test_schedule_rejects_bad_parameters():
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     with pytest.raises(ValueError):
         lr_control(basis, region, np.ones(8), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        lr_control(basis, region, np.ones(8), 1.0, 0.0)
+    for lambda0 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda0"):
+            lr_control(basis, region, np.ones(8), 1.0, lambda0)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_front_ends_refuse_a_non_finite_horizon(T):
+    basis = wall_basis(8, D)
+    region = region_from_intervals(basis.grid, [(0.2, 0.8)])
+    with pytest.raises(ValueError, match="horizon"):
+        hum_full_control(basis, region, np.ones(8), T)
+    with pytest.raises(ValueError, match="horizon"):
+        lr_control(basis, region, np.ones(8), T)
+    with pytest.raises(ValueError, match="horizon"):
+        hum_low_mode_control(basis, make_cutoff(basis, float(basis.frequencies[1])), region, np.ones(2), T)
 
 
 def test_lr_zero_field_is_silent():
@@ -446,7 +473,7 @@ def test_hum_full_raises_on_unreachable_target():
     basis = wall_basis(9, D)
     region = center_cell_region(9)
     field0 = basis.vectors[:, 1] + 0.1 * basis.vectors[:, 0]
-    with pytest.raises(InfeasibleControlError):
+    with pytest.raises(SingularGramianError):
         hum_full_control(basis, region, field0, 0.1, steps=16)
 
 
@@ -462,10 +489,15 @@ def test_hum_full_raises_on_unreachable_target():
 def test_block_steer_matches_the_dense_oracle(n, region_of, f_size):
     basis, cut, region, y0, timegrid = full_steering_problem(n, region_of)
     assert f_size(len(last_step_only(basis, timegrid)), int(region.mask.sum()))
-    sig, achieved = control._steer(basis, cut, region, y0, timegrid, 1e-8)
-    values, dense_achieved = dense_steer(basis, cut, region, y0, timegrid)
+    steps = len(timegrid) - 1
+    sig = hum_low_mode_control(basis, cut, region, y0, timegrid[-1], steps=steps)
+    values, _ = dense_steer(basis, cut, region, y0, timegrid)
     assert np.linalg.norm(sig.values - values) <= 1e-8 * np.linalg.norm(values)
-    assert achieved == pytest.approx(dense_achieved, rel=1e-3)
+    # a zero tolerance forces a miss, which reports the residual the dense solve reaches
+    with pytest.raises(SingularGramianError) as miss:
+        hum_low_mode_control(basis, cut, region, y0, timegrid[-1], steps=steps, steer_tol=0.0)
+    _, dense_achieved = dense_steer(basis, cut, region, y0, timegrid, steer_tol=0.0)
+    assert miss.value.achieved == pytest.approx(dense_achieved, rel=1e-3)
 
 
 def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
@@ -473,7 +505,8 @@ def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
         256, lambda g: fat_cantor_region(g, 0.3, depth=6, seed=0)
     )
     F = last_step_only(basis, timegrid)
-    sig, *_ = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    steps = len(timegrid) - 1
+    sig = hum_low_mode_control(basis, cut, region, y0, timegrid[-1], steps=steps)
     step_integrals = control._step_integrals
 
     def nudged(lam, tg):
@@ -485,7 +518,7 @@ def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
 
     monkeypatch.setattr(control, "_step_integrals", nudged)
     assert len(last_step_only(basis, timegrid)) == len(F) - 2
-    moved, *_ = control._steer(basis, cut, region, y0, timegrid, 1e-8)
+    moved = hum_low_mode_control(basis, cut, region, y0, timegrid[-1], steps=steps)
     assert np.linalg.norm(moved.values - sig.values) <= 1e-10 * np.linalg.norm(sig.values)
 
 
