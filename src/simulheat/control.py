@@ -73,7 +73,8 @@ class ControlSignal:
     @functools.cached_property
     def l2_cost(self) -> float:
         dt = np.diff(self.timegrid)
-        return float(np.sqrt(np.sum(dt * np.sum(self.region_weights * self.values**2, axis=1))))
+        with np.errstate(over="ignore"):  # a cost beyond float64 reads inf
+            return float(np.sqrt(np.sum(dt * np.sum(self.region_weights * self.values**2, axis=1))))
 
 
 def decay_factors(eigenvalues: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +239,8 @@ def hum_low_mode_control(
     HS = (avg[S, :-1] @ I[S, :-1].T) * (PhiS.T @ (weights[:, None] * PhiS))
     diag = np.einsum("km,km->k", avg, I) * (weights @ Phi**2)
     sigma = _TIKHONOV * float(np.max(diag))
+    if not sigma > 0:  # a Gramian whose diagonal underflowed steers nothing
+        raise SingularGramianError(cutoff, region, steps, np.nan)
 
     G = VF.T @ VF
     G.flat[:: nw + 1] += sigma
@@ -277,8 +280,9 @@ def hum_low_mode_control(
         raise SingularGramianError(cutoff, region, steps, achieved)
     # avg[F, :-1] is exactly zero, so F only enters the last step's values
     values = np.empty((steps, nw))
-    values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
-    values[-1] = Phi @ (avg[:, -1] * q)
+    with np.errstate(over="ignore", invalid="ignore"):  # screened right below
+        values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
+        values[-1] = Phi @ (avg[:, -1] * q)
     if not np.isfinite(values).all():  # a signal beyond float64 steers nothing
         raise SingularGramianError(cutoff, region, steps, np.inf)
     return ControlSignal(timegrid, values, region, weights)

@@ -188,6 +188,7 @@ def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int
                 share = quota // len(intervals)
                 if idx < quota % len(intervals):
                     share += 1
+                # block sizes differ by at most 1, so the last level's shares all fit (CHANGES.md)
                 r = min(share, max(size - 2, 0)) if level < depth - 1 else min(share, size)
                 left = (size - r + 1) // 2
                 mask[lo + left : lo + left + r] = False
@@ -197,24 +198,6 @@ def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int
                 if lo + left + r < hi:
                     nxt.append((lo + left + r, hi))
             intervals = nxt
-        # rounding slack (capped per-interval removals) is mopped up on the
-        # largest remaining blocks so the final count stays exact
-        deficit = total_remove - removed
-        while deficit > 0:
-            intervals.sort(key=lambda lohi: (-(lohi[1] - lohi[0]), lohi[0]))
-            lo, hi = intervals.pop(0)
-            size = hi - lo
-            r = min(deficit, size)
-            left = (size - r + 1) // 2
-            mask[lo + left : lo + left + r] = False
-            deficit -= r
-            if left > 0:
-                intervals.append((lo, lo + left))
-            if lo + left + r < hi:
-                intervals.append((lo + left + r, hi))
-
-    if not mask.any():
-        raise ResolutionError("removal emptied the region; lower depth or raise target")
     return ControlRegion(mask=mask, measure=grid.h * int(mask.sum()))
 
 

@@ -40,7 +40,6 @@ class Operator:
     lower: np.ndarray
     corners: tuple[float, float]
     grid: Grid1D
-    coeffs: Coefficients
 
     def dense(self) -> np.ndarray:
         """The n x n stencil matrix, for oracles and checks only."""
@@ -108,8 +107,7 @@ def assemble_laplacian(grid: Grid1D, coeffs: Coefficients, bc: BoundaryCondition
     else:  # pragma: no cover
         raise ValueError(f"unknown boundary condition {bc}")
     return Operator(
-        bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners,
-        grid=grid, coeffs=coeffs,
+        bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners, grid=grid
     )
 
 
@@ -120,12 +118,12 @@ _SIGN_TIE = 1e-8
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's first entry that ties with its largest magnitude positive."""
+    """Make each column's first entry that ties with its largest magnitude
+    positive, flipping in place the columns where it is negative."""
     mag = np.abs(vectors)
     lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors[:, vectors[lead, np.arange(vectors.shape[1])] < 0] *= -1.0
+    return vectors
 
 
 def _snap_kernel(vals: np.ndarray) -> np.ndarray:
@@ -154,11 +152,11 @@ def eigendecompose(op: Operator) -> EigenBasis:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolve failed for {op.bc.value} operator (n={op.grid.n}): {exc}") from exc
     vals = _snap_kernel(vals)
-    vectors = _fix_signs(vecs / sqw[:, None])
+    vecs /= sqw[:, None]  # in place, as _fix_signs flips: no n x n copy
     return EigenBasis(
         bc=op.bc,
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
-        vectors=vectors,
+        vectors=_fix_signs(vecs),
         grid=op.grid,
     )

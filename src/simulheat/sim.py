@@ -126,10 +126,7 @@ def run_simultaneous(
     # split normalization: a source g supported on the embedded copy has odd
     # and even parts extend_pair(g/2, g/2), so each wall problem is driven by
     # g/2, and that halved trace is the single control both runs share.
-    base_signal = ControlSignal(
-        signal.timegrid, 0.5 * signal.values, region, grid.weights[region.mask],
-        slice_ledger=signal.slice_ledger,
-    )
+    base_signal = ControlSignal(signal.timegrid, 0.5 * signal.values, region, grid.weights[region.mask])
     traj_u = propagate(basis_d, u0, signal.timegrid, base_signal)
     traj_v = propagate(basis_n, v0, signal.timegrid, base_signal)
     traj_double = propagate(ext, U0, signal.timegrid, signal)

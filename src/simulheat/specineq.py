@@ -74,25 +74,6 @@ def _ratio(basis: EigenBasis, E: np.ndarray, region: ControlRegion, c: np.ndarra
     return sup_norm(p) / denom
 
 
-def _restriction_sigma_min(basis: EigenBasis, E: np.ndarray, region: ControlRegion):
-    """Smallest singular value of the weighted restriction, 0 where it is
-    rank-deficient, plus the bottom direction."""
-    m = region.mask
-    R = np.sqrt(basis.grid.weights[m])[:, None] * E[m, :]
-    nw, K = R.shape
-    if nw < K:
-        # fewer observation cells than modes: null directions exist for sure
-        return 0.0, scipy.linalg.svd(R, full_matrices=True)[2][-1]
-    _, s, Vh = scipy.linalg.svd(R, full_matrices=False)
-    # rank decision at the SVD noise floor: anything below it cannot be told
-    # apart from exact deficiency in double precision, anything above it is a
-    # genuinely invertible restriction however small (the constants chased
-    # here grow like e^{c lam}, so smin ~ 1e-12 is signal)
-    if s[-1] <= max(nw, K) * np.finfo(float).eps * s[0]:
-        return 0.0, Vh[-1]
-    return float(s[-1]), Vh[-1]
-
-
 def _dual_model(rows: np.ndarray) -> _Highs:
     """Quiet dual-simplex model of min t subject to rows @ z = rhs and |z_j| <= t.
 
@@ -135,17 +116,18 @@ def estimate_constant_lp(
     if K < 1:
         raise ValueError("cutoff admits no modes")
     E = basis.vectors[:, :K]
-    smin, null_dir = _restriction_sigma_min(basis, E, region)
-    if smin == 0.0:
-        return SpectralConstantEstimate(
-            lam=cutoff.lam,
-            mode_count=K,
-            region_measure=region.measure,
-            method="exact-lp",
-            constant=np.inf,
-            certificate=null_dir,
-            upper=np.inf,
-        )
+    m = region.mask
+    nw = int(m.sum())
+    _, s, Vh = scipy.linalg.svd(np.sqrt(basis.grid.weights[m])[:, None] * E[m, :], full_matrices=nw < K)
+    est = SpectralConstantEstimate(lam=cutoff.lam, mode_count=K, region_measure=region.measure,
+                                   method="exact-lp", constant=np.inf, upper=np.inf)
+    # rank decision at the SVD noise floor: fewer observation cells than
+    # modes leave null directions for sure; below the floor cannot be told
+    # apart from exact deficiency in double precision, anything above it is a
+    # genuinely invertible restriction however small (the constants chased
+    # here grow like e^{c lam}, so smin ~ 1e-12 is signal)
+    if nw < K or s[-1] <= max(nw, K) * np.finfo(float).eps * s[0]:
+        return replace(est, certificate=Vh[-1])
 
     # With T = S^-1 U^T the rows T B = V^T are orthonormal, and z = s_min y
     # keeps the optimum t = s_min C_i at O(1). T B and T E_i are formed in
@@ -153,7 +135,6 @@ def estimate_constant_lp(
     # ||(T B)^T lam||_1 the solver saw, where the float64 V^T would leave it
     # off by eps * s_max / s_min relative, 1e-3 near the float64 horizon.
     ld = np.longdouble
-    m = region.mask
     B = (basis.grid.weights[m][:, None] * E[m, :]).T
     U, S, Vt = scipy.linalg.svd(B, full_matrices=False)
     s_min = S[-1]
@@ -216,18 +197,15 @@ def estimate_constant_lp(
             f"exact-lp bracket [{best_val:.6e}, {upper:.6e}] at lam={cutoff.lam:g} is wider "
             f"than {_BRACKET_TOL:g} relative"
         )
-    return SpectralConstantEstimate(
-        lam=cutoff.lam,
-        mode_count=K,
-        region_measure=region.measure,
-        method="exact-lp",
+    return replace(
+        est,
         constant=float(best_val),
         certificate=best_cert,
         # the ratio's own rounding may put it a hair above a tight upper end
         upper=max(upper, float(best_val)),
         lp_solves=solves,
         lp_retries=retries,
-        sigma_min=smin,
+        sigma_min=float(s[-1]),
     )
 
 

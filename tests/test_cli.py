@@ -11,11 +11,13 @@ import json
 import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import simulheat
 import simulheat.control
@@ -301,13 +303,21 @@ def test_specineq_builds_the_circle_basis_once(tmp_path, monkeypatch):
     assert len(bases) == 3  # the two wall bases and the circle basis
 
 
-def test_specineq_takes_one_restriction_svd_per_family(tmp_path, monkeypatch):
-    # the sigma-min-l2 row comes from the exact-lp estimate's own rank decision
-    decisions = count_calls(monkeypatch, simulheat.specineq, "_restriction_sigma_min")
+def test_specineq_takes_two_svds_per_family(tmp_path, monkeypatch):
+    # one for the rank decision, whose sigma_min gives the sigma-min-l2 row,
+    # and one for the LP rows
+    svd = scipy.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counted)
     code, out = run(tmp_path, "specineq", n=16, region="0.2,0.8", lambda_sweep=[7.0])
     assert code == 0
     assert len((out / "constants.csv").read_text().splitlines()) == 1 + 3 * 2
-    assert len(decisions) == 3
+    assert len(calls) == 6
 
 
 def test_control_cascade_writes_the_cost_ledger(tmp_path):
@@ -347,6 +357,27 @@ def test_control_whose_steering_underflows_exits_3(tmp_path, capsys, method, T):
     assert code == 3
     assert "numerical infeasibility: steering" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
+    # in a fresh interpreter that prints every warning, each of the four
+    # underflowing runs above leaves its message and nothing else on stderr
+    configs = [
+        write_config(tmp_path, f"{method}_{T:g}.json", n=16, region="0.2,0.5", T=T, method=method)
+        for method in ("hum", "lr") for T in (1e-300, 1e-320)
+    ]
+    script = (
+        "import sys\nfrom simulheat import cli\n"
+        "for c in sys.argv[1:]:\n    print(cli.main(['control', '--config', c, '--output-dir', c + '.out']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", script, *configs],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["3"] * 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 4, proc.stderr
+    assert all(line.startswith("numerical infeasibility: steering") for line in lines)
 
 
 def test_one_hum_run_makes_one_steering_call(tmp_path, monkeypatch):

@@ -135,6 +135,17 @@ def test_fat_cantor_measure_tracks_target():
     assert r.measure == g.h * int(r.mask.sum())
 
 
+def test_fat_cantor_keeps_exactly_the_target_cells():
+    # every size, kept count and depth up to 24 cells: the removal levels
+    # alone land on the exact count, with no mop-up pass after them
+    for n in range(2, 25):
+        g = make_uniform_grid(n)
+        for keep in range(1, n + 1):
+            for depth in range(1, n + 1):
+                r = fat_cantor_region(g, keep * g.h, depth, seed=n * keep + depth)
+                assert int(r.mask.sum()) == keep, (n, keep, depth)
+
+
 def test_fat_cantor_deep_mask_shape():
     g = make_uniform_grid(1024)
     r = fat_cantor_region(g, 0.3, depth=6, seed=11)

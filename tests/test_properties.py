@@ -1,7 +1,8 @@
 """Property tests over drawn sizes and coefficient profiles: the stacked
-paths against their per-field calls, the split round trip, the wall
-residuals of the shared-control pipeline, steering that meets its tolerance
-or raises, and the exact-lp bracket."""
+paths against their per-field calls, the split round trip, the doubling
+checks against their double-check bars, the wall residuals of the
+shared-control pipeline, steering that meets its tolerance or raises, and
+the exact-lp bracket."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from common import D, N, problem, randomized_lower_bound, unit_pair
+from simulheat.cli import _DOUBLE_CHECK_TOL
 from simulheat.control import _STEER_TOL, SingularGramianError, hum_low_mode_control, march
-from simulheat.doubling import build_double, extend_pair, split
+from simulheat.doubling import build_double, extend_pair, split, verify
 from simulheat.grid import region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import run_simultaneous
@@ -69,6 +71,16 @@ def test_split_inverts_extend_pair(problem_, seed):
     bound = np.finfo(float).eps * (np.abs(u) + np.abs(v))
     assert np.all(np.abs(ru - u) <= bound)
     assert np.all(np.abs(rv - v) <= bound)
+
+
+@given(interval_problems(max_n=64), st.integers(0, 2**32 - 1))
+def test_doubling_checks_meet_their_bars(problem_, seed):
+    # spectrum union, extension, link identity and split round trip on drawn
+    # sizes and profiles, each within the bar double-check passes it at
+    grid, coeffs = problem_
+    res = verify(build_double(grid, coeffs), seed)
+    for name, tol in _DOUBLE_CHECK_TOL.items():
+        assert getattr(res, name) <= tol, name
 
 
 @given(
