@@ -11,20 +11,18 @@ dominates both single-family constants.
 import numpy as np
 
 from simulheat import (
+    Grid1D,
     build_double,
     estimate_constant_lp,
     fit_exponential,
-    make_coefficients,
-    make_uniform_grid,
     make_cutoff,
     region_from_intervals,
     simultaneous_constant,
 )
 
 n = 128
-grid = make_uniform_grid(n, 1.0, 1.0)
-coeffs = make_coefficients(grid, 1.0, 1.0)
-dd = build_double(grid, coeffs)
+grid = Grid1D(n)
+dd = build_double(grid)
 basis_d, basis_n = dd.basis_d, dd.basis_n
 
 window = region_from_intervals(grid, [(0.45, 0.55)])

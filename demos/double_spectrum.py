@@ -9,23 +9,13 @@ eigenvectors really are eigenvectors of that operator.
 
 import numpy as np
 
-from simulheat import (
-    build_double,
-    extend_pair,
-    make_coefficients,
-    make_cutoff,
-    make_uniform_grid,
-    project,
-    split,
-    sup_norm,
-)
+from simulheat import Grid1D, build_double, extend_pair, make_cutoff, project, split, sup_norm
 from simulheat.doubling import verify
 
 n = 48
-grid = make_uniform_grid(n, 1.0, lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x))
-coeffs = make_coefficients(grid, lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), lambda x: 1.2 - 0.4 * x)
+grid = Grid1D(n, 1.0, kappa=lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), a=lambda x: 1.2 - 0.4 * x)
 
-dd = build_double(grid, coeffs)
+dd = build_double(grid)
 basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
 # verify solves the dense circle operator and checks the doubling against it
 checks = verify(dd, seed=0)

@@ -12,13 +12,12 @@ import sys
 
 import numpy as np
 
-from simulheat import make_coefficients, make_uniform_grid, region_from_intervals, run_simultaneous
+from simulheat import Grid1D, region_from_intervals, run_simultaneous
 
 
 def main(seed: int) -> None:
     n, T = 96, 1.0
-    grid = make_uniform_grid(n, 1.0, 1.0)
-    coeffs = make_coefficients(grid, 1.0, lambda x: 1.0 + 0.2 * x)
+    grid = Grid1D(n, 1.0, a=lambda x: 1.0 + 0.2 * x)
     region = region_from_intervals(grid, [(0.2, 0.3)])
 
     rng = np.random.default_rng(seed)
@@ -27,7 +26,7 @@ def main(seed: int) -> None:
 
     print(f"n={n}, horizon T={T}, control window (0.2, 0.3) = {int(region.mask.sum())} cells, seed {seed}")
     for method in ("hum", "lr"):
-        rep = run_simultaneous(grid, coeffs, u0, v0, region, T, method)
+        rep = run_simultaneous(grid, u0, v0, region, T, method)
         print(f"\n[{method}]")
         print(f"  initial weighted-L2 norms   u {rep.initial_u_l2:.4f}, v {rep.initial_v_l2:.4f}")
         print(f"  final weighted-L2 norms     u {rep.final_u_l2:.3e}, v {rep.final_v_l2:.3e}")

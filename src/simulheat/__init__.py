@@ -9,7 +9,7 @@ quantify low-frequency observability, and two control syntheses (one-shot
 minimal-norm, and an iterated low-frequency cascade).
 """
 
-from .grid import make_coefficients, make_uniform_grid, region_from_intervals
+from .grid import Grid1D, region_from_intervals
 from .operators import BoundaryCondition, assemble_laplacian, eigendecompose
 from .spectral import l2_norm, make_cutoff, project, sup_norm
 from .doubling import build_double, extend_pair, split

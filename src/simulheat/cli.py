@@ -20,16 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .doubling import build_double, verify
-from .grid import (
-    Coefficients,
-    Grid1D,
-    _write_atomic,
-    fat_cantor_region,
-    make_coefficients,
-    make_uniform_grid,
-    parse_region_spec,
-    write_mask_file,
-)
+from .grid import Grid1D, _write_atomic, fat_cantor_region, parse_region_spec, write_mask_file
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
@@ -139,13 +130,12 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[Grid1D, Coefficients]:
-    """The grid and coefficients of cfg: constant, or sampled at the cell
+def build_problem(cfg: ExperimentConfig) -> Grid1D:
+    """The grid of cfg with its coefficients: constant, or sampled at the cell
     centers (kappa) and faces (a)."""
     spec = cfg.coefficients
     kappa, a = (1.0, 1.0) if spec == "constant" else (spec["kappa"], spec["a"])
-    grid = make_uniform_grid(cfg.n, cfg.length, kappa)
-    return grid, make_coefficients(grid, kappa, a)
+    return Grid1D(cfg.n, cfg.length, kappa, a)
 
 
 def _fmt(x: float) -> str:
@@ -182,8 +172,7 @@ _DOUBLE_CHECK_TOL = {
 
 
 def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
-    grid, coeffs = build_problem(cfg)
-    dd = build_double(grid, coeffs)
+    dd = build_double(build_problem(cfg))
     res = verify(dd, cfg.seed)
     checks = {}
     for name, tol in _DOUBLE_CHECK_TOL.items():
@@ -203,13 +192,13 @@ def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
 
 
 def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
-    grid, coeffs = build_problem(cfg)
+    grid = build_problem(cfg)
     if not cfg.lambda_sweep:
         raise ConfigError("specineq needs a nonempty lambda_sweep")
     if cfg.region is None:
         raise ConfigError("specineq needs a region")
     region = parse_region_spec(cfg.region, grid)
-    dd = build_double(grid, coeffs)
+    dd = build_double(grid)
 
     # one exact-lp estimate per family and cutoff; a wall family with no mode
     # below the cutoff has none, while the circle always holds the kernel mode
@@ -244,14 +233,14 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
 
 
 def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
-    grid, coeffs = build_problem(cfg)
+    grid = build_problem(cfg)
     if cfg.region is None:
         raise ConfigError("control needs a region")
     region = parse_region_spec(cfg.region, grid)
     u0, v0 = _seeded_unit_pair(grid, cfg.seed)
     tol = cfg.tolerances.get(cfg.method)
     report = run_simultaneous(
-        grid, coeffs, u0, v0, region, cfg.T,
+        grid, u0, v0, region, cfg.T,
         method=cfg.method, lambda0=cfg.lambda0, steps=cfg.steps, tolerance=tol,
     )
 
@@ -293,7 +282,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
 
 
 def cmd_fatcantor(cfg: ExperimentConfig, outdir: str) -> int:
-    grid, _ = build_problem(cfg)
+    grid = build_problem(cfg)
     if cfg.cantor_measure is None or cfg.cantor_depth is None:
         raise ConfigError("fatcantor needs cantor_measure and cantor_depth")
     if cfg.cantor_depth > cfg.n:  # a mask stops changing long before depth n
@@ -306,9 +295,8 @@ def cmd_fatcantor(cfg: ExperimentConfig, outdir: str) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
-    grid, coeffs = build_problem(cfg)
-    bc = BoundaryCondition.DIRICHLET if cfg.bc == "dirichlet" else BoundaryCondition.NEUMANN
-    basis = eigendecompose(assemble_laplacian(grid, coeffs, bc))
+    grid = build_problem(cfg)
+    basis = eigendecompose(assemble_laplacian(grid, BoundaryCondition(cfg.bc)))
     traj = propagate(basis, _seeded_unit_pair(grid, cfg.seed)[0], np.linspace(0.0, cfg.T, 65))
     rows = _csv_rows(np.column_stack([traj.times, traj.l2_norms, traj.sup_norms]))
     lines = ["trajectory,t,l2,sup"] + [f"{cfg.bc},{row}" for row in rows]

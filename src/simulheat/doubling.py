@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .grid import Coefficients, ControlRegion, Grid1D, _frozen
+from .grid import ControlRegion, Grid1D
 from .operators import BoundaryCondition, EigenBasis, _snap_kernel, assemble_laplacian, eigendecompose
 from .spectral import l2_norm, make_cutoff, project, sup_norm
 
@@ -29,6 +29,7 @@ _LINK_TRIPLES = 100
 class DoubleDomain:
     """The doubled problem: both wall eigenbases and the circle basis they extend to.
 
+    doubled is the 2n-cell circle Grid1D with the evenly reflected coefficients.
     Base cell i is circle cell i on the plus copy and 2n-1-i on the mirror copy.
     basis_circle merges the odd Dirichlet and even Neumann extensions, unit-norm
     and ascending; odd against even cancels across the two copies, so it is a
@@ -38,32 +39,24 @@ class DoubleDomain:
 
     base: Grid1D
     doubled: Grid1D
-    doubled_coeffs: Coefficients
     circle_rows: np.ndarray
     basis_d: EigenBasis = field(repr=False)
     basis_n: EigenBasis = field(repr=False)
     basis_circle: EigenBasis = field(repr=False)
 
 
-def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
-    """Reflect (grid, coeffs) across x = length, glue into a periodic grid, and
-    solve both wall problems once."""
+def build_double(grid: Grid1D) -> DoubleDomain:
+    """Reflect grid and its coefficients across x = length, glue into a
+    periodic grid, and solve both wall problems once."""
     n = grid.n
-    if coeffs.kappa.shape[0] != n:
-        raise ValueError(f"coefficients sized for n={coeffs.kappa.shape[0]}, grid has n={n}")
-    kappa2 = np.concatenate([coeffs.kappa, coeffs.kappa[::-1]])
-    a2 = np.concatenate([coeffs.a, coeffs.a[-2::-1]])  # faces mirror about the far wall
-    centers2 = (np.arange(2 * n) + 0.5) * grid.h
+    # kappa mirrors cell for cell, a face for face about the far wall; the
+    # circle's h = 2L/2n is grid.h exactly
     doubled = Grid1D(
-        n=2 * n,
-        length=2.0 * grid.length,
-        h=grid.h,
-        centers=_frozen(centers2),
-        weights=_frozen(grid.h * kappa2),
+        2 * n, 2.0 * grid.length, np.concatenate([grid.kappa, grid.kappa[::-1]]),
+        np.concatenate([grid.a, grid.a[-2::-1]]),
     )
-    dcoeffs = Coefficients(kappa=_frozen(kappa2), a=_frozen(a2))
-    basis_d = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.DIRICHLET))
-    basis_n = eigendecompose(assemble_laplacian(grid, coeffs, BoundaryCondition.NEUMANN))
+    basis_d = eigendecompose(assemble_laplacian(grid, BoundaryCondition.DIRICHLET))
+    basis_n = eigendecompose(assemble_laplacian(grid, BoundaryCondition.NEUMANN))
 
     # row r of X is circle mode r: the odd extension of a Dirichlet mode or
     # the even extension of a Neumann mode, written into its sorted row and
@@ -86,7 +79,7 @@ def build_double(grid: Grid1D, coeffs: Coefficients) -> DoubleDomain:
         grid=doubled,
     )
     return DoubleDomain(
-        base=grid, doubled=doubled, doubled_coeffs=dcoeffs, circle_rows=rows,
+        base=grid, doubled=doubled, circle_rows=rows,
         basis_d=basis_d, basis_n=basis_n, basis_circle=basis_circle,
     )
 
@@ -142,7 +135,7 @@ def verify(dd: DoubleDomain, seed: int) -> DoublingResiduals:
     split_roundtrip: split(extend_pair(u, v)) against (u, v) on the same draws.
     """
     basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-    A = assemble_laplacian(dd.doubled, dd.doubled_coeffs, BoundaryCondition.PERIODIC).dense()
+    A = assemble_laplacian(dd.doubled, BoundaryCondition.PERIODIC).dense()
     sqw = np.sqrt(dd.doubled.weights)
     S = A * (sqw[:, None] / sqw[None, :])
     circle = _snap_kernel(scipy.linalg.eigvalsh(0.5 * (S + S.T)))

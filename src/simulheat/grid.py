@@ -1,16 +1,17 @@
-"""Cell-centered 1D grids, variable coefficients, and control regions.
+"""The discretized problem on a cell-centered 1D grid, and control regions.
 
-The unit of discretization everywhere is the cell average: a grid of n cells
-on [0, length] has centers at (i + 1/2)h and carries the weighted inner
-product sum(weights * u * v), with weights = h * kappa(centers). Control
-regions are boolean cell masks with exact measure h * popcount.
+The unit of discretization everywhere is the cell average: a Grid1D of n
+cells on [0, length] has centers at (i + 1/2)h, carries its coefficients
+(kappa at the centers, a at the faces) and the weighted inner product
+sum(weights * u * v), with weights = h * kappa(centers). Control regions are
+boolean cell masks with exact measure h * popcount.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,73 +26,9 @@ class ResolutionError(ValueError):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=float))
+    out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform cell-centered grid on [0, length]."""
-
-    n: int
-    length: float
-    h: float
-    centers: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 cells, got n={self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if self.centers.shape != (self.n,) or self.weights.shape != (self.n,):
-            raise ValueError("centers/weights must have shape (n,)")
-        if np.any(np.diff(self.centers) <= 0):
-            raise ValueError("centers must be strictly increasing")
-        if self.centers[0] <= 0 or self.centers[-1] >= self.length:
-            raise ValueError("centers must lie strictly inside (0, length)")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    """Variable coefficients: kappa at the n cell centers, a at the n+1 faces.
-
-    kappa is the density weighting the inner product; a is the diffusion
-    factor entering the flux. Both must stay above a positive ellipticity
-    floor.
-    """
-
-    kappa: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kappa.ndim != 1 or self.a.ndim != 1:
-            raise ValueError("coefficient arrays must be one-dimensional")
-        if self.a.shape[0] != self.kappa.shape[0] + 1:
-            raise ValueError(
-                f"face array must have n+1 entries, got kappa n={self.kappa.shape[0]} "
-                f"and a {self.a.shape[0]}"
-            )
-        floor = 1e-12
-        if np.min(self.kappa) < floor or np.min(self.a) < floor:
-            raise ValueError("coefficients must be bounded away from zero")
-
-
-@dataclass(frozen=True)
-class ControlRegion:
-    """Subset of cells where the control acts. measure = h * popcount exactly."""
-
-    mask: np.ndarray
-    measure: float
-
-    def __post_init__(self) -> None:
-        if self.mask.dtype != np.bool_ or self.mask.ndim != 1:
-            raise ValueError("mask must be a 1D boolean array")
-        if not self.mask.any():
-            raise EmptyRegionError("control region is empty")
 
 
 # a coefficient profile: one constant, a function of position, or its samples
@@ -109,30 +46,60 @@ def _sample(profile: Profile, points: np.ndarray, name: str) -> np.ndarray:
     return vals
 
 
-def make_uniform_grid(n: int, length: float = 1.0, kappa: Profile = 1.0) -> Grid1D:
-    """Build the n-cell grid on [0, length] with weights h * kappa(centers)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 cells, got n={n}")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
-    h = length / n
-    with np.errstate(over="ignore", divide="ignore"):
-        inv_h2 = 1.0 / np.square(h)
-    if not 0.0 < inv_h2 < np.inf:
-        raise ValueError(f"length {length!r} over {n} cells gives a cell width h with 1/h^2 not finite and nonzero")
-    centers = (np.arange(n) + 0.5) * h
-    kvals = _sample(kappa, centers, "kappa")
-    return Grid1D(n=n, length=float(length), h=h, centers=_frozen(centers), weights=_frozen(h * kvals))
+@dataclass(frozen=True)
+class Grid1D:
+    """The discretized problem: n uniform cells on [0, length], the density
+    kappa at the n cell centers and the diffusion a at the n+1 faces (both
+    walls included).
 
-
-def make_coefficients(grid: Grid1D, kappa: Profile = 1.0, a: Profile = 1.0) -> Coefficients:
-    """Sample kappa at cell centers and a at the n+1 faces (both walls included).
-
-    The kappa samples must match the density baked into grid.weights; pass the
-    same function, constant or samples used at grid construction.
+    kappa and a are each given as a Profile and stored as their samples,
+    which must be finite and above a positive ellipticity floor. h, centers
+    and weights = h * kappa are derived from them.
     """
-    faces = np.arange(grid.n + 1) * grid.h
-    return Coefficients(kappa=_frozen(_sample(kappa, grid.centers, "kappa")), a=_frozen(_sample(a, faces, "a")))
+
+    n: int
+    length: float = 1.0
+    kappa: Profile = 1.0
+    a: Profile = 1.0
+    h: float = field(init=False)
+    centers: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n, length = self.n, self.length
+        if n < 2:
+            raise ValueError(f"need at least 2 cells, got n={n}")
+        if not length > 0:
+            raise ValueError(f"length must be positive, got {length}")
+        h = length / n
+        with np.errstate(over="ignore", divide="ignore"):
+            inv_h2 = 1.0 / np.square(h)
+        if not 0.0 < inv_h2 < np.inf:
+            raise ValueError(f"length {length!r} over {n} cells gives a cell width h with 1/h^2 not finite and nonzero")
+        centers = (np.arange(n) + 0.5) * h
+        derived = {"length": float(length), "h": h, "centers": _frozen(centers)}
+        for name, points in (("kappa", centers), ("a", np.arange(n + 1) * h)):
+            vals = _sample(getattr(self, name), points, name)
+            if not (np.all(np.isfinite(vals)) and np.min(vals) >= 1e-12):
+                raise ValueError(f"{name} must be finite and bounded away from zero")
+            derived[name] = _frozen(vals)
+        derived["weights"] = _frozen(h * derived["kappa"])
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
+class ControlRegion:
+    """Subset of cells where the control acts. measure = h * popcount exactly."""
+
+    mask: np.ndarray
+    measure: float
+
+    def __post_init__(self) -> None:
+        if self.mask.dtype != np.bool_ or self.mask.ndim != 1:
+            raise ValueError("mask must be a 1D boolean array")
+        if not self.mask.any():
+            raise EmptyRegionError("control region is empty")
 
 
 def region_from_intervals(grid: Grid1D, intervals: Sequence[tuple[float, float]]) -> ControlRegion:

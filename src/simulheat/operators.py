@@ -1,10 +1,11 @@
 """Conservative flux Laplacians with ghost-cell walls, and their eigenbases.
 
 The operator is A = -(1/kappa) D^-(a kappa D^+) on cell averages, assembled
-so that it is self-adjoint in the weighted inner product sum(w u v). The
-ghost-cell closures are chosen to make the interval-to-circle doubling exact:
-a Dirichlet wall copies the first interior cell with flipped sign, a Neumann
-wall copies it unchanged, and Periodic wraps the stencil around.
+from the coefficients the grid carries, so that it is self-adjoint in the
+weighted inner product sum(w u v). The ghost-cell closures are chosen to make
+the interval-to-circle doubling exact: a Dirichlet wall copies the first
+interior cell with flipped sign, a Neumann wall copies it unchanged, and
+Periodic wraps the stencil around.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid import Coefficients, Grid1D
+from .grid import Grid1D
 
 
 class NumericalError(RuntimeError):
@@ -64,34 +65,30 @@ class EigenBasis:
     grid: Grid1D
 
 
-def _face_conductivity(grid: Grid1D, coeffs: Coefficients, periodic: bool) -> np.ndarray:
+def _face_conductivity(grid: Grid1D, periodic: bool) -> np.ndarray:
     """a * kappa at faces; kappa is averaged from the two adjacent cells.
 
     At a wall the mirror cell carries the same kappa, so the one-sided value
     is already the even-reflected average.
     """
-    n = grid.n
+    n, kappa = grid.n, grid.kappa
     kf = np.empty(n + 1)
-    kf[1:n] = 0.5 * (coeffs.kappa[:-1] + coeffs.kappa[1:])
+    kf[1:n] = 0.5 * (kappa[:-1] + kappa[1:])
     if periodic:
-        if coeffs.a[0] != coeffs.a[n]:
+        if grid.a[0] != grid.a[n]:
             raise ValueError("periodic coefficients must agree on the wrapped face")
-        kf[0] = kf[n] = 0.5 * (coeffs.kappa[n - 1] + coeffs.kappa[0])
+        kf[0] = kf[n] = 0.5 * (kappa[n - 1] + kappa[0])
     else:
-        kf[0] = coeffs.kappa[0]
-        kf[n] = coeffs.kappa[n - 1]
-    return coeffs.a * kf
+        kf[0] = kappa[0]
+        kf[n] = kappa[n - 1]
+    return grid.a * kf
 
 
-def assemble_laplacian(grid: Grid1D, coeffs: Coefficients, bc: BoundaryCondition) -> Operator:
-    """Stencil diagonals of the weighted flux Laplacian under bc."""
+def assemble_laplacian(grid: Grid1D, bc: BoundaryCondition) -> Operator:
+    """Stencil diagonals of the weighted flux Laplacian of grid's coefficients under bc."""
     n = grid.n
-    if coeffs.kappa.shape[0] != n:
-        raise ValueError(f"coefficients sized for n={coeffs.kappa.shape[0]}, grid has n={n}")
-    if not np.allclose(grid.weights, grid.h * coeffs.kappa, rtol=1e-12, atol=0):
-        raise ValueError("grid weights disagree with h * kappa; rebuild grid and coefficients together")
-    c = _face_conductivity(grid, coeffs, periodic=bc is BoundaryCondition.PERIODIC)
-    inv = 1.0 / (coeffs.kappa * grid.h**2)
+    c = _face_conductivity(grid, periodic=bc is BoundaryCondition.PERIODIC)
+    inv = 1.0 / (grid.kappa * grid.h**2)
     diag = (c[:n] + c[1 : n + 1]) * inv
     corners = (0.0, 0.0)
     if bc is BoundaryCondition.DIRICHLET:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .control import ControlSignal, hum_full_control, lr_control, march
 from .doubling import build_double, extend_pair, lift_region, split
-from .grid import Coefficients, ControlRegion, Grid1D
+from .grid import ControlRegion, Grid1D
 from .operators import EigenBasis
 from .spectral import coefficients, l2_norm, sup_norm
 
@@ -91,7 +91,6 @@ def propagate(
 
 def run_simultaneous(
     grid: Grid1D,
-    coeffs: Coefficients,
     u0: np.ndarray,
     v0: np.ndarray,
     region: ControlRegion,
@@ -112,7 +111,7 @@ def run_simultaneous(
     """
     if method not in DEFAULT_TOLERANCES:
         raise ValueError(f"method must be one of {sorted(DEFAULT_TOLERANCES)}, got {method!r}")
-    dd = build_double(grid, coeffs)
+    dd = build_double(grid)
     basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
     lifted = lift_region(dd, region)
     U0 = extend_pair(dd, u0, v0)
@@ -140,7 +139,7 @@ def run_simultaneous(
     u_split, v_split = split(dd, traj_double.states)
     walls = [0, -1]
     trace = 0.5 * np.max(np.abs(traj_u.states[:, walls] - u_split[:, walls]))
-    a_wall = coeffs.a[walls] * coeffs.kappa[walls]
+    a_wall = grid.a[walls] * grid.kappa[walls]
     flux = np.max(a_wall * np.abs(traj_v.states[:, walls] - v_split[:, walls])) / grid.h
     sup = float(max(np.max(traj_u.sup_norms), np.max(traj_v.sup_norms))) or 1.0
 

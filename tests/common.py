@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from simulheat.control import _step_integrals, mass_matrix_on_region
 from simulheat.doubling import build_double, extend_pair
-from simulheat.grid import make_coefficients, make_uniform_grid
+from simulheat.grid import Grid1D
 from simulheat.operators import (
     BoundaryCondition,
     EigenBasis,
@@ -32,27 +33,37 @@ VARIABLE = {
 }
 
 
+def piecewise_linear(values):
+    """The profile on [0, 1] through values at evenly spaced knots."""
+    xs = np.linspace(0.0, 1.0, len(values))
+    return lambda x: np.interp(x, xs, values)
+
+
+@st.composite
+def profiles(draw):
+    """A positive profile on [0, 1]: piecewise linear through 2-5 even knots
+    with values in [0.2, 5]."""
+    knots = draw(st.integers(2, 5))
+    return piecewise_linear(draw(st.lists(st.floats(0.2, 5.0), min_size=knots, max_size=knots)))
+
+
 def problem(n, length=1.0, kappa=1.0, a=1.0):
-    """Grid plus matching coefficients; keeps the shared-kappa contract honest."""
-    grid = make_uniform_grid(n, length, kappa)
-    return grid, make_coefficients(grid, kappa, a)
+    return Grid1D(n, length, kappa, a)
 
 
 def wall_basis(n, bc, length=1.0, kappa=1.0, a=1.0):
-    grid, coeffs = problem(n, length, kappa, a)
-    return eigendecompose(assemble_laplacian(grid, coeffs, bc))
+    return eigendecompose(assemble_laplacian(problem(n, length, kappa, a), bc))
 
 
 def double_setup(n, length=1.0, kappa=1.0, a=1.0):
-    """(grid, coeffs, dd, basis_d, basis_n, extended circle basis)."""
-    grid, coeffs = problem(n, length, kappa, a)
-    dd = build_double(grid, coeffs)
-    return grid, coeffs, dd, dd.basis_d, dd.basis_n, dd.basis_circle
+    """(grid, dd, basis_d, basis_n, extended circle basis)."""
+    dd = build_double(problem(n, length, kappa, a))
+    return dd.base, dd, dd.basis_d, dd.basis_n, dd.basis_circle
 
 
 def circle_operator(dd):
     """The periodic operator of the doubled problem, an oracle only."""
-    return assemble_laplacian(dd.doubled, dd.doubled_coeffs, P)
+    return assemble_laplacian(dd.doubled, P)
 
 
 def dense_eigenbasis(op):

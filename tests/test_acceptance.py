@@ -29,8 +29,8 @@ def test_criterion_1_spectrum_union():
     for n in (8, 64, 256):
         for label in ("constant", "variable"):
             kw = {} if label == "constant" else VARIABLE
-            grid, coeffs = problem(n, **kw)
-            worst = max(worst, verify(build_double(grid, coeffs), 0).spectrum_union)
+            grid = problem(n, **kw)
+            worst = max(worst, verify(build_double(grid), 0).spectrum_union)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed <= 10.0
@@ -38,7 +38,7 @@ def test_criterion_1_spectrum_union():
 
 
 def test_criterion_2_extension_property():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
+    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
     res = verify(dd, 0).extension_eigenvectors
     G = ext.vectors.T @ (dd.doubled.weights[:, None] * ext.vectors)
     gram_dev = float(np.max(np.abs(G - np.eye(2 * 64))))
@@ -49,14 +49,14 @@ def test_criterion_2_extension_property():
 
 def test_criterion_3_link_identity():
     # verify draws 100 seeded (u, v, lambda) triples, in the order double-check does
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
+    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
     worst = verify(dd, 0).link_identity
     assert worst <= 1e-10
     print(f"CRITERION 3 PASS: link identity over 100 triples, worst gap {worst:.3e} <= 1e-10")
 
 
 def test_criterion_4_headline_simultaneous_control():
-    grid, coeffs = problem(128)
+    grid = problem(128)
     region = region_from_intervals(grid, [(0.2, 0.3)])
     worst = {"hum": 0.0, "lr": 0.0}
     slowest = 0.0
@@ -64,7 +64,7 @@ def test_criterion_4_headline_simultaneous_control():
         u0, v0 = unit_pair(grid, seed)
         for method in ("hum", "lr"):
             start = time.perf_counter()
-            rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, method)
+            rep = run_simultaneous(grid, u0, v0, region, 1.0, method)
             elapsed = time.perf_counter() - start
             slowest = max(slowest, elapsed)
             scale = max(rep.initial_u_l2, rep.initial_v_l2)
@@ -80,10 +80,10 @@ def test_criterion_4_headline_simultaneous_control():
 
 def test_criterion_5_fat_cantor_region():
     start = time.perf_counter()
-    grid, coeffs = problem(1024)
+    grid = problem(1024)
     region = fat_cantor_region(grid, 0.3, depth=6, seed=0)
     u0, v0 = unit_pair(grid, 0)
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     elapsed = time.perf_counter() - start
     scale = max(rep.initial_u_l2, rep.initial_v_l2)
     worst = max(rep.final_u_l2 / scale, rep.final_v_l2 / scale)
@@ -100,8 +100,8 @@ def test_criterion_6_oracle_equivalence():
     worst_prop = 0.0
     rng = np.random.default_rng(6)
     for bc in (D, N):
-        grid, coeffs = problem(16, **VARIABLE)
-        op = assemble_laplacian(grid, coeffs, bc)
+        grid = problem(16, **VARIABLE)
+        op = assemble_laplacian(grid, bc)
         basis = eigendecompose(op)
         region = region_from_intervals(grid, [(0.25, 0.75)])
         timegrid = np.linspace(0.0, 0.4, 6)
@@ -144,7 +144,7 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_spectral_constant_behavior():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(512)
+    grid, dd, basis_d, basis_n, ext = double_setup(512)
     small = region_from_intervals(grid, [(0.45, 0.55)])
     big = region_from_intervals(grid, [(0.4, 0.6)])
     lams = [float(basis_d.frequencies[k]) for k in range(12)]
@@ -183,15 +183,15 @@ def test_criterion_7_spectral_constant_behavior():
 
 
 def test_criterion_8_boundary_recovery():
-    grid, coeffs = problem(128)
+    grid = problem(128)
     region = region_from_intervals(grid, [(0.2, 0.3)])
     u0, v0 = unit_pair(grid, 0)
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     assert rep.dirichlet_trace_residual <= 1e-10
     assert rep.neumann_flux_residual <= 1e-10
     # the residuals above hold the direct wall runs against the split
     # controlled circle run at the walls; the split agrees at every cell
-    dd = build_double(grid, coeffs)
+    dd = build_double(grid)
     su, sv = split(dd, rep.trajectory_double.states)
     assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
     assert np.max(np.abs(sv - rep.trajectory_v.states)) <= 1e-10

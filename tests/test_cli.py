@@ -151,7 +151,7 @@ def test_double_check_with_sampled_coefficients(tmp_path):
 
 def test_double_check_exits_4_on_a_broken_doubling(tmp_path, monkeypatch):
     build = cli.build_double
-    monkeypatch.setattr(cli, "build_double", lambda grid, coeffs: mirror_flipped(build(grid, coeffs), 1))
+    monkeypatch.setattr(cli, "build_double", lambda grid: mirror_flipped(build(grid), 1))
     code, out = run(tmp_path, "double-check", n=16)
     assert code == 4
     report = json.loads((out / "double_check.json").read_text())
@@ -451,7 +451,7 @@ def test_simulate_reports_dissipation(tmp_path):
     assert summary["dissipative"] is True
     assert summary["final_l2"] <= summary["initial_l2"]
     # the first row is the seeded u0 itself, not u0 rebuilt from its modes
-    grid, _ = cli.build_problem(cli.ExperimentConfig(n=24))
+    grid = cli.build_problem(cli.ExperimentConfig(n=24))
     assert summary["initial_l2"] == l2_norm(grid, cli._seeded_unit_pair(grid, 0)[0])
 
 

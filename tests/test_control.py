@@ -49,7 +49,7 @@ def full_steering_problem(n, region_of):
     """(circle basis, full cutoff, lifted region, y0, timegrid) of the hum
     solve for a seeded unit pair on n cells, over T = 1 on hum_full_control's
     default steps."""
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n)
+    grid, dd, basis_d, basis_n, ext = double_setup(n)
     region = lift_region(dd, region_of(grid))
     y0 = coefficients(ext, extend_pair(dd, *unit_pair(grid, 0)))
     K, nw = 2 * n, int(region.mask.sum())
@@ -76,7 +76,7 @@ def test_decay_factors_handle_the_kernel_limit():
 
 
 def test_decay_factors_rows_match_per_step_calls():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64)
+    grid, dd, basis_d, basis_n, ext = double_setup(64)
     steps = np.diff(np.r_[np.linspace(0.0, 0.5, 33), 0.5 + np.geomspace(1e-6, 0.5, 9)])
     lam = np.r_[-1e-15, ext.eigenvalues]  # a zero mode may land a hair below 0
     decay, source = decay_factors(lam, steps)
@@ -88,7 +88,7 @@ def test_decay_factors_rows_match_per_step_calls():
 
 
 def test_march_matches_the_step_integrator():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16)
+    grid, dd, basis_d, basis_n, ext = double_setup(16)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     y0 = np.random.default_rng(2).standard_normal(ext.grid.n)
     sig = hum_full_control(ext, region, ext.vectors @ y0, 0.5)
@@ -141,7 +141,7 @@ def test_gramian_single_mode_closed_form():
 
 
 def test_gramian_matches_adaptive_quadrature():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16)
+    grid, dd, basis_d, basis_n, ext = double_setup(16)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.4)]))
     cut = make_cutoff(ext, float(ext.frequencies[2]))
     K = cut.count
@@ -196,7 +196,7 @@ def test_hum_low_steers_the_constant_mode():
 
 
 def test_hum_low_steering_verified_by_propagation():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16)
+    grid, dd, basis_d, basis_n, ext = double_setup(16)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     cut = make_cutoff(ext, float(ext.frequencies[3]))
     rng = np.random.default_rng(11)
@@ -358,7 +358,7 @@ def test_terminal_slice_at_the_top_frequency_steers_every_mode():
 
 
 def test_lr_cascade_kills_the_field_and_coasts_when_done():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(32)
+    grid, dd, basis_d, basis_n, ext = double_setup(32)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     pos = ext.frequencies[ext.frequencies > 1e-9]
     lam0 = float(np.unique(np.round(pos, 12))[1])
@@ -385,14 +385,14 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
 
 
 def test_hum_full_zero_field_is_silent():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
+    grid, dd, basis_d, basis_n, ext = double_setup(8)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.8)]))
     sig = hum_full_control(ext, region, np.zeros(16), 1.0)
     assert not sig.values.any()
 
 
 def test_hum_full_steers_every_mode():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(4)
+    grid, dd, basis_d, basis_n, ext = double_setup(4)
     region = lift_region(dd, region_from_intervals(grid, [(0.0, 1.0)]))
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
@@ -403,7 +403,7 @@ def test_hum_full_steers_every_mode():
 
 
 def test_hum_full_attains_the_least_squares_cost():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(4)
+    grid, dd, basis_d, basis_n, ext = double_setup(4)
     region = lift_region(dd, region_from_intervals(grid, [(0.0, 1.0)]))
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
@@ -434,7 +434,7 @@ def test_hum_full_attains_the_least_squares_cost():
 
 
 def test_hum_full_is_hum_low_at_the_full_cutoff():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16)
+    grid, dd, basis_d, basis_n, ext = double_setup(16)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.45)]))
     field0 = np.random.default_rng(3).standard_normal(ext.grid.n)
     full = hum_full_control(ext, region, field0, 0.7, steps=24)
@@ -447,7 +447,7 @@ def test_hum_full_is_hum_low_at_the_full_cutoff():
 
 
 def test_one_shot_beats_the_cascade_on_cost():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
+    grid, dd, basis_d, basis_n, ext = double_setup(8)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.45)]))
     rng = np.random.default_rng(7)
     field0 = rng.standard_normal(ext.grid.n)
@@ -532,7 +532,7 @@ def test_hum_factors_no_matrix_wider_than_the_region_or_s(monkeypatch):
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(control.scipy.linalg, name, recorded)
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(512)
+    grid, dd, basis_d, basis_n, ext = double_setup(512)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     sig = hum_full_control(ext, region, extend_pair(dd, *unit_pair(grid, 0)), 1.0)
     nw = int(region.mask.sum())

@@ -1,8 +1,8 @@
-"""The demos run against the current API.
+"""The demos and the README's code blocks run against the current API.
 
-The two quick demos are run to completion in a subprocess; the slow LP
-sweep demo, like the README's code blocks, is only checked for the names it
-imports from simulheat.
+Each demo is run to completion in a subprocess, and so are the README's
+Python blocks, top to bottom in one interpreter, as a reader would paste
+them; every name they import from simulheat is also checked to exist.
 """
 
 import ast
@@ -17,24 +17,32 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 
-@pytest.mark.parametrize("demo", ["double_spectrum.py", "shared_signal_run.py"])
-def test_quick_demo_runs(demo):
+def run_python(*args):
+    """stdout of a fresh interpreter run with args, on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", ["constant_sweep.py", "double_spectrum.py", "shared_signal_run.py"])
+def test_quick_demo_runs(demo):
+    assert run_python(str(DEMOS / demo))
+
+
+def test_readme_blocks_run_in_order():
+    assert len(README_BLOCKS) >= 3
+    assert run_python("-c", "\n".join(README_BLOCKS))
 
 
 def test_sweep_demo_imports_exist():
     """Every name a demo or a README code block imports from simulheat exists."""
     sources = {path.name: path.read_text() for path in sorted(DEMOS.glob("*.py"))}
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    sources.update((f"README block {i}", block) for i, block in enumerate(blocks))
+    sources.update((f"README block {i}", block) for i, block in enumerate(README_BLOCKS))
     imported = {}
     for where, text in sources.items():
         for node in ast.walk(ast.parse(text)):

@@ -3,6 +3,8 @@ spectral correspondence they are chosen to produce."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from common import (
@@ -18,6 +20,7 @@ from common import (
     extended_eigenbasis,
     mirror_flipped,
     problem,
+    profiles,
     unit_pair,
 )
 from simulheat.doubling import build_double, extend_pair, lift_region, split, verify
@@ -26,8 +29,8 @@ from simulheat.spectral import l2_norm, make_cutoff, project, sup_norm
 
 
 def test_embedding_maps_n2():
-    grid, coeffs = problem(2)
-    dd = build_double(grid, coeffs)
+    grid = problem(2)
+    dd = build_double(grid)
     assert dd.doubled.n == 4
     assert dd.doubled.length == 2.0
     # u + v on cells 0 and 1, v - u on the mirror copy, base cell 0 at cell 3
@@ -39,8 +42,8 @@ def test_embedding_maps_n2():
 
 
 def test_embeddings_cover_circle_disjointly():
-    grid, coeffs = problem(13)
-    dd = build_double(grid, coeffs)
+    grid = problem(13)
+    dd = build_double(grid)
     # split reads each circle cell at exactly one base cell, and each base
     # cell from exactly two circle cells, one on each copy
     u, v = split(dd, np.eye(26))
@@ -50,37 +53,51 @@ def test_embeddings_cover_circle_disjointly():
     assert_array_equal(np.sum(u, axis=0), np.zeros(13))
 
 
-def test_reflected_coefficients():
-    grid, coeffs = problem(2, kappa=lambda x: np.where(x < 0.5, 1.0, 2.0))
-    dd = build_double(grid, coeffs)
-    assert_array_equal(dd.doubled_coeffs.kappa, [1.0, 2.0, 2.0, 1.0])
+@given(st.integers(2, 4096), st.floats(1e-3, 1e3), profiles(), profiles(), st.integers(2, 48))
+def test_reflected_coefficients(n, length, kappa, a, m):
+    grid = problem(2, kappa=lambda x: np.where(x < 0.5, 1.0, 2.0))
+    dd = build_double(grid)
+    assert_array_equal(dd.doubled.kappa, [1.0, 2.0, 2.0, 1.0])
     assert_array_equal(dd.doubled.weights, [0.5, 1.0, 1.0, 0.5])
     # flux profile mirrors about the far wall and closes up periodically
-    g8, c8 = problem(8, a=lambda x: 1.0 + x)
-    d8 = build_double(g8, c8)
-    a2 = d8.doubled_coeffs.a
+    a2 = build_double(problem(8, a=lambda x: 1.0 + x)).doubled.a
     assert a2[0] == a2[-1]
-    assert_array_equal(a2[:9], c8.a)
-    assert_array_equal(a2[9:], c8.a[-2::-1])
+
+    # the geometry is derived bit for bit: 2L/2n rounds to L/n exactly
+    grid = problem(n, length, kappa, a)
+    h = grid.h
+    assert problem(2 * n, 2.0 * length).h == h
+    assert_array_equal(grid.centers, (np.arange(n) + 0.5) * h)
+    assert_array_equal(grid.kappa, kappa(grid.centers))
+    assert_array_equal(grid.a, a(np.arange(n + 1) * h))
+    assert_array_equal(grid.weights, h * grid.kappa)
+    # and the circle carries the reflected coefficients and weights
+    grid = problem(m, length, kappa, a)
+    circle = build_double(grid).doubled
+    assert circle.h == grid.h and circle.length == 2.0 * grid.length
+    assert_array_equal(circle.centers, (np.arange(2 * m) + 0.5) * grid.h)
+    assert_array_equal(circle.kappa, np.concatenate([grid.kappa, grid.kappa[::-1]]))
+    assert_array_equal(circle.a, np.concatenate([grid.a, grid.a[-2::-1]]))
+    assert_array_equal(circle.weights, np.concatenate([grid.weights, grid.weights[::-1]]))
 
 
 def test_doubled_weights_pull_back_to_base():
-    grid, coeffs = problem(9, kappa=lambda x: 1.0 + 0.7 * x)
-    dd = build_double(grid, coeffs)
+    grid = problem(9, kappa=lambda x: 1.0 + 0.7 * x)
+    dd = build_double(grid)
     for copy in copies(dd, dd.doubled.weights):
         assert_array_equal(copy, grid.weights)
 
 
 def test_extend_pair_frozen_example():
-    grid, coeffs = problem(2)
-    dd = build_double(grid, coeffs)
+    grid = problem(2)
+    dd = build_double(grid)
     U = extend_pair(dd, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert_array_equal(U, [1.0, 1.0, 1.0, -1.0])
 
 
 def test_extend_pair_parity_special_cases():
-    grid, coeffs = problem(6)
-    dd = build_double(grid, coeffs)
+    grid = problem(6)
+    dd = build_double(grid)
     v = np.random.default_rng(0).standard_normal(6)
     plus, minus = copies(dd, extend_pair(dd, np.zeros(6), v))
     assert_array_equal(plus, minus)
@@ -91,8 +108,8 @@ def test_extend_pair_parity_special_cases():
 
 
 def test_split_inverts_extension():
-    grid, coeffs = problem(8)
-    dd = build_double(grid, coeffs)
+    grid = problem(8)
+    dd = build_double(grid)
     u = np.array([1.0, -2.0, 0.0, 3.0, 5.0, -1.0, 2.0, 4.0])
     v = np.array([0.0, 1.0, -1.0, 2.0, -3.0, 1.0, 0.0, -2.0])
     ru, rv = split(dd, extend_pair(dd, u, v))
@@ -110,8 +127,8 @@ def test_split_inverts_extension():
 
 
 def test_split_parity_cases():
-    grid, coeffs = problem(5)
-    dd = build_double(grid, coeffs)
+    grid = problem(5)
+    dd = build_double(grid)
     u, v = split(dd, np.full(10, 3.25))
     assert_array_equal(u, np.zeros(5))
     assert_array_equal(v, np.full(5, 3.25))
@@ -124,7 +141,7 @@ def test_split_parity_cases():
 
 
 def test_extend_eigenfunction_frozen_n2():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(2)
+    grid, dd, basis_d, basis_n, ext = double_setup(2)
     A = circle_operator(dd).dense()
     # merged circle order: N0 (0), D0 (8), N1 (8), D1 (16); ties keep D first
     assert_array_equal(ext.eigenvalues, [0.0, 8.0, 8.0, 16.0])
@@ -149,15 +166,15 @@ def test_extend_eigenfunction_frozen_n2():
 
 
 def test_lift_region_targets_plus_copy_only():
-    grid, coeffs = problem(2)
-    dd = build_double(grid, coeffs)
+    grid = problem(2)
+    dd = build_double(grid)
     region = region_from_intervals(grid, [(0.5, 1.0)])
     lifted = lift_region(dd, region)
     assert_array_equal(np.flatnonzero(lifted.mask), [1])
     assert lifted.measure == 0.5
 
-    g, c = problem(16)
-    d = build_double(g, c)
+    g = problem(16)
+    d = build_double(g)
     whole = region_from_intervals(g, [(0.0, 1.0)])
     lw = lift_region(d, whole)
     assert lw.measure == 1.0
@@ -171,7 +188,7 @@ def test_lift_region_targets_plus_copy_only():
     (64, lambda x: 1.0 + 0.5 * x, lambda x: 1.3 - 0.25 * x),
 ])
 def test_spectrum_union(n, kappa, a):
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(n, kappa=kappa, a=a)
+    grid, dd, basis_d, basis_n, _ = double_setup(n, kappa=kappa, a=a)
     union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
     circle = dense_eigenbasis(circle_operator(dd)).eigenvalues
     denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), 1.0)
@@ -179,7 +196,7 @@ def test_spectrum_union(n, kappa, a):
 
 
 def test_extension_residuals_and_gram():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(
+    grid, dd, basis_d, basis_n, ext = double_setup(
         64, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.2 * x
     )
     A = circle_operator(dd).dense()
@@ -193,7 +210,7 @@ def test_extension_residuals_and_gram():
 
 
 def test_extended_basis_input_order_guard():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(4)
+    grid, dd, basis_d, basis_n, ext = double_setup(4)
     assert basis_d.bc is D and basis_n.bc is N and ext.bc is P
     # every circle mode is an odd (Dirichlet) or an even (Neumann) extension
     plus, minus = copies(dd, ext.vectors)
@@ -209,7 +226,7 @@ def test_extended_basis_input_order_guard():
 @pytest.mark.parametrize("profile", ["constant", "variable"])
 def test_circle_basis_matches_per_column_oracle(n, profile):
     kw = VARIABLE if profile == "variable" else {}
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    grid, dd, basis_d, basis_n, ext = double_setup(n, **kw)
     oracle = extended_eigenbasis(dd, basis_d, basis_n)
     # the norms are summed in another order than the oracle's, so entries
     # may differ in their last bits
@@ -227,7 +244,7 @@ def test_circle_basis_matches_per_column_oracle(n, profile):
 @pytest.mark.parametrize("profile", ["constant", "variable"])
 def test_circle_rows_place_each_wall_mode(n, profile):
     kw = VARIABLE if profile == "variable" else {}
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    grid, dd, basis_d, basis_n, ext = double_setup(n, **kw)
     eps = np.finfo(float).eps
     for wall, rows, sign in ((basis_d, dd.circle_rows[:n], -1.0), (basis_n, dd.circle_rows[n:], 1.0)):
         # a circle mode is its wall mode over sqrt(2) on the plus copy and its
@@ -243,7 +260,7 @@ def test_circle_rows_place_each_wall_mode(n, profile):
 
 
 def test_link_identity_random_triples():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(64)
+    grid, dd, basis_d, basis_n, ext = double_setup(64)
     rng = np.random.default_rng(12)
     top = float(ext.frequencies[-1])
     for _ in range(20):
@@ -259,8 +276,8 @@ def test_link_identity_random_triples():
 def test_wall_ghosts_of_parity_extensions():
     """Even circle fields satisfy the Neumann ghost rule across both walls,
     odd ones the Dirichlet rule, exactly."""
-    grid, coeffs = problem(12)
-    dd = build_double(grid, coeffs)
+    grid = problem(12)
+    dd = build_double(grid)
     f = np.random.default_rng(3).standard_normal(12)
     n = 12
     even = extend_pair(dd, np.zeros(n), f)
@@ -273,7 +290,7 @@ def test_wall_ghosts_of_parity_extensions():
 
 
 def test_verify_flags_a_mode_of_the_wrong_parity():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(16, **VARIABLE)
+    grid, dd, basis_d, basis_n, ext = double_setup(16, **VARIABLE)
     good = verify(dd, 0)
     assert good.extension_eigenvectors <= 1e-10
     assert good.link_identity <= 1e-10

@@ -5,14 +5,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from simulheat.grid import (
-    Coefficients,
     ControlRegion,
     EmptyRegionError,
     Grid1D,
     ResolutionError,
     fat_cantor_region,
-    make_coefficients,
-    make_uniform_grid,
     parse_region_spec,
     read_mask_file,
     region_from_intervals,
@@ -21,61 +18,66 @@ from simulheat.grid import (
 
 
 def test_uniform_grid_basic_layout():
-    g = make_uniform_grid(2)
+    g = Grid1D(2)
     assert g.h == 0.5
     assert_array_equal(g.centers, [0.25, 0.75])
     assert_array_equal(g.weights, [0.5, 0.5])
 
 
 def test_grid_scales_with_length():
-    g = make_uniform_grid(4, length=2.0)
+    g = Grid1D(4, length=2.0)
     assert g.h == 0.5
     assert_array_equal(g.centers, [0.25, 0.75, 1.25, 1.75])
 
 
 def test_variable_density_weights():
     # weights = h * kappa(centers), by hand: 0.5*(1.25), 0.5*(1.75)
-    g = make_uniform_grid(2, kappa=lambda x: 1.0 + x)
+    g = Grid1D(2, kappa=lambda x: 1.0 + x)
     assert_array_equal(g.weights, [0.625, 0.875])
 
 
 def test_unit_density_weights_sum_to_length():
     for n in (3, 17, 128):
-        g = make_uniform_grid(n, length=1.5)
+        g = Grid1D(n, length=1.5)
         assert_allclose(g.weights.sum(), 1.5, rtol=1e-14)
 
 
 def test_grid_argument_validation():
     with pytest.raises(ValueError):
-        make_uniform_grid(1)
+        Grid1D(1)
     with pytest.raises(ValueError):
-        make_uniform_grid(4, length=0.0)
+        Grid1D(4, length=0.0)
     with pytest.raises(ValueError):
-        make_uniform_grid(4, kappa=lambda x: np.ones(3))
-
-
-def test_grid_invariants_enforced_on_direct_construction():
-    centers = np.array([0.75, 0.25])  # not increasing
-    with pytest.raises(ValueError):
-        Grid1D(n=2, length=1.0, h=0.5, centers=centers, weights=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        Grid1D(n=2, length=1.0, h=0.5, centers=np.array([0.25, 0.75]), weights=np.array([0.5, -0.5]))
+        Grid1D(4, kappa=lambda x: np.ones(3))
 
 
 def test_coefficients_validation():
-    g = make_uniform_grid(4)
-    c = make_coefficients(g)
-    assert c.kappa.shape == (4,) and c.a.shape == (5,)
+    samples = np.ones(4)
+    g = Grid1D(4, kappa=samples)
+    assert g.kappa.shape == (4,) and g.a.shape == (5,)
+    # the grid keeps read-only copies and leaves the caller's samples alone
+    assert samples.flags.writeable and not g.kappa.flags.writeable
     with pytest.raises(ValueError):
-        Coefficients(kappa=np.ones(4), a=np.ones(4))  # faces must be n+1
+        Grid1D(4, a=np.ones(4))  # faces must be n+1
     with pytest.raises(ValueError):
-        Coefficients(kappa=np.zeros(4), a=np.ones(5))  # ellipticity floor
+        Grid1D(4, kappa=np.zeros(4))  # ellipticity floor
     with pytest.raises(ValueError):
-        Coefficients(kappa=np.ones((2, 2)), a=np.ones(5))
+        Grid1D(4, kappa=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("name", ["kappa", "a"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["function", "constant", "samples"])
+def test_non_finite_coefficients_are_refused(name, bad, form):
+    samples = np.ones(8 if name == "kappa" else 9)
+    samples[3] = bad
+    profile = {"function": lambda x: samples, "constant": bad, "samples": samples}[form]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Grid1D(8, **{name: profile})
 
 
 def test_region_from_intervals_frozen_masks():
-    g = make_uniform_grid(4)
+    g = Grid1D(4)
     r = region_from_intervals(g, [(0.0, 0.5)])
     assert_array_equal(r.mask, [True, True, False, False])
     assert r.measure == 0.5
@@ -86,20 +88,20 @@ def test_region_from_intervals_frozen_masks():
 
 def test_region_membership_is_open():
     # centers sitting exactly on an endpoint stay outside
-    g = make_uniform_grid(4)
+    g = Grid1D(4)
     r = region_from_intervals(g, [(0.375, 0.875)])
     assert_array_equal(r.mask, [False, False, True, False])
 
 
 def test_region_union_of_intervals():
-    g = make_uniform_grid(10)
+    g = Grid1D(10)
     r = region_from_intervals(g, [(0.0, 0.2), (0.7, 1.0)])
     assert_array_equal(np.flatnonzero(r.mask), [0, 1, 7, 8, 9])
     assert_allclose(r.measure, 0.5, rtol=1e-15)
 
 
 def test_region_error_cases():
-    g = make_uniform_grid(4)
+    g = Grid1D(4)
     with pytest.raises(EmptyRegionError):
         region_from_intervals(g, [(0.9, 0.95)])
     with pytest.raises(ValueError):
@@ -109,27 +111,27 @@ def test_region_error_cases():
 
 
 def test_region_monotone_under_enlargement():
-    g = make_uniform_grid(37)
+    g = Grid1D(37)
     small = region_from_intervals(g, [(0.3, 0.42)])
     big = region_from_intervals(g, [(0.25, 0.55)])
     assert np.all(big.mask[small.mask])
 
 
 def test_region_measure_is_exact_popcount():
-    g = make_uniform_grid(13)
+    g = Grid1D(13)
     r = region_from_intervals(g, [(0.1, 0.8)])
     assert r.measure == g.h * int(r.mask.sum())
 
 
 def test_fat_cantor_full_target_keeps_everything():
-    g = make_uniform_grid(16)
+    g = Grid1D(16)
     r = fat_cantor_region(g, 1.0, depth=1, seed=0)
     assert r.mask.all()
     assert r.measure == 1.0
 
 
 def test_fat_cantor_measure_tracks_target():
-    g = make_uniform_grid(16)
+    g = Grid1D(16)
     r = fat_cantor_region(g, 0.5, depth=2, seed=3)
     assert abs(r.measure - 0.5) <= 2 * g.h
     assert r.measure == g.h * int(r.mask.sum())
@@ -139,7 +141,7 @@ def test_fat_cantor_keeps_exactly_the_target_cells():
     # every size, kept count and depth up to 24 cells: the removal levels
     # alone land on the exact count, with no mop-up pass after them
     for n in range(2, 25):
-        g = make_uniform_grid(n)
+        g = Grid1D(n)
         for keep in range(1, n + 1):
             for depth in range(1, n + 1):
                 r = fat_cantor_region(g, keep * g.h, depth, seed=n * keep + depth)
@@ -147,7 +149,7 @@ def test_fat_cantor_keeps_exactly_the_target_cells():
 
 
 def test_fat_cantor_deep_mask_shape():
-    g = make_uniform_grid(1024)
+    g = Grid1D(1024)
     r = fat_cantor_region(g, 0.3, depth=6, seed=11)
     assert abs(r.measure - 0.3) <= 6 * g.h
     # after 6 removal levels no kept block may exceed 1024/2^6 + 1 cells
@@ -156,7 +158,7 @@ def test_fat_cantor_deep_mask_shape():
 
 
 def test_fat_cantor_determinism():
-    g = make_uniform_grid(256)
+    g = Grid1D(256)
     a = fat_cantor_region(g, 0.4, depth=4, seed=9)
     b = fat_cantor_region(g, 0.4, depth=4, seed=9)
     assert_array_equal(a.mask, b.mask)
@@ -164,7 +166,7 @@ def test_fat_cantor_determinism():
 
 
 def test_fat_cantor_errors():
-    g = make_uniform_grid(16)
+    g = Grid1D(16)
     with pytest.raises(ValueError):
         fat_cantor_region(g, 0.5, depth=0, seed=0)
     with pytest.raises(ValueError):
@@ -176,7 +178,7 @@ def test_fat_cantor_errors():
 
 
 def test_mask_file_roundtrip(tmp_path):
-    g = make_uniform_grid(64)
+    g = Grid1D(64)
     r = fat_cantor_region(g, 0.4, depth=3, seed=5)
     path = tmp_path / "mask.txt"
     write_mask_file(path, r)
@@ -186,7 +188,7 @@ def test_mask_file_roundtrip(tmp_path):
 
 
 def test_mask_file_validation(tmp_path):
-    g = make_uniform_grid(8)
+    g = Grid1D(8)
     bad = tmp_path / "bad.txt"
     bad.write_text("0101\n")
     with pytest.raises(ValueError):
@@ -199,7 +201,7 @@ def test_mask_file_validation(tmp_path):
 
 
 def test_parse_region_spec(tmp_path):
-    g = make_uniform_grid(8)
+    g = Grid1D(8)
     r = parse_region_spec("0.25,0.75", g)
     assert_array_equal(np.flatnonzero(r.mask), [2, 3, 4, 5])
     r = parse_region_spec("0.0,0.25; 0.75,1.0", g)

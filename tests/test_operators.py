@@ -5,56 +5,45 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from common import D, N, P, VARIABLE, analytic_eigenbasis, dense_eigenbasis, problem, wall_basis
-from simulheat.grid import make_coefficients, make_uniform_grid
+from simulheat.grid import Grid1D
 from simulheat.operators import assemble_laplacian, eigendecompose
 
 
 def test_dirichlet_stencil_frozen_n2():
     # ghost u_{-1} = -u_0 doubles the wall flux: diag 8 + 4 = 12 at h = 1/2
-    grid, coeffs = problem(2)
-    op = assemble_laplacian(grid, coeffs, D)
+    grid = problem(2)
+    op = assemble_laplacian(grid, D)
     assert_array_equal(op.dense(), [[12.0, -4.0], [-4.0, 12.0]])
 
 
 def test_neumann_stencil_frozen_n2():
-    grid, coeffs = problem(2)
-    op = assemble_laplacian(grid, coeffs, N)
+    grid = problem(2)
+    op = assemble_laplacian(grid, N)
     assert_array_equal(op.dense(), [[4.0, -4.0], [-4.0, 4.0]])
 
 
 def test_periodic_stencil_is_circulant():
-    grid, coeffs = problem(4, length=2.0)
-    op = assemble_laplacian(grid, coeffs, P)
+    grid = problem(4, length=2.0)
+    op = assemble_laplacian(grid, P)
     first = np.array([8.0, -4.0, 0.0, -4.0])
     for i in range(4):
         assert_array_equal(op.dense()[i], np.roll(first, i))
 
 
-def test_assembly_guards():
-    grid, _ = problem(4)
-    other = make_coefficients(make_uniform_grid(8))
-    with pytest.raises(ValueError):
-        assemble_laplacian(grid, other, D)
-    # coefficients sampled with a different density than the grid weights
-    mismatched = make_coefficients(grid, kappa=2.0)
-    with pytest.raises(ValueError):
-        assemble_laplacian(grid, mismatched, D)
-
-
 def test_periodic_requires_matching_wrap_face():
-    grid, coeffs = problem(8, a=lambda x: 1.0 + x)
-    assert coeffs.a[0] != coeffs.a[-1]
+    grid = problem(8, a=lambda x: 1.0 + x)
+    assert grid.a[0] != grid.a[-1]
     with pytest.raises(ValueError):
-        assemble_laplacian(grid, coeffs, P)
+        assemble_laplacian(grid, P)
     # the same profile is fine on the wall problems
-    assemble_laplacian(grid, coeffs, D)
+    assemble_laplacian(grid, D)
 
 
 def test_weighted_self_adjointness():
-    grid, coeffs = problem(24, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.3 * np.sin(3 * x))
+    grid = problem(24, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.3 * np.sin(3 * x))
     rng = np.random.default_rng(0)
     for bc in (D, N):
-        A = assemble_laplacian(grid, coeffs, bc).dense()
+        A = assemble_laplacian(grid, bc).dense()
         for _ in range(20):
             u = rng.standard_normal(24)
             v = rng.standard_normal(24)
@@ -65,38 +54,37 @@ def test_weighted_self_adjointness():
 
 
 def test_rayleigh_quotients_nonnegative():
-    grid, coeffs = problem(16, kappa=lambda x: 1.0 + x)
+    grid = problem(16, kappa=lambda x: 1.0 + x)
     rng = np.random.default_rng(4)
     for bc in (D, N):
-        A = assemble_laplacian(grid, coeffs, bc).dense()
+        A = assemble_laplacian(grid, bc).dense()
         for _ in range(10):
             u = rng.standard_normal(16)
             assert np.sum(grid.weights * u * (A @ u)) >= -1e-12
 
 
 def test_frozen_small_spectra():
-    grid, coeffs = problem(2)
-    bd = eigendecompose(assemble_laplacian(grid, coeffs, D))
+    grid = problem(2)
+    bd = eigendecompose(assemble_laplacian(grid, D))
     assert_allclose(bd.eigenvalues, [8.0, 16.0], rtol=1e-14)
-    bn = eigendecompose(assemble_laplacian(grid, coeffs, N))
+    bn = eigendecompose(assemble_laplacian(grid, N))
     assert_allclose(bn.eigenvalues, [0.0, 8.0], rtol=1e-14, atol=1e-14)
     # kernel vector is the weighted-normalized constant: both entries 1
     assert_allclose(bn.vectors[:, 0], [1.0, 1.0], rtol=1e-14)
-    g4, c4 = problem(4, length=2.0)
-    bp = dense_eigenbasis(assemble_laplacian(g4, c4, P))
+    bp = dense_eigenbasis(assemble_laplacian(problem(4, length=2.0), P))
     assert_allclose(bp.eigenvalues, [0.0, 8.0, 8.0, 16.0], rtol=1e-12, atol=1e-12)
 
 
 def test_spectrum_matches_closed_form():
     n = 64
-    grid, coeffs = problem(n)
+    grid = problem(n)
     k = np.arange(1, n + 1)
     exact_d = (4.0 / grid.h**2) * np.sin(np.pi * k * grid.h / 2.0) ** 2
-    bd = eigendecompose(assemble_laplacian(grid, coeffs, D))
+    bd = eigendecompose(assemble_laplacian(grid, D))
     assert_allclose(bd.eigenvalues, exact_d, rtol=1e-10)
     k = np.arange(n)
     exact_n = (4.0 / grid.h**2) * np.sin(np.pi * k * grid.h / 2.0) ** 2
-    bn = eigendecompose(assemble_laplacian(grid, coeffs, N))
+    bn = eigendecompose(assemble_laplacian(grid, N))
     assert_allclose(bn.eigenvalues, exact_n, rtol=1e-10, atol=1e-9)
 
 
@@ -107,9 +95,9 @@ def test_weighted_orthonormality_variable_coeffs():
 
 
 def test_eigenvector_residuals():
-    grid, coeffs = problem(64, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.5 - 0.4 * x)
+    grid = problem(64, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.5 - 0.4 * x)
     for bc in (D, N):
-        op = assemble_laplacian(grid, coeffs, bc)
+        op = assemble_laplacian(grid, bc)
         basis = eigendecompose(op)
         for k in range(0, 64, 7):
             r = op.dense() @ basis.vectors[:, k] - basis.eigenvalues[k] * basis.vectors[:, k]
@@ -119,9 +107,9 @@ def test_eigenvector_residuals():
 @pytest.mark.parametrize("n", [2, 3, 64, 512])
 @pytest.mark.parametrize("profile", ["constant", "variable"])
 def test_eigendecompose_matches_dense_oracle(n, profile):
-    grid, coeffs = problem(n, **(VARIABLE if profile == "variable" else {}))
+    grid = problem(n, **(VARIABLE if profile == "variable" else {}))
     for bc in (D, N):
-        op = assemble_laplacian(grid, coeffs, bc)
+        op = assemble_laplacian(grid, bc)
         basis = eigendecompose(op)
         oracle = dense_eigenbasis(op)
         scale = np.maximum(np.abs(oracle.eigenvalues), 1.0)
@@ -130,24 +118,24 @@ def test_eigendecompose_matches_dense_oracle(n, profile):
 
 
 def test_eigendecompose_leaves_the_circle_to_build_double():
-    grid, coeffs = problem(8, length=2.0)
+    grid = problem(8, length=2.0)
     with pytest.raises(ValueError):
-        eigendecompose(assemble_laplacian(grid, coeffs, P))
+        eigendecompose(assemble_laplacian(grid, P))
 
 
 def test_structural_kernel_snaps_to_exact_zero():
     bn = wall_basis(32, N, kappa=lambda x: 1.0 + x)
     assert bn.eigenvalues[0] == 0.0
     assert bn.frequencies[0] == 0.0
-    grid, coeffs = problem(32, length=2.0)
-    bp = dense_eigenbasis(assemble_laplacian(grid, coeffs, P))
+    grid = problem(32, length=2.0)
+    bp = dense_eigenbasis(assemble_laplacian(grid, P))
     assert bp.eigenvalues[0] == 0.0
     assert wall_basis(32, D).eigenvalues[0] > 0.0
 
 
 def test_sign_convention_and_determinism():
-    grid, coeffs = problem(31, kappa=lambda x: 1.0 + 0.2 * np.cos(x))
-    op = assemble_laplacian(grid, coeffs, D)
+    grid = problem(31, kappa=lambda x: 1.0 + 0.2 * np.cos(x))
+    op = assemble_laplacian(grid, D)
     a = eigendecompose(op)
     for k in range(31):
         col = a.vectors[:, k]
@@ -158,7 +146,7 @@ def test_sign_convention_and_determinism():
 
 
 def test_analytic_basis_frozen_n2():
-    g = make_uniform_grid(2)
+    g = Grid1D(2)
     bd = analytic_eigenbasis(g, D)
     # sin(pi/4) = sin(3pi/4): first mode is the constant direction (1,1)
     assert_allclose(bd.vectors[:, 0] / bd.vectors[0, 0], [1.0, 1.0], rtol=1e-14)
@@ -171,9 +159,9 @@ def test_analytic_basis_frozen_n2():
 
 def test_analytic_matches_numeric_wall_bases():
     n = 64
-    grid, coeffs = problem(n)
+    grid = problem(n)
     for bc in (D, N):
-        num = eigendecompose(assemble_laplacian(grid, coeffs, bc))
+        num = eigendecompose(assemble_laplacian(grid, bc))
         ana = analytic_eigenbasis(grid, bc)
         assert_allclose(num.eigenvalues, ana.eigenvalues, rtol=1e-10, atol=1e-9)
         # interval spectra are simple, so modes must match up to orientation
@@ -183,8 +171,8 @@ def test_analytic_matches_numeric_wall_bases():
 
 def test_analytic_matches_numeric_periodic_subspaces():
     # each nonzero periodic eigenvalue is double, compare projectors per group
-    grid, coeffs = problem(32, length=2.0)
-    num = dense_eigenbasis(assemble_laplacian(grid, coeffs, P))
+    grid = problem(32, length=2.0)
+    num = dense_eigenbasis(assemble_laplacian(grid, P))
     ana = analytic_eigenbasis(grid, P)
     assert_allclose(num.eigenvalues, ana.eigenvalues, rtol=1e-10, atol=1e-9)
     w = grid.weights
@@ -201,8 +189,8 @@ def test_analytic_matches_numeric_periodic_subspaces():
 
 
 def test_analytic_basis_guards():
-    g = make_uniform_grid(8, kappa=lambda x: 1.0 + x)
+    g = Grid1D(8, kappa=lambda x: 1.0 + x)
     with pytest.raises(ValueError):
         analytic_eigenbasis(g, D)
     with pytest.raises(ValueError):
-        analytic_eigenbasis(make_uniform_grid(5), P)
+        analytic_eigenbasis(Grid1D(5), P)

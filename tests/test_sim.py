@@ -44,8 +44,8 @@ def test_constant_field_is_stationary_under_insulation():
 
 
 def test_free_decay_norms_never_increase():
-    grid, coeffs = problem(24, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 2.0 - x)
-    basis = eigendecompose(assemble_laplacian(grid, coeffs, D))
+    grid = problem(24, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 2.0 - x)
+    basis = eigendecompose(assemble_laplacian(grid, D))
     region = region_from_intervals(grid, [(0.4, 0.6)])
     rng = np.random.default_rng(2)
     sig = zero_signal(grid, region, 1.0, 8)
@@ -73,8 +73,8 @@ def test_propagate_validates_inputs():
 
 
 def test_propagate_matches_expm_duhamel_oracle():
-    grid, coeffs = problem(12, kappa=lambda x: 1.0 + 0.4 * x, a=lambda x: 1.5 - 0.5 * x)
-    op = assemble_laplacian(grid, coeffs, D)
+    grid = problem(12, kappa=lambda x: 1.0 + 0.4 * x, a=lambda x: 1.5 - 0.5 * x)
+    op = assemble_laplacian(grid, D)
     basis = eigendecompose(op)
     region = region_from_intervals(grid, [(0.25, 0.75)])
     rng = np.random.default_rng(9)
@@ -98,7 +98,7 @@ def test_propagate_matches_expm_duhamel_oracle():
 
 
 def test_propagate_states_match_the_per_node_reconstruction():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(32, **VARIABLE)
+    grid, dd, basis_d, basis_n, ext = double_setup(32, **VARIABLE)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     rng = np.random.default_rng(11)
     timegrid = np.linspace(0.0, 0.5, 9)
@@ -117,18 +117,18 @@ def test_propagate_states_match_the_per_node_reconstruction():
 def test_lr_costs_agree_with_a_dense_eigensolve(monkeypatch):
     # the mode counts at the tied circle eigenvalues of constant coefficients
     # must not depend on how either eigensolver rounds the tie
-    grid, coeffs = problem(128)
+    grid = problem(128)
     region = region_from_intervals(grid, [(0.2, 0.3)])
     pairs = [unit_pair(grid, seed) for seed in range(8)]
-    reports = [run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
+    reports = [run_simultaneous(grid, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
     monkeypatch.setattr(doubling, "eigendecompose", dense_eigenbasis)
-    oracle = [run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
+    oracle = [run_simultaneous(grid, u0, v0, region, 1.0, "lr") for u0, v0 in pairs]
     assert all(rep.passed for rep in reports + oracle)
     assert_allclose([r.control_cost for r in reports], [r.control_cost for r in oracle], rtol=1e-8)
 
 
 def test_split_of_a_trajectory_stack_equals_per_state_splits():
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(8)
+    grid, dd, basis_d, basis_n, ext = double_setup(8)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.5)]))
     rng = np.random.default_rng(4)
     sig = zero_signal(ext.grid, region, 0.5, 5)
@@ -144,25 +144,25 @@ def test_split_of_a_trajectory_stack_equals_per_state_splits():
 
 
 def pipeline_problem():
-    grid, coeffs = problem(
+    grid = problem(
         32, kappa=lambda x: 1.0 + 0.25 * np.sin(2 * np.pi * x), a=lambda x: 1.0 + 0.2 * x
     )
     region = region_from_intervals(grid, [(0.2, 0.3)])
     rng = np.random.default_rng(21)
-    return grid, coeffs, region, rng.standard_normal(32), rng.standard_normal(32)
+    return grid, region, rng.standard_normal(32), rng.standard_normal(32)
 
 
 def test_pipeline_zero_pair_costs_nothing():
-    grid, coeffs, region, _, _ = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, np.zeros(32), np.zeros(32), region, 1.0, "hum")
+    grid, region, _, _ = pipeline_problem()
+    rep = run_simultaneous(grid, np.zeros(32), np.zeros(32), region, 1.0, "hum")
     assert rep.passed
     assert rep.control_cost == 0.0
     assert rep.final_u_l2 == 0.0 and rep.final_v_l2 == 0.0
 
 
 def test_pipeline_steers_both_walls_with_one_signal():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    grid, region, u0, v0 = pipeline_problem()
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     scale = max(rep.initial_u_l2, rep.initial_v_l2)
     assert rep.passed
     assert rep.final_u_l2 <= DEFAULT_TOLERANCES["hum"] * scale
@@ -172,9 +172,9 @@ def test_pipeline_steers_both_walls_with_one_signal():
 
 
 def test_pipeline_split_route_equals_direct_wall_runs():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
-    dd = build_double(grid, coeffs)
+    grid, region, u0, v0 = pipeline_problem()
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
+    dd = build_double(grid)
     su, sv = split(dd, rep.trajectory_double.states)
     assert_array_equal(rep.trajectory_double.times, rep.trajectory_u.times)
     assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
@@ -182,8 +182,8 @@ def test_pipeline_split_route_equals_direct_wall_runs():
 
 
 def test_pipeline_recovers_wall_conditions():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    grid, region, u0, v0 = pipeline_problem()
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     assert rep.dirichlet_trace_residual <= 1e-10
     assert rep.neumann_flux_residual <= 1e-10
 
@@ -205,8 +205,8 @@ def test_wall_residuals_flag_a_broken_direct_run(monkeypatch, bc, broken, intact
         return dataclasses.replace(traj, states=states)
 
     monkeypatch.setattr(sim, "propagate", propagate_broken)
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = sim.run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum")
+    grid, region, u0, v0 = pipeline_problem()
+    rep = sim.run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     assert getattr(rep, broken) > 1e-10
     assert getattr(rep, intact) <= 1e-10
 
@@ -214,24 +214,24 @@ def test_wall_residuals_flag_a_broken_direct_run(monkeypatch, bc, broken, intact
 def test_pipeline_handles_the_neumann_kernel():
     # a pure constant never decays, so the cascade must spend on the zero
     # mode in its very first slice or the run cannot pass
-    grid, coeffs, region, u0, _ = pipeline_problem()
+    grid, region, u0, _ = pipeline_problem()
     v0 = np.full(32, 1.7)
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr")
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "lr")
     assert rep.passed
     assert rep.final_v_l2 <= DEFAULT_TOLERANCES["lr"] * max(rep.initial_u_l2, rep.initial_v_l2)
 
 
 def test_pipeline_near_miss_is_reported_not_raised():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "hum", tolerance=1e-30)
+    grid, region, u0, v0 = pipeline_problem()
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum", tolerance=1e-30)
     assert not rep.passed
     assert rep.tolerance == 1e-30
     assert rep.final_u_l2 > 0.0
 
 
 def test_pipeline_cascade_route():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "lr")
+    grid, region, u0, v0 = pipeline_problem()
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "lr")
     scale = max(rep.initial_u_l2, rep.initial_v_l2)
     assert rep.passed
     assert rep.final_u_l2 <= DEFAULT_TOLERANCES["lr"] * scale
@@ -240,6 +240,6 @@ def test_pipeline_cascade_route():
 
 
 def test_pipeline_rejects_unknown_method():
-    grid, coeffs, region, u0, v0 = pipeline_problem()
+    grid, region, u0, v0 = pipeline_problem()
     with pytest.raises(ValueError):
-        run_simultaneous(grid, coeffs, u0, v0, region, 1.0, "magic")
+        run_simultaneous(grid, u0, v0, region, 1.0, "magic")

@@ -23,8 +23,8 @@ from simulheat import specineq
 from simulheat.doubling import lift_region
 from simulheat.grid import (
     ControlRegion,
+    Grid1D,
     fat_cantor_region,
-    make_uniform_grid,
     region_from_intervals,
 )
 from simulheat.operators import NumericalError
@@ -74,7 +74,7 @@ def test_lp_first_mode_approaches_continuum_ratio():
     est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[0])), whole)
     assert abs(est.constant - np.pi / 2.0) <= 1e-3
     # the single-mode ratio at n=4096 pins the continuum value far inside the bar
-    fine = analytic_eigenbasis(make_uniform_grid(4096), D)
+    fine = analytic_eigenbasis(Grid1D(4096), D)
     e1 = fine.vectors[:, 0]
     whole_fine = region_from_intervals(fine.grid, [(0.0, 1.0)])
     assert abs(sup_norm(e1) / l1_norm_on(fine.grid, e1, whole_fine) - np.pi / 2.0) <= 1e-3
@@ -115,7 +115,7 @@ def test_lp_constant_antitone_under_region_growth():
 @pytest.mark.parametrize("n, k", [(32, 4), (64, 3), (160, 2)])
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 def test_lp_matches_per_cell_linprog_oracle(n, k, variable):
-    grid, _, dd, basis_d, basis_n, ext = double_setup(n, **(VARIABLE if variable else {}))
+    grid, dd, basis_d, basis_n, ext = double_setup(n, **(VARIABLE if variable else {}))
     region = region_from_intervals(grid, [(0.3, 0.6)])
     lifted = lift_region(dd, region)
     for basis, reg in ((basis_d, region), (basis_n, region), (ext, lifted)):
@@ -196,7 +196,7 @@ def _solved_cells(basis, cut, region, monkeypatch):
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("family", ["dirichlet", "neumann", "circle"])
 def test_lp_skipped_cells_cannot_hold_the_maximum(family, k, monkeypatch):
-    grid, _, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
+    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
     region = region_from_intervals(grid, [(0.3, 0.5)])
     basis, reg = {
         "dirichlet": (basis_d, region),
@@ -212,7 +212,7 @@ def test_lp_skipped_cells_cannot_hold_the_maximum(family, k, monkeypatch):
 
 
 def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
-    grid, _, dd, _, _, ext = double_setup(160)
+    grid, dd, _, _, ext = double_setup(160)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     est, solved = _solved_cells(ext, make_cutoff(ext, 7.0), lift_region(dd, region), monkeypatch)
     assert est.mode_count == 5
@@ -236,7 +236,7 @@ def test_lp_bracket_wider_than_tolerance_raises(monkeypatch):
 def test_simultaneous_constant_certified_at_float64_horizon():
     # n=128, window (0.45, 0.55), lam=13: the circle has K=9 modes and the
     # restriction sigma_min/sigma_max ~ 1.4e-12
-    grid, _, dd, _, _, ext = double_setup(128)
+    grid, dd, _, _, ext = double_setup(128)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     lifted = lift_region(dd, region)
     est = simultaneous_constant(dd, 13.0, region, wall_estimates(dd, 13.0, region))
@@ -251,7 +251,7 @@ def test_simultaneous_constant_certified_at_float64_horizon():
 
 
 def test_neumann_lp_sweep_nondecreasing_at_n512():
-    grid, _, dd, basis_d, basis_n, _ = double_setup(512)
+    grid, dd, basis_d, basis_n, _ = double_setup(512)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     values = [
         estimate_constant_lp(basis_n, make_cutoff(basis_n, float(basis_d.frequencies[k])), region).constant
@@ -265,7 +265,7 @@ def test_neumann_lp_sweep_nondecreasing_at_n512():
 def test_l2_surrogate_shares_the_lp_rank_rule_at_n512():
     # Neumann at the 12th Dirichlet frequency (K=13): sigma_min ~ 6e-14 sits
     # above the relative rank floor, so the estimate is finite and carries it
-    grid, _, dd, basis_d, basis_n, _ = double_setup(512)
+    grid, dd, basis_d, basis_n, _ = double_setup(512)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     cut = make_cutoff(basis_n, float(basis_d.frequencies[11]))
     assert cut.count == 13
@@ -319,7 +319,7 @@ def test_l2_surrogate_against_svd_oracle():
 
 
 def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, dd, basis_d, basis_n, _ = double_setup(64)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     # lam below every positive frequency: only the circle's constant mode
     est = simultaneous_constant(dd, 1.0, region, wall_estimates(dd, 1.0, region))
@@ -328,7 +328,7 @@ def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
 
 
 def test_simultaneous_needs_as_many_cells_as_modes():
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, dd, basis_d, basis_n, _ = double_setup(64)
     narrow = region_from_intervals(grid, [(0.45, 0.55)])  # 6 cells
     lam = float(basis_d.frequencies[2])  # 3 odd + 4 even modes on the circle
     est = simultaneous_constant(dd, lam, narrow, wall_estimates(dd, lam, narrow))
@@ -337,7 +337,7 @@ def test_simultaneous_needs_as_many_cells_as_modes():
 
 
 def test_simultaneous_dominates_both_walls():
-    grid, coeffs, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, dd, basis_d, basis_n, _ = double_setup(64)
     region = region_from_intervals(grid, [(0.4, 0.6)])
     lam = float(basis_d.frequencies[2])
     cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), region)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from common import D, N, analytic_eigenbasis, double_setup, wall_basis
-from simulheat.grid import make_uniform_grid, region_from_intervals
+from simulheat.grid import Grid1D, region_from_intervals
 from simulheat.spectral import (
     SpectralCutoff,
     coefficients,
@@ -30,7 +30,7 @@ def test_cutoff_counts_include_equality():
 def test_cutoff_counts_the_exact_ties_of_constant_coefficients():
     # Dirichlet mode k and Neumann mode k+1 share the wavenumber k+1, so the
     # two wall solves give the same eigenvalue up to rounding
-    grid, coeffs, dd, basis_d, basis_n, ext = double_setup(512)
+    grid, dd, basis_d, basis_n, ext = double_setup(512)
     for k in range(200):
         lam = float(basis_d.frequencies[k])
         assert make_cutoff(basis_n, lam).count == k + 2
@@ -102,7 +102,7 @@ def test_mode_coefficients_roundtrip():
 
 
 def test_norms_on_single_cell_indicator():
-    g = make_uniform_grid(4)
+    g = Grid1D(4)
     u = np.zeros(4)
     u[2] = 1.0
     region = region_from_intervals(g, [(0.5, 0.75)])
@@ -112,7 +112,7 @@ def test_norms_on_single_cell_indicator():
 
 
 def test_zero_field_norms():
-    g = make_uniform_grid(6)
+    g = Grid1D(6)
     z = np.zeros(6)
     region = region_from_intervals(g, [(0.0, 1.0)])
     assert sup_norm(z) == 0.0
@@ -121,7 +121,7 @@ def test_zero_field_norms():
 
 
 def test_norms_match_direct_formulas():
-    g = make_uniform_grid(33, kappa=lambda x: 1.0 + x)
+    g = Grid1D(33, kappa=lambda x: 1.0 + x)
     u = np.random.default_rng(9).standard_normal(33)
     region = region_from_intervals(g, [(0.2, 0.6)])
     assert sup_norm(u) == np.max(np.abs(u))
@@ -132,7 +132,7 @@ def test_norms_match_direct_formulas():
 
 def test_first_mode_sup_to_mass_ratio_approaches_half_pi():
     # continuum sin(pi x): sup 1, integral of |.| is 2/pi, ratio pi/2
-    g = make_uniform_grid(4096)
+    g = Grid1D(4096)
     basis = analytic_eigenbasis(g, D)
     whole = region_from_intervals(g, [(0.0, 1.0)])
     e1 = basis.vectors[:, 0]
