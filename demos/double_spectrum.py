@@ -1,10 +1,13 @@
 """One circle carrying both wall problems.
 
 Doubling the interval and gluing an odd copy turns the Dirichlet and Neumann
-spectra into the two halves of the periodic spectrum. The script builds a
+spectra into the two halves of the periodic spectrum. The circle basis is
+therefore a view of the two wall bases: each circle mode is read off a wall
+mode when asked for, and no 2n x 2n matrix is stored. The script builds a
 variable-coefficient problem, checks the multiset identity against a dense
-eigensolve of the circle operator, and verifies that the reflected
-eigenvectors really are eigenvectors of that operator.
+eigensolve of the circle operator, shows one circle mode as its wall mode,
+and verifies that the reflected eigenvectors really are eigenvectors of that
+operator.
 """
 
 import numpy as np
@@ -31,6 +34,15 @@ tags = ["D"] * n + ["N"] * n
 order = np.argsort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]), kind="stable")
 for k in range(8):
     print(f"  {union[k]:>12.4f} ({tags[order[k]]})   {circle[k]:>12.4f}")
+
+# Dirichlet mode 2 is circle mode circle_rows[2]: the wall mode over its
+# circle norm on the plus copy, and its negative on the mirror copy
+r = int(dd.circle_rows[2])
+mode = ext.columns(r + 1)[:, r]
+plus, mirror = mode[:n], mode[: n - 1 : -1]
+print()
+print(f"Dirichlet mode 2 is circle mode {r}: mirror copy = -plus copy: {bool(np.all(mirror == -plus))}, "
+      f"plus copy / wall mode = {np.mean(plus / basis_d.vectors[:, 2]):.6f} (1/sqrt(2) = {np.sqrt(0.5):.6f})")
 
 print()
 print(f"odd/even reflections as circle eigenvectors: worst residual {checks.extension_eigenvectors:.2e}")

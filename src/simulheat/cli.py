@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -264,20 +264,9 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     if sig.slice_ledger is not None:
         _write_json(os.path.join(outdir, "cost_ledger.json"), {"slices": list(sig.slice_ledger)})
 
-    summary = {
-        "final_u_l2": report.final_u_l2,
-        "final_v_l2": report.final_v_l2,
-        "control_cost": report.control_cost,
-        "dirichlet_trace_residual": report.dirichlet_trace_residual,
-        "neumann_flux_residual": report.neumann_flux_residual,
-        "method": report.method,
-        "initial_u_l2": report.initial_u_l2,
-        "initial_v_l2": report.initial_v_l2,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "config": asdict(cfg),
-    }
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    # the report's scalar fields; its signal and trajectories are written above
+    summary = {f.name: getattr(report, f.name) for f in fields(report) if f.repr}
+    _write_json(os.path.join(outdir, "summary.json"), {**summary, "config": asdict(cfg)})
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ControlRegion
-from .operators import EigenBasis, NumericalError
-from .spectral import SpectralCutoff, coefficients, resolution
+from .operators import Basis, NumericalError
+from .spectral import SpectralCutoff, resolution
 
 
 class SingularGramianError(NumericalError):
@@ -92,7 +92,7 @@ def decay_factors(eigenvalues: np.ndarray, dt: float | np.ndarray) -> tuple[np.n
 
 
 def march(
-    basis: EigenBasis, yhat: np.ndarray, times: np.ndarray, signal: ControlSignal | None = None
+    basis: Basis, yhat: np.ndarray, times: np.ndarray, signal: ControlSignal | None = None
 ) -> np.ndarray:
     """Exact mode coefficients at every node of times, from yhat at times[0].
 
@@ -109,7 +109,7 @@ def march(
         # segs ascends, so the steps inside the window are one run of them,
         # all projected by one product and scaled in place
         live = slice(*np.searchsorted(segs, [0, len(signal.values)]))
-        forcing[live] *= (basis.grid.weights[m] * signal.values[segs[live]]) @ basis.vectors[m, :]
+        forcing[live] *= (basis.grid.weights[m] * signal.values[segs[live]]) @ basis.rows(m)
     forcing[: live.start] = 0.0
     forcing[live.stop :] = 0.0
     out = np.empty((len(times), len(yhat)))
@@ -119,39 +119,14 @@ def march(
     return out
 
 
-def mass_matrix_on_region(basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion) -> np.ndarray:
-    """M_kl = <e_k, 1_region e_l> in the weighted inner product."""
-    E = basis.vectors[:, : cutoff.count]
-    m = region.mask
-    Ew = E[m, :]
-    return Ew.T @ (basis.grid.weights[m][:, None] * Ew)
-
-
-def gramian(basis: EigenBasis, cutoff: SpectralCutoff, region: ControlRegion, tau: float) -> np.ndarray:
-    """Continuous-time control Gramian over [0, tau] for the low modes.
-
-    G_kl = M_kl (1 - e^{-(nu_k^2 + nu_l^2) tau}) / (nu_k^2 + nu_l^2), with the
-    diagonal-zero limit M_kl tau.
-    """
-    if tau <= 0:
-        raise ValueError(f"horizon must be positive, got {tau}")
-    M = mass_matrix_on_region(basis, cutoff, region)
-    s = basis.eigenvalues[: cutoff.count]
-    denom = s[:, None] + s[None, :]
-    factor = np.full_like(denom, tau)
-    nz = denom > 0
-    factor[nz] = -np.expm1(-denom[nz] * tau) / denom[nz]
-    return M * factor
-
-
 def _step_integrals(lam: np.ndarray, timegrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I, avg): I[k, m] is the integral of e^{-lam_k (tau - t)} over
     [t_m, t_{m+1}] and avg = I / dt its mean there.
 
-    The sampled Gramian H = (avg I^T) o M -> gramian(...) as the grid
-    refines. At any resolution H is exactly the input-to-final-state map
-    composed with the adjoint parametrization, so solving with H steers the
-    sampled dynamics without discretization bias.
+    The sampled Gramian H = (avg I^T) o M tends to the continuous-time
+    Gramian as the grid refines. At any resolution H is exactly the
+    input-to-final-state map composed with the adjoint parametrization, so
+    solving with H steers the sampled dynamics without discretization bias.
     """
     dt = np.diff(timegrid)
     _, source = decay_factors(lam, dt)
@@ -178,7 +153,7 @@ _TIKHONOV = 1e-12
 
 
 def hum_low_mode_control(
-    basis: EigenBasis,
+    basis: Basis,
     cutoff: SpectralCutoff,
     region: ControlRegion,
     y0: np.ndarray,
@@ -227,7 +202,7 @@ def hum_low_mode_control(
         return ControlSignal(timegrid, np.zeros((steps, nw)), region, weights)
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
-    Phi = basis.vectors[region.mask, :K]
+    Phi = basis.rows(region.mask, K)
     rhs = -np.exp(-lam * timegrid[-1]) * y0
 
     reached = I[:, :-1].any(axis=1)
@@ -297,7 +272,7 @@ _SLICE_TOL = 1e-6
 
 
 def lr_control(
-    basis: EigenBasis,
+    basis: Basis,
     region: ControlRegion,
     field0: np.ndarray,
     T: float,
@@ -331,7 +306,7 @@ def lr_control(
     while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12) and J < 60:
         J += 1
 
-    yhat = coefficients(basis, field0)
+    yhat = basis.coefficients(field0)
     ledger: list[dict] = []
     times: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -381,7 +356,7 @@ def lr_control(
 
 
 def hum_full_control(
-    basis: EigenBasis,
+    basis: Basis,
     region: ControlRegion,
     field0: np.ndarray,
     T: float,
@@ -392,11 +367,11 @@ def hum_full_control(
     hum_low_mode_control at the cutoff that admits the whole spectrum, on at
     least enough steps to make the input map onto, to its default 1e-8
     relative residual."""
-    K = basis.vectors.shape[1]
+    K = len(basis.eigenvalues)
     nw = int(region.mask.sum())
     if steps is None:
         steps = max(64, -(-2 * K // nw))
     if steps * nw < K:
         raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
     cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
-    return hum_low_mode_control(basis, cut, region, coefficients(basis, field0), T, steps=steps)
+    return hum_low_mode_control(basis, cut, region, basis.coefficients(field0), T, steps=steps)

@@ -18,23 +18,23 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ControlRegion, Grid1D
-from .operators import BoundaryCondition, EigenBasis, _snap_kernel, assemble_laplacian, eigendecompose
+from .operators import BoundaryCondition, CircleBasis, EigenBasis, _snap_kernel, assemble_laplacian, eigendecompose
 from .spectral import l2_norm, make_cutoff, project, sup_norm
 
 # random (u, v, lambda) triples the link identity and the split round trip are checked on
 _LINK_TRIPLES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleDomain:
     """The doubled problem: both wall eigenbases and the circle basis they extend to.
 
     doubled is the 2n-cell circle Grid1D with the evenly reflected coefficients.
     Base cell i is circle cell i on the plus copy and 2n-1-i on the mirror copy.
-    basis_circle merges the odd Dirichlet and even Neumann extensions, unit-norm
-    and ascending; odd against even cancels across the two copies, so it is a
-    complete eigenbasis of the periodic operator. circle_rows[k] is the circle
-    mode of Dirichlet mode k, and circle_rows[n + k] that of Neumann mode k.
+    basis_circle is a view of basis_d and basis_n: the odd Dirichlet and even
+    Neumann extensions, unit-norm and ascending, read from the two walls on
+    demand. circle_rows[k] is the circle mode of Dirichlet mode k, and
+    circle_rows[n + k] that of Neumann mode k.
     """
 
     base: Grid1D
@@ -42,7 +42,7 @@ class DoubleDomain:
     circle_rows: np.ndarray
     basis_d: EigenBasis = field(repr=False)
     basis_n: EigenBasis = field(repr=False)
-    basis_circle: EigenBasis = field(repr=False)
+    basis_circle: CircleBasis = field(repr=False)
 
 
 def build_double(grid: Grid1D) -> DoubleDomain:
@@ -58,25 +58,20 @@ def build_double(grid: Grid1D) -> DoubleDomain:
     basis_d = eigendecompose(assemble_laplacian(grid, BoundaryCondition.DIRICHLET))
     basis_n = eigendecompose(assemble_laplacian(grid, BoundaryCondition.NEUMANN))
 
-    # row r of X is circle mode r: the odd extension of a Dirichlet mode or
-    # the even extension of a Neumann mode, written into its sorted row and
-    # scaled by its circle norm, 2 sum(w e^2) for either parity
+    # the wall modes merged into ascending circle order, each to be divided by
+    # its circle norm, sqrt(2 sum(w e^2)) for either parity
     vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     rows = np.empty(2 * n, dtype=np.intp)
     rows[order] = np.arange(2 * n)
-    X = np.empty((2 * n, 2 * n))
-    for sign, basis, r in ((-1.0, basis_d, rows[:n]), (1.0, basis_n, rows[n:])):
-        V = basis.vectors.T / np.sqrt(2.0 * (grid.weights @ basis.vectors**2))[:, None]
-        X[r, :n] = V
-        X[r, n:] = sign * V[:, ::-1]
-    basis_circle = EigenBasis(
-        bc=BoundaryCondition.PERIODIC,
+    basis_circle = CircleBasis(
         eigenvalues=vals,
         frequencies=np.sqrt(np.maximum(vals, 0.0)),
-        vectors=X.T,  # modes contiguous in memory
         grid=doubled,
+        walls=(basis_d, basis_n),
+        circle_rows=rows,
+        norms=tuple(np.sqrt(2.0 * (grid.weights @ b.vectors**2)) for b in (basis_d, basis_n)),
     )
     return DoubleDomain(
         base=grid, doubled=doubled, circle_rows=rows,
@@ -144,7 +139,8 @@ def verify(dd: DoubleDomain, seed: int) -> DoublingResiduals:
     denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), 1.0)
     spectrum = float(np.max(np.abs(union - circle) / denom))
 
-    R = A @ ext.vectors - ext.vectors * ext.eigenvalues
+    X = ext.columns(dd.doubled.n)  # the dense circle basis, here alone
+    R = A @ X - X * ext.eigenvalues
     extension = np.max(l2_norm(dd.doubled, R.T) / np.maximum(ext.eigenvalues, 1.0))
 
     rng = np.random.default_rng(seed)

@@ -46,7 +46,7 @@ def _sample(profile: Profile, points: np.ndarray, name: str) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
     """The discretized problem: n uniform cells on [0, length], the density
     kappa at the n cell centers and the diffusion a at the n+1 faces (both
@@ -88,7 +88,7 @@ class Grid1D:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlRegion:
     """Subset of cells where the control acts. measure = h * popcount exactly."""
 

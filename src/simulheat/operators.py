@@ -11,7 +11,7 @@ Periodic wraps the stencil around.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +50,7 @@ class Operator:
         return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Weighted-orthonormal eigenvectors, ascending eigenvalues.
 
@@ -63,6 +63,94 @@ class EigenBasis:
     frequencies: np.ndarray
     vectors: np.ndarray
     grid: Grid1D
+
+    def columns(self, count: int) -> np.ndarray:
+        """The leading count modes, one per column."""
+        return self.vectors[:, :count]
+
+    def rows(self, mask: np.ndarray, count: int | None = None) -> np.ndarray:
+        """The leading count modes (all of them if None) on the cells of mask, one row per cell."""
+        return self.vectors[mask, :count]
+
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """All weighted mode coefficients <e_k, u>."""
+        return self.vectors.T @ (self.grid.weights * u)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The field of a full set of mode coefficients, or of each row of a stack of them."""
+        return coeffs @ self.vectors.T
+
+
+@dataclass(frozen=True, eq=False)
+class CircleBasis:
+    """The periodic eigenbasis of the doubled grid as a view of the two wall
+    bases, answering as EigenBasis does without storing a 2n x 2n matrix.
+
+    Base cell i is circle cell i on the plus copy and 2n-1-i on the mirror
+    copy. Circle mode circle_rows[k] is the odd extension of Dirichlet mode k
+    of walls[0], and circle_rows[n + k] the even extension of Neumann mode k
+    of walls[1]: the wall mode e over its circle norm sqrt(2 sum(w e^2))
+    (norms[0] and norms[1], per wall) on the plus copy, and the same, negated
+    if odd, on the mirror copy.
+    """
+
+    eigenvalues: np.ndarray
+    frequencies: np.ndarray
+    grid: Grid1D
+    walls: tuple[EigenBasis, EigenBasis] = field(repr=False)
+    circle_rows: np.ndarray = field(repr=False)
+    norms: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    bc = BoundaryCondition.PERIODIC
+
+    def _parts(self, count: int):
+        """Per wall: the basis, its sign on the mirror copy, and the norms and
+        circle modes of its modes among the leading count circle modes. Each
+        wall's circle modes ascend, so those are the wall's leading modes."""
+        n = self.walls[0].grid.n
+        halves = (self.circle_rows[:n], self.circle_rows[n:])
+        for wall, sign, norms, rows in zip(self.walls, (-1.0, 1.0), self.norms, halves):
+            m = int(np.searchsorted(rows, count))
+            yield wall, sign, norms[:m], rows[:m]
+
+    def columns(self, count: int) -> np.ndarray:
+        # modes contiguous in memory, as the columns of a wall basis are
+        return np.asfortranarray(self.rows(np.ones(self.grid.n, dtype=bool), count))
+
+    def rows(self, mask: np.ndarray, count: int | None = None) -> np.ndarray:
+        count = len(self.eigenvalues) if count is None else count
+        n = self.walls[0].grid.n
+        cells = np.flatnonzero(mask)
+        mirror = cells >= n
+        base = np.minimum(cells, 2 * n - 1 - cells)  # the base cell of each
+        both = np.empty((len(cells), count))  # wall by wall, then taken into circle order
+        where = np.empty(count, dtype=np.intp)
+        start = 0
+        for wall, sign, norms, rows in self._parts(count):
+            part = both[:, start : start + len(rows)]
+            np.divide(wall.vectors[base, : len(rows)], norms, out=part)
+            if sign < 0:  # odd modes change sign on the mirror copy
+                part[mirror] *= sign
+            where[rows] = np.arange(start, start + len(rows))
+            start += len(rows)
+        return both.take(where, axis=1)
+
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        n = self.walls[0].grid.n
+        out = np.empty(2 * n)
+        for wall, sign, norms, rows in self._parts(2 * n):
+            out[rows] = wall.coefficients(u[:n] + sign * u[: n - 1 : -1]) / norms
+        return out
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        n = self.walls[0].grid.n
+        odd, even = (wall.synthesize(coeffs[..., rows] / norms) for wall, _, norms, rows in self._parts(2 * n))
+        out = np.empty(odd.shape[:-1] + (2 * n,))  # extend_pair(odd, even), row by row
+        np.add(even, odd, out=out[..., :n])
+        np.subtract(even, odd, out=out[..., : n - 1 : -1])
+        return out
+
+
+Basis = EigenBasis | CircleBasis
 
 
 def _face_conductivity(grid: Grid1D, periodic: bool) -> np.ndarray:

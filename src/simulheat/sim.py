@@ -19,8 +19,8 @@ import numpy as np
 from .control import ControlSignal, hum_full_control, lr_control, march
 from .doubling import build_double, extend_pair, lift_region, split
 from .grid import ControlRegion, Grid1D
-from .operators import EigenBasis
-from .spectral import coefficients, l2_norm, sup_norm
+from .operators import Basis
+from .spectral import l2_norm, sup_norm
 
 DEFAULT_TOLERANCES = {"hum": 1e-6, "lr": 1e-4}
 
@@ -55,7 +55,7 @@ class SimultaneousReport:
 
 
 def propagate(
-    basis: EigenBasis,
+    basis: Basis,
     state0: np.ndarray,
     times: np.ndarray,
     signal: ControlSignal | None = None,
@@ -79,10 +79,10 @@ def propagate(
         if not np.isin(signal.timegrid, times).all():
             raise ValueError("every signal node must be one of the times")
 
-    coeffs = march(basis, coefficients(basis, state0), times, signal)
+    coeffs = march(basis, basis.coefficients(state0), times, signal)
     states = np.empty((len(times), n))
     states[0] = state0
-    states[1:] = coeffs[1:] @ basis.vectors.T
+    states[1:] = basis.synthesize(coeffs[1:])
 
     return Trajectory(
         times=times, states=states, l2_norms=l2_norm(basis.grid, states), sup_norms=sup_norm(states)

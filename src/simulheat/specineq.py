@@ -32,7 +32,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
 
 from .doubling import DoubleDomain, lift_region
 from .grid import ControlRegion
-from .operators import EigenBasis, NumericalError
+from .operators import Basis, NumericalError
 from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
 
 # widest relative gap (upper - constant) / constant an exact-lp estimate may report
@@ -66,7 +66,7 @@ class FitResult(NamedTuple):
     residual: float
 
 
-def _ratio(basis: EigenBasis, E: np.ndarray, region: ControlRegion, c: np.ndarray) -> float:
+def _ratio(basis: Basis, E: np.ndarray, region: ControlRegion, c: np.ndarray) -> float:
     p = E @ c
     denom = l1_norm_on(basis.grid, p, region)
     if denom == 0.0:
@@ -95,7 +95,7 @@ def _dual_model(rows: np.ndarray) -> _Highs:
 
 
 def estimate_constant_lp(
-    basis: EigenBasis,
+    basis: Basis,
     cutoff: SpectralCutoff,
     region: ControlRegion,
 ) -> SpectralConstantEstimate:
@@ -115,7 +115,7 @@ def estimate_constant_lp(
     K = cutoff.count
     if K < 1:
         raise ValueError("cutoff admits no modes")
-    E = basis.vectors[:, :K]
+    E = basis.columns(K)
     m = region.mask
     nw = int(m.sum())
     _, s, Vh = scipy.linalg.svd(np.sqrt(basis.grid.weights[m])[:, None] * E[m, :], full_matrices=nw < K)
@@ -236,7 +236,7 @@ def simultaneous_constant(
     # both scaled by 1/sqrt(2), so its ratio carries over unchanged. Folding
     # the single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
-    Eext = ext.vectors[:, : cut.count]
+    Eext = ext.columns(cut.count)
     for wall_est, offset in zip(wall_estimates, (0, dd.base.n)):
         if wall_est is None:
             continue

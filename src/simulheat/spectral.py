@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ControlRegion, Grid1D
-from .operators import EigenBasis
+from .operators import Basis
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class SpectralCutoff:
             raise ValueError(f"mode count must be nonnegative, got {self.count}")
 
 
-def resolution(basis: EigenBasis) -> float:
+def resolution(basis: Basis) -> float:
     """Eigenvalues of basis closer than this count as one eigenvalue.
 
     Each computed eigenvalue carries an absolute error of a few eps *
@@ -36,7 +36,7 @@ def resolution(basis: EigenBasis) -> float:
     return basis.grid.n * float(np.finfo(float).eps) * max(float(basis.eigenvalues[-1]), 1.0)
 
 
-def make_cutoff(basis: EigenBasis, lam: float) -> SpectralCutoff:
+def make_cutoff(basis: Basis, lam: float) -> SpectralCutoff:
     """Cutoff at lam for basis: the modes with eigenvalue <= lam^2 +
     resolution(basis), so a frequency equal to lam up to rounding is included."""
     with np.errstate(over="ignore"):
@@ -45,18 +45,13 @@ def make_cutoff(basis: EigenBasis, lam: float) -> SpectralCutoff:
     return SpectralCutoff(lam=float(lam), count=count)
 
 
-def project(basis: EigenBasis, cutoff: SpectralCutoff, u: np.ndarray) -> np.ndarray:
+def project(basis: Basis, cutoff: SpectralCutoff, u: np.ndarray) -> np.ndarray:
     """Weighted-orthogonal projection of u onto the modes below the cutoff."""
     if u.shape != (basis.grid.n,):
         raise ValueError(f"field has shape {u.shape}, expected ({basis.grid.n},)")
-    E = basis.vectors[:, : cutoff.count]
+    E = basis.columns(cutoff.count)
     coeffs = E.T @ (basis.grid.weights * u)
     return E @ coeffs
-
-
-def coefficients(basis: EigenBasis, u: np.ndarray) -> np.ndarray:
-    """All weighted mode coefficients <e_k, u>."""
-    return basis.vectors.T @ (basis.grid.weights * u)
 
 
 def sup_norm(u: np.ndarray) -> float | np.ndarray:

@@ -1,6 +1,10 @@
 """Shared construction helpers for the test suite."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -8,7 +12,7 @@ import scipy.sparse
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from simulheat.control import _step_integrals, mass_matrix_on_region
+from simulheat.control import _step_integrals
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import Grid1D
 from simulheat.operators import (
@@ -21,6 +25,8 @@ from simulheat.operators import (
 )
 from simulheat.specineq import SpectralConstantEstimate
 from simulheat.spectral import l1_norm_on, l2_norm, sup_norm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -45,6 +51,15 @@ def profiles(draw):
     with values in [0.2, 5]."""
     knots = draw(st.integers(2, 5))
     return piecewise_linear(draw(st.lists(st.floats(0.2, 5.0), min_size=knots, max_size=knots)))
+
+
+def run_python(*args):
+    """stdout of a fresh interpreter run with args, on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def problem(n, length=1.0, kappa=1.0, a=1.0):
@@ -90,12 +105,21 @@ def copies(dd, X):
     return X[:n], X[: n - 1 : -1]
 
 
+def dense_modes(basis):
+    """Every mode of a wall or circle basis as one column of a dense matrix."""
+    return basis.columns(len(basis.eigenvalues))
+
+
 def mirror_flipped(dd, k):
     """dd with circle mode k negated on the mirror copy: odd becomes even and
-    even odd, so that column is no eigenvector of the circle any more."""
-    vectors = dd.basis_circle.vectors.copy()
+    even odd, so that column is no eigenvector of the circle any more. The
+    circle basis becomes a dense EigenBasis, which answers as the view does."""
+    ext = dd.basis_circle
+    vectors = dense_modes(ext)
     copies(dd, vectors)[1][:, k] *= -1.0
-    return dataclasses.replace(dd, basis_circle=dataclasses.replace(dd.basis_circle, vectors=vectors))
+    flipped = EigenBasis(bc=P, eigenvalues=ext.eigenvalues, frequencies=ext.frequencies, vectors=vectors,
+                         grid=dd.doubled)
+    return dataclasses.replace(dd, basis_circle=flipped)
 
 
 def extend_eigenfunction(dd, e, bc):
@@ -140,6 +164,30 @@ def unit_pair(grid, seed):
     return u / wu, v / wv
 
 
+def mass_matrix_on_region(basis, cutoff, region):
+    """M_kl = <e_k, 1_region e_l> in the weighted inner product."""
+    Ew = basis.rows(region.mask, cutoff.count)
+    return Ew.T @ (basis.grid.weights[region.mask][:, None] * Ew)
+
+
+def gramian(basis, cutoff, region, tau):
+    """Continuous-time control Gramian over [0, tau] for the low modes: the
+    limit of the sampled Gramian of control.hum_low_mode_control.
+
+    G_kl = M_kl (1 - e^{-(nu_k^2 + nu_l^2) tau}) / (nu_k^2 + nu_l^2), with the
+    diagonal-zero limit M_kl tau.
+    """
+    if tau <= 0:
+        raise ValueError(f"horizon must be positive, got {tau}")
+    M = mass_matrix_on_region(basis, cutoff, region)
+    s = basis.eigenvalues[: cutoff.count]
+    denom = s[:, None] + s[None, :]
+    factor = np.full_like(denom, tau)
+    nz = denom > 0
+    factor[nz] = -np.expm1(-denom[nz] * tau) / denom[nz]
+    return M * factor
+
+
 def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
     """(values, verified residual) of the dense steering solve that the block
     elimination in control.hum_low_mode_control replaced, kept as its oracle.
@@ -173,7 +221,7 @@ def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
         if better >= achieved:
             break
         q, achieved = candidate, better
-    Phi = basis.vectors[region.mask, :K]
+    Phi = basis.rows(region.mask, K)
     return avg.T @ (q[:, None] * Phi.T), achieved
 
 
@@ -185,7 +233,7 @@ def lp_cell_values(basis, cutoff, region, cells=None):
     to solver tolerance; 0 where the peak row is zero or every method fails.
     """
     K = cutoff.count
-    E = basis.vectors[:, :K]
+    E = basis.columns(K)
     m = region.mask
     nw = int(m.sum())
     Ew = E[m, :]
@@ -274,7 +322,7 @@ def randomized_lower_bound(basis, cutoff, region, *, trials=256, seed=0):
     K = cutoff.count
     if K < 1:
         raise ValueError("cutoff admits no modes")
-    E = basis.vectors[:, :K]
+    E = basis.columns(K)
     rng = np.random.default_rng(seed)
     best, best_c = -np.inf, None
     for _ in range(trials):

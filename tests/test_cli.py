@@ -293,14 +293,15 @@ def test_control_marches_once_per_trajectory(tmp_path, monkeypatch):
 
 
 def test_specineq_builds_the_circle_basis_once(tmp_path, monkeypatch):
-    bases = count_calls(monkeypatch, simulheat.operators, "EigenBasis")
+    walls = count_calls(monkeypatch, simulheat.operators, "EigenBasis")
+    circles = count_calls(monkeypatch, simulheat.operators, "CircleBasis")
     code, out = run(tmp_path, "specineq", n=16, region="0.2,0.8", lambda_sweep=[4.0, 7.0])
     assert code == 0
     rows = (out / "constants.csv").read_text().splitlines()[1:]
     assert {r.split(",")[1] for r in rows if r.startswith("simultaneous,")} == {"4.0", "7.0"}
-    circles = [b for b in bases if b.bc is simulheat.operators.BoundaryCondition.PERIODIC]
     assert len(circles) == 1
-    assert len(bases) == 3  # the two wall bases and the circle basis
+    assert [b.bc.value for b in walls] == ["dirichlet", "neumann"]
+    assert circles[0].walls[0] is walls[0] and circles[0].walls[1] is walls[1]
 
 
 def test_specineq_takes_two_svds_per_family(tmp_path, monkeypatch):

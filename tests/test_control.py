@@ -12,29 +12,27 @@ import scipy.integrate
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, dense_steer, double_setup, unit_pair, wall_basis
+from common import D, N, dense_steer, double_setup, gramian, mass_matrix_on_region, unit_pair, wall_basis
 from simulheat import control
 from simulheat.control import (
     ControlSignal,
     SingularGramianError,
     decay_factors,
-    gramian,
     hum_full_control,
     hum_low_mode_control,
     lr_control,
     march,
-    mass_matrix_on_region,
 )
 from simulheat.doubling import extend_pair, lift_region
 from simulheat.grid import ControlRegion, fat_cantor_region, region_from_intervals
-from simulheat.spectral import SpectralCutoff, coefficients, make_cutoff
+from simulheat.spectral import SpectralCutoff, make_cutoff
 
 
 def step_heat(basis, yhat, signal, mode_count=None):
     """March mode coefficients through a piecewise-constant signal exactly."""
     K = len(yhat) if mode_count is None else mode_count
     lam = basis.eigenvalues[:K]
-    Phi = basis.vectors[signal.region.mask, :K]
+    Phi = basis.rows(signal.region.mask, K)
     w = basis.grid.weights[signal.region.mask]
     y = np.array(yhat[:K], dtype=float)
     for m in range(len(signal.timegrid) - 1):
@@ -51,7 +49,7 @@ def full_steering_problem(n, region_of):
     default steps."""
     grid, dd, basis_d, basis_n, ext = double_setup(n)
     region = lift_region(dd, region_of(grid))
-    y0 = coefficients(ext, extend_pair(dd, *unit_pair(grid, 0)))
+    y0 = ext.coefficients(extend_pair(dd, *unit_pair(grid, 0)))
     K, nw = 2 * n, int(region.mask.sum())
     timegrid = np.linspace(0.0, 1.0, max(64, -(-2 * K // nw)) + 1)
     return ext, SpectralCutoff(lam=float(ext.frequencies[-1]), count=K), region, y0, timegrid
@@ -91,7 +89,7 @@ def test_march_matches_the_step_integrator():
     grid, dd, basis_d, basis_n, ext = double_setup(16)
     region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
     y0 = np.random.default_rng(2).standard_normal(ext.grid.n)
-    sig = hum_full_control(ext, region, ext.vectors @ y0, 0.5)
+    sig = hum_full_control(ext, region, ext.synthesize(y0), 0.5)
     path = march(ext, y0, sig.timegrid, sig)
     assert path.shape == (len(sig.timegrid), ext.grid.n)
     assert_array_equal(path[0], y0)
@@ -334,7 +332,7 @@ def test_lr_single_slice_reduces_to_hum_low():
     lr = lr_control(basis, region, field0, 1.0, lam0)
     hum = hum_low_mode_control(
         basis, make_cutoff(basis, lam0), region,
-        coefficients(basis, field0), 0.25, steps=64, steer_tol=1e-6,
+        basis.coefficients(field0), 0.25, steps=64, steer_tol=1e-6,
     )
     # one active window, identical inputs: the values must agree bit for bit
     assert_array_equal(lr.values[:64], hum.values)
@@ -354,7 +352,7 @@ def test_terminal_slice_at_the_top_frequency_steers_every_mode():
     costs = [row["active_cost"] for row in sig.slice_ledger]
     assert costs[:-1] == [0.0, 0.0]
     assert costs[-1] > 0.0
-    assert np.linalg.norm(step_heat(basis, coefficients(basis, top), sig)) <= 1e-6
+    assert np.linalg.norm(step_heat(basis, basis.coefficients(top), sig)) <= 1e-6
 
 
 def test_lr_cascade_kills_the_field_and_coasts_when_done():
@@ -379,7 +377,7 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
     first_skip = costs.index(0.0)
     assert all(c == 0.0 for c in costs[first_skip:])
 
-    yhat0 = coefficients(ext, field0)
+    yhat0 = ext.coefficients(field0)
     final = step_heat(ext, yhat0, sig)
     assert np.linalg.norm(final) <= 1e-6 * np.linalg.norm(yhat0)
 
@@ -397,7 +395,7 @@ def test_hum_full_steers_every_mode():
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
     sig = hum_full_control(ext, region, field0, 0.7, steps=32)
-    yhat0 = coefficients(ext, field0)
+    yhat0 = ext.coefficients(field0)
     final = step_heat(ext, yhat0, sig)
     assert np.linalg.norm(final) <= 1e-10 * np.linalg.norm(yhat0)
 
@@ -420,13 +418,13 @@ def test_hum_full_attains_the_least_squares_cost():
         -np.expm1(-lam[:, None] * dt[None, :]) / np.where(lam[:, None] > 0, lam[:, None], 1.0),
         dt[None, :],
     )
-    Phi = ext.vectors[region.mask, :]
+    Phi = ext.rows(region.mask)
     w = ext.grid.weights[region.mask]
     nw = len(w)
     A = np.zeros((len(lam), len(dt) * nw))
     for m in range(len(dt)):
         A[:, m * nw : (m + 1) * nw] = I[:, m : m + 1] * Phi.T * np.sqrt(w / dt[m])[None, :]
-    target = -np.exp(-lam * T) * coefficients(ext, field0)
+    target = -np.exp(-lam * T) * ext.coefficients(field0)
     x, *_ = np.linalg.lstsq(A, target, rcond=None)
     oracle_cost = float(np.linalg.norm(x))
     assert sig.l2_cost <= oracle_cost * (1.0 + 1e-2)
@@ -440,7 +438,7 @@ def test_hum_full_is_hum_low_at_the_full_cutoff():
     full = hum_full_control(ext, region, field0, 0.7, steps=24)
     cut = make_cutoff(ext, float(ext.frequencies[-1]))
     assert cut.count == ext.grid.n
-    low = hum_low_mode_control(ext, cut, region, coefficients(ext, field0), 0.7, steps=24, steer_tol=1e-8)
+    low = hum_low_mode_control(ext, cut, region, ext.coefficients(field0), 0.7, steps=24, steer_tol=1e-8)
     # one steering solver behind both front ends: same inputs, same bits
     assert_array_equal(full.values, low.values)
     assert_array_equal(full.timegrid, low.timegrid)
@@ -456,7 +454,7 @@ def test_one_shot_beats_the_cascade_on_cost():
     cascade = lr_control(ext, region, field0, 1.0, lam0)
     one_shot = hum_full_control(ext, region, field0, 1.0)
     assert one_shot.l2_cost <= cascade.l2_cost
-    final = step_heat(ext, coefficients(ext, field0), one_shot)
+    final = step_heat(ext, ext.coefficients(field0), one_shot)
     assert np.linalg.norm(final) <= 1e-8
 
 

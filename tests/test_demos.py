@@ -7,26 +7,14 @@ them; every name they import from simulheat is also checked to exist.
 
 import ast
 import importlib
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from common import ROOT, run_python
+
 DEMOS = ROOT / "demos"
 README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-
-
-def run_python(*args):
-    """stdout of a fresh interpreter run with args, on this checkout's sources."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", ["constant_sweep.py", "double_spectrum.py", "shared_signal_run.py"])

@@ -15,6 +15,7 @@ from common import (
     circle_operator,
     copies,
     dense_eigenbasis,
+    dense_modes,
     double_setup,
     extend_eigenfunction,
     extended_eigenbasis,
@@ -146,16 +147,17 @@ def test_extend_eigenfunction_frozen_n2():
     # merged circle order: N0 (0), D0 (8), N1 (8), D1 (16); ties keep D first
     assert_array_equal(ext.eigenvalues, [0.0, 8.0, 8.0, 16.0])
 
-    x = ext.vectors[:, 1]
+    X = dense_modes(ext)
+    x = X[:, 1]
     assert_array_equal(x, extend_eigenfunction(dd, basis_d.vectors[:, 0], D))
     assert_allclose(x / x[0], [1.0, 1.0, -1.0, -1.0], rtol=1e-14)
     assert_allclose(A @ x, 8.0 * x, rtol=0, atol=1e-12)
 
-    const = ext.vectors[:, 0]
+    const = X[:, 0]
     assert_array_equal(const, extend_eigenfunction(dd, basis_n.vectors[:, 0], N))
     assert_allclose(A @ const, 0.0, rtol=0, atol=1e-12)
 
-    y = ext.vectors[:, 2]
+    y = X[:, 2]
     assert_array_equal(y, extend_eigenfunction(dd, basis_n.vectors[:, 1], N))
     assert_allclose(y / y[0], [1.0, -1.0, -1.0, 1.0], rtol=1e-12)
     assert_allclose(A @ y, 8.0 * y, rtol=0, atol=1e-12)
@@ -200,11 +202,12 @@ def test_extension_residuals_and_gram():
         64, kappa=lambda x: 1.0 + 0.5 * x, a=lambda x: 1.0 + 0.2 * x
     )
     A = circle_operator(dd).dense()
+    X = dense_modes(ext)
     for k in range(128):
-        e = ext.vectors[:, k]
+        e = X[:, k]
         r = A @ e - ext.eigenvalues[k] * e
         assert l2_norm(dd.doubled, r) <= 1e-10 * max(ext.eigenvalues[k], 1.0)
-    gram = ext.vectors.T @ (dd.doubled.weights[:, None] * ext.vectors)
+    gram = X.T @ (dd.doubled.weights[:, None] * X)
     assert np.max(np.abs(gram - np.eye(128))) <= 1e-10
     assert np.all(np.diff(ext.eigenvalues) >= 0)
 
@@ -213,7 +216,7 @@ def test_extended_basis_input_order_guard():
     grid, dd, basis_d, basis_n, ext = double_setup(4)
     assert basis_d.bc is D and basis_n.bc is N and ext.bc is P
     # every circle mode is an odd (Dirichlet) or an even (Neumann) extension
-    plus, minus = copies(dd, ext.vectors)
+    plus, minus = copies(dd, dense_modes(ext))
     odd = np.all(plus == -minus, axis=0)
     even = np.all(plus == minus, axis=0)
     assert np.all(odd ^ even)
@@ -228,16 +231,66 @@ def test_circle_basis_matches_per_column_oracle(n, profile):
     kw = VARIABLE if profile == "variable" else {}
     grid, dd, basis_d, basis_n, ext = double_setup(n, **kw)
     oracle = extended_eigenbasis(dd, basis_d, basis_n)
+    X = dense_modes(ext)
     # the norms are summed in another order than the oracle's, so entries
     # may differ in their last bits
     eps = np.finfo(float).eps
-    assert np.max(np.abs(ext.vectors - oracle.vectors)) <= 4 * eps * np.max(np.abs(oracle.vectors))
-    assert_array_equal(np.signbit(ext.vectors), np.signbit(oracle.vectors))
+    assert np.max(np.abs(X - oracle.vectors)) <= 4 * eps * np.max(np.abs(oracle.vectors))
+    assert_array_equal(np.signbit(X), np.signbit(oracle.vectors))
     # modes contiguous in memory, as the oracle's columns are
-    assert ext.vectors.flags.f_contiguous == oracle.vectors.flags.f_contiguous
+    assert X.flags.f_contiguous == oracle.vectors.flags.f_contiguous
     assert_array_equal(ext.eigenvalues, oracle.eigenvalues)
     assert_array_equal(ext.frequencies, oracle.frequencies)
     assert ext.grid is dd.doubled
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_circle_view_serves_what_the_dense_basis_did(n, profile):
+    kw = VARIABLE if profile == "variable" else {}
+    grid, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    E = extended_eigenbasis(dd, basis_d, basis_n).vectors
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(E))
+    rng = np.random.default_rng(n)
+    # rows of the lifted window and of a mask on both copies, for every K
+    lifted = lift_region(dd, region_from_intervals(grid, [(0.2, 0.6)]))
+    both = rng.random(2 * n) < 0.5
+    for mask in (lifted.mask, both):
+        for K in range(2 * n + 1):
+            assert np.max(np.abs(ext.rows(mask, K) - E[mask, :K]), initial=0.0) <= tol
+        assert_array_equal(ext.rows(mask), ext.rows(mask, 2 * n))
+    for K in range(2 * n + 1):
+        assert np.max(np.abs(ext.columns(K) - E[:, :K]), initial=0.0) <= tol
+    # each coefficient and each synthesized entry is a sum of 2n terms, which
+    # the two wall products round in another order than the dense product
+    eps = np.finfo(float).eps
+    w = dd.doubled.weights
+    U = rng.standard_normal(2 * n)
+    c = E.T @ (w * U)
+    assert np.max(np.abs(ext.coefficients(U) - c)) <= 4 * eps * np.max(np.abs(c))
+    stack = rng.standard_normal((5, 2 * n))
+    for C in (stack, stack[0]):  # a stack of coefficient sets, and a single one
+        field = C @ E.T
+        assert np.max(np.abs(ext.synthesize(C) - field)) <= 4 * eps * np.max(np.abs(field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("profile", ["constant", "variable"])
+def test_dense_circle_basis_is_the_former_fill(n, profile):
+    # the dense basis verify builds is bit for bit the 2n x 2n matrix that
+    # build_double used to store
+    kw = VARIABLE if profile == "variable" else {}
+    grid, dd, basis_d, basis_n, ext = double_setup(n, **kw)
+    X = np.empty((2 * n, 2 * n))
+    for sign, basis, r in ((-1.0, basis_d, dd.circle_rows[:n]), (1.0, basis_n, dd.circle_rows[n:])):
+        V = basis.vectors.T / np.sqrt(2.0 * (grid.weights @ basis.vectors**2))[:, None]
+        X[r, :n] = V
+        X[r, n:] = sign * V[:, ::-1]
+    dense = dense_modes(ext)
+    assert_array_equal(dense, X.T)
+    assert dense.flags.f_contiguous
+    lifted = lift_region(dd, region_from_intervals(grid, [(0.2, 0.6)]))
+    assert_array_equal(ext.rows(lifted.mask, n), X.T[lifted.mask, :n])
 
 
 @pytest.mark.parametrize("n", [2, 64])
@@ -252,7 +305,7 @@ def test_circle_rows_place_each_wall_mode(n, profile):
         # (1 to within about 10 eps) is divided out; the mirror copy tells
         # modes apart that agree on the plus copy, as at n = 2
         unit = wall.vectors / np.sqrt(grid.weights @ wall.vectors**2)
-        plus, minus = copies(dd, ext.vectors[:, rows])
+        plus, minus = copies(dd, dense_modes(ext)[:, rows])
         plus, minus = np.sqrt(2.0) * plus, sign * np.sqrt(2.0) * minus
         gap = max(np.max(np.abs(plus - unit)), np.max(np.abs(minus - unit)))
         assert gap <= 4 * eps * np.max(np.abs(unit))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from simulheat.doubling import build_double
 from simulheat.grid import (
     ControlRegion,
     EmptyRegionError,
@@ -214,3 +215,21 @@ def test_parse_region_spec(tmp_path):
         parse_region_spec("0.1,0.2,0.3", g)
     with pytest.raises(ValueError):
         parse_region_spec(";", g)
+
+
+def test_problem_objects_compare_by_identity_and_hash():
+    # their fields are arrays, so value equality would ask numpy for the
+    # truth of an array; each object equals itself alone and goes in a set
+    a, b = Grid1D(4), Grid1D(4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    da, db = build_double(a), build_double(b)
+    pairs = [
+        (region_from_intervals(a, [(0.0, 0.5)]), region_from_intervals(a, [(0.0, 0.5)])),
+        (da.basis_d, db.basis_d),
+        (da.basis_circle, db.basis_circle),
+        (da, db),
+    ]
+    for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y, x}) == 2

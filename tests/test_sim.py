@@ -8,14 +8,24 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from common import D, N, VARIABLE, dense_eigenbasis, double_setup, problem, unit_pair, wall_basis
+from common import (
+    D,
+    N,
+    VARIABLE,
+    dense_eigenbasis,
+    dense_modes,
+    double_setup,
+    problem,
+    run_python,
+    unit_pair,
+    wall_basis,
+)
 from simulheat import doubling, sim
 from simulheat.control import ControlSignal, march
 from simulheat.doubling import build_double, lift_region, split
 from simulheat.grid import region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
-from simulheat.spectral import coefficients
 
 
 def zero_signal(grid, region, t_end, steps):
@@ -106,9 +116,11 @@ def test_propagate_states_match_the_per_node_reconstruction():
     sig = ControlSignal(timegrid, values, region, ext.grid.weights[region.mask])
     U0 = rng.standard_normal(64)
     traj = propagate(ext, U0, np.r_[timegrid, 0.7], sig)
-    # the loop the single product replaced: one matrix-vector product per node
-    coeffs_t = march(ext, coefficients(ext, U0), traj.times, sig)
-    loop = np.array([U0] + [ext.vectors @ y for y in coeffs_t[1:]])
+    # the loop the wall products replaced: one product with the dense circle
+    # basis per node
+    coeffs_t = march(ext, ext.coefficients(U0), traj.times, sig)
+    X = dense_modes(ext)
+    loop = np.array([U0] + [X @ y for y in coeffs_t[1:]])
     assert_array_equal(traj.states[0], U0)
     for state, ref in zip(traj.states, loop):
         assert np.max(np.abs(state - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -141,6 +153,26 @@ def test_split_of_a_trajectory_stack_equals_per_state_splits():
         assert_array_equal(v, rv)
     with pytest.raises(ValueError):
         split(dd, su)  # a stack of wall states does not split
+
+
+def test_control_run_allocates_no_dense_circle_basis():
+    # a hum run at n = 512 in a fresh interpreter, apart from this suite's
+    # checks on every eigenbasis, which allocate n x n arrays of their own.
+    # A (2n)^2 float64 matrix is 8 MiB here and the two n x n wall bases 4 MiB
+    # more; the two wall eigensolves alone peak near 7.2 MiB
+    peak, passed = run_python("-c", """
+import tracemalloc
+import numpy as np
+from simulheat import Grid1D, l2_norm, region_from_intervals, run_simultaneous
+grid = Grid1D(512)
+u0, v0 = np.random.default_rng(0).standard_normal((2, 512))
+region = region_from_intervals(grid, [(0.2, 0.3)])
+tracemalloc.start()
+rep = run_simultaneous(grid, u0 / l2_norm(grid, u0), v0 / l2_norm(grid, v0), region, 1.0, "hum")
+print(tracemalloc.get_traced_memory()[1], rep.passed)
+""").split()
+    assert passed == "True"
+    assert int(peak) < 10 * 2**20, f"traced peak {int(peak) / 2**20:.2f} MiB"
 
 
 def pipeline_problem():

@@ -181,7 +181,7 @@ def _solved_cells(basis, cut, region, monkeypatch):
     _SpyHighs.log = []
     est = estimate_constant_lp(basis, cut, region)
     K = cut.count
-    E = basis.vectors[:, :K]
+    E = basis.columns(K)
     B = (basis.grid.weights[region.mask][:, None] * E[region.mask]).T
     U, S, _ = scipy.linalg.svd(B, full_matrices=False)
     rhs = E @ (U / S) * S[-1]
@@ -241,7 +241,7 @@ def test_simultaneous_constant_certified_at_float64_horizon():
     lifted = lift_region(dd, region)
     est = simultaneous_constant(dd, 13.0, region, wall_estimates(dd, 13.0, region))
     assert est.mode_count == 9
-    E = ext.vectors[:, :9]
+    E = ext.columns(9)
     R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
     p = E @ scipy.linalg.svd(R)[2][-1]
     witness = sup_norm(p) / l1_norm_on(ext.grid, p, lifted)

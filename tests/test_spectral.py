@@ -8,7 +8,6 @@ from common import D, N, analytic_eigenbasis, double_setup, wall_basis
 from simulheat.grid import Grid1D, region_from_intervals
 from simulheat.spectral import (
     SpectralCutoff,
-    coefficients,
     l1_norm_on,
     l2_norm,
     make_cutoff,
@@ -98,7 +97,7 @@ def test_mode_coefficients_roundtrip():
     rng = np.random.default_rng(3)
     c = rng.standard_normal(20)
     u = basis.vectors @ c
-    assert_allclose(coefficients(basis, u), c, rtol=0, atol=1e-12)
+    assert_allclose(basis.coefficients(u), c, rtol=0, atol=1e-12)
 
 
 def test_norms_on_single_cell_indicator():
