@@ -123,6 +123,12 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("length and T must be positive")
     if cfg.method not in DEFAULT_TOLERANCES:
         raise ConfigError(f"method must be one of {sorted(DEFAULT_TOLERANCES)}")
+    # a tolerance for the other method is kept, unused, so one config serves both
+    if not set(cfg.tolerances) <= set(DEFAULT_TOLERANCES):
+        raise ConfigError(f"tolerances keys must be methods in {sorted(DEFAULT_TOLERANCES)}, "
+                          f"got {sorted(cfg.tolerances)}")
+    if any(t <= 0 for t in cfg.tolerances.values()):
+        raise ConfigError(f"tolerances must be positive, got {cfg.tolerances}")
     if cfg.bc not in ("dirichlet", "neumann"):
         raise ConfigError("bc must be 'dirichlet' or 'neumann'")
     if any(l <= 0 for l in cfg.lambda_sweep):

@@ -19,7 +19,7 @@ every step of a signal onto the modes in one product.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +44,7 @@ class SingularGramianError(NumericalError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """Piecewise-constant control: values[m] holds on [timegrid[m], timegrid[m+1]).
 
@@ -57,7 +57,7 @@ class ControlSignal:
     values: np.ndarray
     region: ControlRegion
     region_weights: np.ndarray
-    slice_ledger: tuple[dict, ...] | None = field(default=None, compare=False)
+    slice_ledger: tuple[dict, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.timegrid.ndim != 1 or len(self.timegrid) < 2:

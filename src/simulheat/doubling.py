@@ -107,7 +107,7 @@ def lift_region(dd: DoubleDomain, region: ControlRegion) -> ControlRegion:
     return ControlRegion(mask=mask, measure=dd.doubled.h * int(mask.sum()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoublingResiduals:
     """The four checks of the doubling, each as its largest residual, and the
     spectrum of the dense periodic eigensolve they are measured against."""

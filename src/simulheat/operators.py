@@ -29,7 +29,7 @@ class BoundaryCondition(enum.Enum):
     PERIODIC = "periodic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """The stencil as its three diagonals: diag[i] = A[i, i], upper[i] =
     A[i, i+1] and lower[i] = A[i+1, i], plus the periodic corners A[0, n-1]
@@ -204,10 +204,13 @@ _SIGN_TIE = 1e-8
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make each column's first entry that ties with its largest magnitude
-    positive, flipping in place the columns where it is negative."""
-    mag = np.abs(vectors)
-    lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
-    vectors[:, vectors[lead, np.arange(vectors.shape[1])] < 0] *= -1.0
+    positive, flipping in place the columns where it is negative. Its only
+    n x n temporaries are two boolean masks."""
+    thr = (1.0 - _SIGN_TIE) * np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
+    tie = vectors >= thr
+    tie |= vectors <= -thr
+    lead = np.argmax(tie, axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return vectors
 
 

@@ -25,7 +25,7 @@ from .spectral import l2_norm, sup_norm
 DEFAULT_TOLERANCES = {"hum": 1e-6, "lr": 1e-4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States at time nodes, one row per node, with each row's weighted-L2
     and sup norm."""
@@ -36,7 +36,7 @@ class Trajectory:
     sup_norms: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimultaneousReport:
     final_u_l2: float
     final_v_l2: float

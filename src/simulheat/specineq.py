@@ -18,6 +18,10 @@ the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
 costs no second SVD. simultaneous_constant folds the two wall estimates it is
 handed into the circle's; fit_exponential fits log(constant) ~ slope * lam to
 compare against the e^{C lam} growth that observability predicts.
+
+scipy's HiGHS binding and scipy.sparse, which lays out the model's rows, are
+imported where the model is built, at the first estimate: of all scipy.optimize
+only the exact LP needs them, so a run that solves none never loads them.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
 
 from .doubling import DoubleDomain, lift_region
 from .grid import ControlRegion
@@ -39,7 +41,7 @@ from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
 _BRACKET_TOL = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralConstantEstimate:
     """One measured constant. certificate holds the extremal mode coefficients;
     upper closes the exact-lp bracket [constant, upper] (None for other methods).
@@ -74,10 +76,13 @@ def _ratio(basis: Basis, E: np.ndarray, region: ControlRegion, c: np.ndarray) ->
     return sup_norm(p) / denom
 
 
-def _dual_model(rows: np.ndarray) -> _Highs:
+def _dual_model(rows: np.ndarray):
     """Quiet dual-simplex model of min t subject to rows @ z = rhs and |z_j| <= t.
 
     The equality rows come first; their bounds, the rhs, are set per cell."""
+    import scipy.sparse
+    from scipy.optimize._highspy._core import _Highs, kHighsInf
+
     K, nw = rows.shape
     h = _Highs()
     options = {"output_flag": False, "presolve": "off", "solver": "simplex", "simplex_strategy": 1}
@@ -162,6 +167,8 @@ def estimate_constant_lp(
     # each warm-started from the last
     first = int(np.argmax(bounds))
     order = np.r_[first, np.delete(np.arange(basis.grid.n), first)]
+    from scipy.optimize._highspy._core import HighsModelStatus
+
     model = _dual_model(rows)
     best_val = 0.0
     best_cert: np.ndarray | None = None

@@ -25,7 +25,7 @@ import simulheat.doubling
 import simulheat.operators
 import simulheat.sim
 import simulheat.specineq
-from common import mirror_flipped
+from common import mirror_flipped, run_python
 from simulheat import cli
 from simulheat.spectral import l2_norm
 
@@ -82,6 +82,10 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         # finite lengths whose 1/h^2 overflows or underflows
         {"n": 8, "length": 1e200},
         {"n": 8, "length": 1e-200},
+        # a tolerance must name a method and be positive
+        {"n": 8, "tolerances": {"hmu": 1e-30}},
+        {"n": 8, "tolerances": {"hum": 0.0}},
+        {"n": 8, "tolerances": {"hum": -1}},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
@@ -89,6 +93,11 @@ def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
     assert code == 2
     if fields:  # the message names the offending field
         assert list(fields)[-1] in capsys.readouterr().err
+
+
+def test_a_tolerance_for_the_other_method_is_kept(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path, n=8, method="hum", tolerances={"lr": 1e-3}))
+    assert cfg.tolerances == {"lr": 1e-3}
 
 
 def test_readme_config_table_lists_every_config_field():
@@ -386,6 +395,39 @@ def test_one_hum_run_makes_one_steering_call(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "control", n=16, region="0.2,0.5", T=1.0, method="hum")
     assert code == 0
     assert len(steers) == 1
+
+
+_START_UP = """
+import json, sys, tempfile
+from pathlib import Path
+from simulheat import cli
+
+LAZY = ("scipy.optimize", "scipy.sparse", "scipy.fft", "scipy.special", "scipy.spatial")
+
+def run(verb, **fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(fields))
+        return cli.main([verb, "--config", str(cfg), "--output-dir", str(Path(tmp) / "out")])
+
+codes = [
+    run("control", n=32, region="0.2,0.3", method="hum"),
+    run("simulate", n=32),
+    run("fatcantor", n=32, cantor_measure=0.25, cantor_depth=3),
+    run("double-check", n=32),
+]
+loaded = sorted(m for m in sys.modules if m in LAZY or m.startswith(tuple(p + "." for p in LAZY)))
+codes.append(run("specineq", n=32, region="0.45,0.55", lambda_sweep=[4, 7, 10]))
+print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_only_specineq_loads_scipy_optimize():
+    # a fresh interpreter: this suite's own helpers import scipy.optimize
+    codes, loaded, optimize_after_specineq = json.loads(run_python("-c", _START_UP).splitlines()[-1])
+    assert codes == [0] * 5
+    assert loaded == []
+    assert optimize_after_specineq
 
 
 def test_every_program_error_exits_2_or_3():

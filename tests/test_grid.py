@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from simulheat.doubling import build_double
+from simulheat.control import ControlSignal
+from simulheat.doubling import DoublingResiduals, build_double
 from simulheat.grid import (
     ControlRegion,
     EmptyRegionError,
@@ -16,6 +17,9 @@ from simulheat.grid import (
     region_from_intervals,
     write_mask_file,
 )
+from simulheat.operators import BoundaryCondition, assemble_laplacian
+from simulheat.sim import SimultaneousReport, Trajectory
+from simulheat.specineq import SpectralConstantEstimate
 
 
 def test_uniform_grid_basic_layout():
@@ -231,5 +235,33 @@ def test_problem_objects_compare_by_identity_and_hash():
         (da, db),
     ]
     for x, y in pairs:
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
+
+
+def test_result_objects_compare_by_identity_and_hash():
+    # so do the objects built on a problem: two from the same arguments are
+    # distinct, and neither comparing nor hashing them raises
+    grid = Grid1D(4)
+    region = region_from_intervals(grid, [(0.0, 0.5)])
+
+    def signal():
+        return ControlSignal(np.array([0.0, 1.0]), np.zeros((1, 2)), region, grid.weights[region.mask])
+
+    def trajectory():
+        return Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4)), np.zeros(2), np.zeros(2))
+
+    makers = [
+        lambda: assemble_laplacian(grid, BoundaryCondition.DIRICHLET),
+        signal,
+        trajectory,
+        lambda: SimultaneousReport(0.0, 0.0, 0.0, 0.0, 0.0, "hum", 1.0, 1.0, 1e-6, True,
+                                   signal(), trajectory(), trajectory(), trajectory()),
+        lambda: SpectralConstantEstimate(lam=1.0, mode_count=1, region_measure=0.5, method="exact-lp",
+                                         constant=1.0, certificate=np.ones(1), upper=1.0),
+        lambda: DoublingResiduals(0.0, 0.0, 0.0, 0.0, np.zeros(2)),
+    ]
+    for make in makers:
+        x, y = make(), make()
         assert x == x and x != y
         assert len({x, y, x}) == 2

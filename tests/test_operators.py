@@ -1,12 +1,15 @@
 """Stencil assembly and eigendecomposition against closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from common import D, N, P, VARIABLE, analytic_eigenbasis, dense_eigenbasis, problem, wall_basis
 from simulheat.grid import Grid1D
-from simulheat.operators import assemble_laplacian, eigendecompose
+from simulheat import operators
+from simulheat.operators import _SIGN_TIE, _fix_signs, assemble_laplacian, eigendecompose
 
 
 def test_dirichlet_stencil_frozen_n2():
@@ -143,6 +146,64 @@ def test_sign_convention_and_determinism():
     b = eigendecompose(op)
     assert_array_equal(a.vectors, b.vectors)
     assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def _fix_signs_oracle(vectors):
+    """The sign fix as first written: on |vectors|, flipping a copy of the columns."""
+    mag = np.abs(vectors)
+    lead = np.argmax(mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0), axis=0)
+    vectors[:, vectors[lead, np.arange(vectors.shape[1])] < 0] *= -1.0
+    return vectors
+
+
+def _assert_same_bits(vectors):
+    expected = _fix_signs_oracle(vectors.copy())
+    assert_array_equal(_fix_signs(vectors.copy()).view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+@pytest.mark.parametrize("profile", [{}, VARIABLE], ids=["constant", "variable"])
+def test_sign_fix_matches_the_oracle_bit_for_bit(n, profile, monkeypatch):
+    inputs = []
+
+    def recorded(vectors):
+        inputs.append(vectors.copy())
+        return _fix_signs(vectors)
+
+    monkeypatch.setattr(operators, "_fix_signs", recorded)
+    for bc in (D, N):
+        eigendecompose(assemble_laplacian(problem(n, **profile), bc))
+    assert len(inputs) == 2
+    for vectors in inputs:
+        _assert_same_bits(vectors)
+        _assert_same_bits(-vectors)
+
+
+def test_sign_fix_matches_the_oracle_on_planted_ties():
+    near = 1.0 - 0.5 * _SIGN_TIE  # ties with 1.0
+    far = 1.0 - 2.0 * _SIGN_TIE  # does not
+    columns = [
+        [0.5, -1.0, 1.0, 0.2],  # an exact mirror pair, the negative first
+        [1.0, -near, 0.0, 0.0],
+        [-near, 1.0, 0.0, 0.0],
+        [-far, 1.0, 0.0, 0.0],
+        [-0.3, -0.7, -0.0, -0.7],
+        [0.0, -0.0, 0.0, 0.0],
+    ]
+    vectors = np.array(columns).T
+    _assert_same_bits(vectors)
+    assert_array_equal(np.sign(_fix_signs(vectors.copy())[[1, 0, 0, 1, 1, 0], range(6)]), [1, 1, 1, 1, 1, 0])
+
+
+def test_sign_fix_allocates_no_float_temporary():
+    vectors = np.random.default_rng(0).standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        _fix_signs(vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the former |vectors| alone took 8 MiB
 
 
 def test_analytic_basis_frozen_n2():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.optimize._highspy import _core
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from common import (
@@ -128,7 +129,7 @@ def test_lp_matches_per_cell_linprog_oracle(n, k, variable):
         assert oracle <= est.constant * (1.0 + 1e-9)
 
 
-class _FlakyHighs(specineq._Highs):
+class _FlakyHighs(_core._Highs):
     """Reports every warm-started solve as failed; a solve from a cleared basis reports the truth."""
 
     warm = True
@@ -145,7 +146,7 @@ class _FlakyHighs(specineq._Highs):
         return HighsModelStatus.kSolveError if self.warm else super().getModelStatus()
 
 
-class _BrokenHighs(specineq._Highs):
+class _BrokenHighs(_core._Highs):
     def getModelStatus(self):
         return HighsModelStatus.kSolveError
 
@@ -155,17 +156,17 @@ def test_lp_retries_a_failed_cell_from_a_cleared_basis(monkeypatch):
     region = region_from_intervals(basis.grid, [(0.3, 0.5)])
     cut = make_cutoff(basis, float(basis.frequencies[3]))
     warm = estimate_constant_lp(basis, cut, region)
-    monkeypatch.setattr(specineq, "_Highs", _FlakyHighs)
+    monkeypatch.setattr(_core, "_Highs", _FlakyHighs)
     cold = estimate_constant_lp(basis, cut, region)
     assert_allclose(cold.constant, warm.constant, rtol=1e-10)
     assert_allclose(cold.upper, warm.upper, rtol=1e-10)
     assert cold.lp_solves > 0 and cold.lp_retries == cold.lp_solves
-    monkeypatch.setattr(specineq, "_Highs", _BrokenHighs)
+    monkeypatch.setattr(_core, "_Highs", _BrokenHighs)
     with pytest.raises(NumericalError, match="every candidate peak cell"):
         estimate_constant_lp(basis, cut, region)
 
 
-class _SpyHighs(specineq._Highs):
+class _SpyHighs(_core._Highs):
     """Logs every right-hand side value set: a solved cell sets its K in row order."""
 
     log: list = []
@@ -177,7 +178,7 @@ class _SpyHighs(specineq._Highs):
 
 def _solved_cells(basis, cut, region, monkeypatch):
     """The estimate plus the cells whose LP ran, matched through their right-hand sides."""
-    monkeypatch.setattr(specineq, "_Highs", _SpyHighs)
+    monkeypatch.setattr(_core, "_Highs", _SpyHighs)
     _SpyHighs.log = []
     est = estimate_constant_lp(basis, cut, region)
     K = cut.count
