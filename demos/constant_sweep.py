@@ -15,15 +15,15 @@ from simulheat import (
     build_double,
     estimate_constant_lp,
     fit_exponential,
-    make_cutoff,
+    mode_count,
     region_from_intervals,
     simultaneous_constant,
 )
 
 n = 128
 grid = Grid1D(n)
-dd = build_double(grid)
-basis_d, basis_n = dd.basis_d, dd.basis_n
+ext = build_double(grid)
+basis_d, basis_n = ext.walls
 
 window = region_from_intervals(grid, [(0.45, 0.55)])
 wide = region_from_intervals(grid, [(0.4, 0.6)])
@@ -34,17 +34,16 @@ print("  cutoff   modes   C(window)      C(wide)        C(simultaneous)")
 sweep = []
 for k in range(8):
     lam = float(basis_d.frequencies[k])
-    cut = make_cutoff(basis_d, lam)
-    est = estimate_constant_lp(basis_d, cut, window)
-    est_wide = estimate_constant_lp(basis_d, cut, wide)
+    est = estimate_constant_lp(basis_d, lam, window)
+    est_wide = estimate_constant_lp(basis_d, lam, wide)
     sweep.append(est)
     if k < 4:
-        cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), window)
-        cs = simultaneous_constant(dd, lam, window, wall_estimates=(est, cn))
+        cn = estimate_constant_lp(basis_n, lam, window)
+        cs = simultaneous_constant(ext, lam, window, wall_estimates=(est, cn))
         joint = f"{cs.constant:.4e}  (>= both walls: {cs.constant >= max(est.constant, cn.constant)})"
     else:
         joint = ""
-    print(f"  {lam:6.3f}   {cut.count:>5}   {est.constant:.4e}   {est_wide.constant:.4e}   {joint}")
+    print(f"  {lam:6.3f}   {mode_count(basis_d, lam):>5}   {est.constant:.4e}   {est_wide.constant:.4e}   {joint}")
 
 fit = fit_exponential(sweep)
 print()

@@ -12,16 +12,16 @@ operator.
 
 import numpy as np
 
-from simulheat import Grid1D, build_double, extend_pair, make_cutoff, project, split, sup_norm
+from simulheat import Grid1D, build_double, extend_pair, mode_count, project, split, sup_norm
 from simulheat.doubling import verify
 
 n = 48
 grid = Grid1D(n, 1.0, kappa=lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), a=lambda x: 1.2 - 0.4 * x)
 
-dd = build_double(grid)
-basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
+ext = build_double(grid)
+basis_d, basis_n = ext.walls
 # verify solves the dense circle operator and checks the doubling against it
-checks = verify(dd, seed=0)
+checks = verify(ext, seed=0)
 circle = checks.circle_eigenvalues
 
 union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
@@ -37,7 +37,7 @@ for k in range(8):
 
 # Dirichlet mode 2 is circle mode circle_rows[2]: the wall mode over its
 # circle norm on the plus copy, and its negative on the mirror copy
-r = int(dd.circle_rows[2])
+r = int(ext.circle_rows[2])
 mode = ext.columns(r + 1)[:, r]
 plus, mirror = mode[:n], mode[: n - 1 : -1]
 print()
@@ -52,7 +52,7 @@ print(f"odd/even reflections as circle eigenvectors: worst residual {checks.exte
 rng = np.random.default_rng(7)
 u, v = rng.standard_normal(n), rng.standard_normal(n)
 lam = float(basis_d.frequencies[4])
-pu, pv = split(dd, project(ext, make_cutoff(ext, lam), extend_pair(dd, u, v)))
-gap_u = sup_norm(pu - project(basis_d, make_cutoff(basis_d, lam), u))
-gap_v = sup_norm(pv - project(basis_n, make_cutoff(basis_n, lam), v))
+pu, pv = split(ext, project(ext, mode_count(ext, lam), extend_pair(ext, u, v)))
+gap_u = sup_norm(pu - project(basis_d, mode_count(basis_d, lam), u))
+gap_v = sup_norm(pv - project(basis_n, mode_count(basis_n, lam), v))
 print(f"split-projection link at cutoff {lam:.3f}: gaps {gap_u:.2e} (odd), {gap_v:.2e} (even)")

@@ -11,7 +11,7 @@ minimal-norm, and an iterated low-frequency cascade).
 
 from .grid import Grid1D, region_from_intervals
 from .operators import BoundaryCondition, assemble_laplacian, eigendecompose
-from .spectral import l2_norm, make_cutoff, project, sup_norm
+from .spectral import l2_norm, mode_count, project, sup_norm
 from .doubling import build_double, extend_pair, split
 from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
 from .sim import run_simultaneous

@@ -24,7 +24,7 @@ from .grid import Grid1D, _write_atomic, fat_cantor_region, parse_region_spec, w
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
-from .spectral import l2_norm, make_cutoff
+from .spectral import l2_norm, mode_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,13 +178,13 @@ _DOUBLE_CHECK_TOL = {
 
 
 def cmd_double_check(cfg: ExperimentConfig, outdir: str) -> int:
-    dd = build_double(build_problem(cfg))
-    res = verify(dd, cfg.seed)
+    ext = build_double(build_problem(cfg))
+    res = verify(ext, cfg.seed)
     checks = {}
     for name, tol in _DOUBLE_CHECK_TOL.items():
         r = getattr(res, name)
         checks[name] = {"max_residual": r, "pass": r <= tol}
-    spectra = (("dirichlet", dd.basis_d.eigenvalues), ("neumann", dd.basis_n.eigenvalues),
+    spectra = (("dirichlet", ext.walls[0].eigenvalues), ("neumann", ext.walls[1].eigenvalues),
                ("double", res.circle_eigenvalues))
     for name, vals in spectra:
         lines = ["k,eigenvalue"] + [f"{k},{_fmt(val)}" for k, val in enumerate(vals)]
@@ -204,17 +204,14 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
     if cfg.region is None:
         raise ConfigError("specineq needs a region")
     region = parse_region_spec(cfg.region, grid)
-    dd = build_double(grid)
+    ext = build_double(grid)
 
     # one exact-lp estimate per family and cutoff; a wall family with no mode
     # below the cutoff has none, while the circle always holds the kernel mode
     estimates: dict[str, list] = {"dirichlet": [], "neumann": [], "simultaneous": []}
     for lam in cfg.lambda_sweep:
-        walls = []
-        for basis in (dd.basis_d, dd.basis_n):
-            cut = make_cutoff(basis, lam)
-            walls.append(estimate_constant_lp(basis, cut, region) if cut.count else None)
-        walls.append(simultaneous_constant(dd, lam, region, tuple(walls)))
+        walls = [estimate_constant_lp(b, lam, region) if mode_count(b, lam) else None for b in ext.walls]
+        walls.append(simultaneous_constant(ext, lam, region, tuple(walls)))
         for family, est in zip(estimates, walls):
             if est is not None:
                 estimates[family].append(est)
@@ -310,6 +307,15 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: str) -> int:
     return EXIT_OK if monotone else EXIT_TOLERANCE
 
 
+VERBS = {
+    "double-check": cmd_double_check,
+    "specineq": cmd_specineq,
+    "control": cmd_control,
+    "fatcantor": cmd_fatcantor,
+    "simulate": cmd_simulate,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON config document")
@@ -318,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     common.add_argument("--threads", type=int, default=1, help="accepted and ignored; changes nothing")
     parser = argparse.ArgumentParser(prog="simulheat", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("double-check", "specineq", "control", "fatcantor", "simulate"):
+    for verb in VERBS:
         sub.add_parser(verb, parents=[common])
 
     args = parser.parse_args(argv)
@@ -329,16 +335,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
         outdir = cfg.output_dir
-        os.makedirs(outdir, exist_ok=True)
-        if args.verb == "double-check":
-            return cmd_double_check(cfg, outdir)
-        if args.verb == "specineq":
-            return cmd_specineq(cfg, outdir)
-        if args.verb == "control":
-            return cmd_control(cfg, outdir)
-        if args.verb == "fatcantor":
-            return cmd_fatcantor(cfg, outdir)
-        return cmd_simulate(cfg, outdir)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"output_dir {outdir!r} cannot be made: {exc}") from exc
+        return VERBS[args.verb](cfg, outdir)
     except ValueError as exc:  # ConfigError and the grid's region and resolution errors too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,9 +11,12 @@ product of the step-integral outer product with the region mass matrix.
 Both syntheses solve that system the same way: block elimination of
 H + 1e-12 max(diag H) I, with an nw x nw Woodbury factor for the modes that
 only the last step reaches and a Schur complement on the rest, then defect
-correction against the unregularized H in factored form. The cascade lays
-out its own dyadic slices from the horizon T and lambda0, and march projects
-every step of a signal onto the modes in one product.
+correction against the unregularized H in factored form. A steering target
+is its mode coefficients: hum_low_mode_control steers the leading len(y0)
+modes, hum_full_control hands it all of them and each cascade slice those
+below its cutoff. The cascade lays out its own dyadic slices from the
+horizon T and lambda0, and march projects every step of a signal onto the
+modes in one product.
 """
 
 from __future__ import annotations
@@ -26,21 +29,19 @@ import scipy.linalg
 
 from .grid import ControlRegion
 from .operators import Basis, NumericalError
-from .spectral import SpectralCutoff, resolution
+from .spectral import resolution
 
 
 class SingularGramianError(NumericalError):
     """The steering solve missed its tolerance: the Gramian is singular or the
-    target unreachable for this cutoff and region, or its arithmetic under-
+    target unreachable for these modes and region, or its arithmetic under-
     or overflowed."""
 
-    def __init__(self, cutoff: SpectralCutoff, region: ControlRegion, steps: int, achieved: float):
-        self.lam = cutoff.lam
-        self.region_measure = region.measure
-        self.achieved = achieved
+    def __init__(self, basis: Basis, count: int, region: ControlRegion, steps: int, achieved: float):
         super().__init__(
-            f"steering {cutoff.count} modes below cutoff lam={cutoff.lam:.6g} from {int(region.mask.sum())} "
-            f"cells (region measure {region.measure:.6g}) on {steps} steps: verified residual {achieved:.3e}"
+            f"steering {count} modes up to frequency {basis.frequencies[count - 1]:.6g} from "
+            f"{int(region.mask.sum())} cells (region measure {region.measure:.6g}) on {steps} steps: "
+            f"verified residual {achieved:.3e}"
         )
 
 
@@ -154,7 +155,6 @@ _TIKHONOV = 1e-12
 
 def hum_low_mode_control(
     basis: Basis,
-    cutoff: SpectralCutoff,
     region: ControlRegion,
     y0: np.ndarray,
     tau: float,
@@ -162,7 +162,7 @@ def hum_low_mode_control(
     steps: int = 64,
     steer_tol: float = _STEER_TOL,
 ) -> ControlSignal:
-    """Null control for the modes below the cutoff, minimal weighted norm.
+    """Null control for the leading K = len(y0) modes, minimal weighted norm.
 
     Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
     f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
@@ -183,12 +183,10 @@ def hum_low_mode_control(
     to S solves the same system. A defect-correction step is kept only if it
     lowers the residual against the unregularized H = H' + V V^T.
     """
-    K = cutoff.count
-    if K < 1:
-        raise ValueError("cutoff admits no modes")
     y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (K,):
-        raise ValueError(f"y0 must hold {K} mode coefficients, got shape {y0.shape}")
+    if y0.ndim != 1 or not 1 <= len(y0) <= len(basis.eigenvalues):
+        raise ValueError(f"y0 must hold 1 to {len(basis.eigenvalues)} mode coefficients, got shape {y0.shape}")
+    K = len(y0)
     if not np.all(np.isfinite(y0)):
         raise ValueError("y0 holds a non-finite mode coefficient")
     if not (np.isfinite(tau) and tau > 0):
@@ -215,7 +213,7 @@ def hum_low_mode_control(
     diag = np.einsum("km,km->k", avg, I) * (weights @ Phi**2)
     sigma = _TIKHONOV * float(np.max(diag))
     if not sigma > 0:  # a Gramian whose diagonal underflowed steers nothing
-        raise SingularGramianError(cutoff, region, steps, np.nan)
+        raise SingularGramianError(basis, K, region, steps, np.nan)
 
     G = VF.T @ VF
     G.flat[:: nw + 1] += sigma
@@ -252,14 +250,14 @@ def hum_low_mode_control(
             break
         q, r, achieved = candidate, r_candidate, better
     if not achieved <= steer_tol:  # a NaN residual, from under- or overflow, is a miss too
-        raise SingularGramianError(cutoff, region, steps, achieved)
+        raise SingularGramianError(basis, K, region, steps, achieved)
     # avg[F, :-1] is exactly zero, so F only enters the last step's values
     values = np.empty((steps, nw))
     with np.errstate(over="ignore", invalid="ignore"):  # screened right below
         values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
         values[-1] = Phi @ (avg[:, -1] * q)
     if not np.isfinite(values).all():  # a signal beyond float64 steers nothing
-        raise SingularGramianError(cutoff, region, steps, np.inf)
+        raise SingularGramianError(basis, K, region, steps, np.inf)
     return ControlSignal(timegrid, values, region, weights)
 
 
@@ -325,13 +323,10 @@ def lr_control(
         count = len(yhat)
         if j < J:
             count = int(np.searchsorted(basis.eigenvalues, lam**2 - r, side="left"))
-        cut = SpectralCutoff(lam=lam, count=count)
         tau = t_mid - t_start
         cost = 0.0
-        if float(np.linalg.norm(yhat[: cut.count])) > floor:
-            sig = hum_low_mode_control(
-                basis, cut, region, yhat[: cut.count], tau, steer_tol=_SLICE_TOL
-            )
+        if float(np.linalg.norm(yhat[:count])) > floor:
+            sig = hum_low_mode_control(basis, region, yhat[:count], tau, steer_tol=_SLICE_TOL)
             cost = sig.l2_cost
             # exact propagation of the full state through the active half
             yhat = march(basis, yhat, sig.timegrid, sig)[-1]
@@ -364,14 +359,13 @@ def hum_full_control(
     steps: int | None = None,
 ) -> ControlSignal:
     """One-shot minimal-norm steering of every mode over [0, T]:
-    hum_low_mode_control at the cutoff that admits the whole spectrum, on at
-    least enough steps to make the input map onto, to its default 1e-8
-    relative residual."""
+    hum_low_mode_control on all of field0's mode coefficients, on at least
+    enough steps to make the input map onto, to its default 1e-8 relative
+    residual."""
     K = len(basis.eigenvalues)
     nw = int(region.mask.sum())
     if steps is None:
         steps = max(64, -(-2 * K // nw))
     if steps * nw < K:
         raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
-    cut = SpectralCutoff(lam=float(basis.frequencies[-1]), count=K)
-    return hum_low_mode_control(basis, cut, region, basis.coefficients(field0), T, steps=steps)
+    return hum_low_mode_control(basis, region, basis.coefficients(field0), T, steps=steps)

@@ -111,10 +111,10 @@ def run_simultaneous(
     """
     if method not in DEFAULT_TOLERANCES:
         raise ValueError(f"method must be one of {sorted(DEFAULT_TOLERANCES)}, got {method!r}")
-    dd = build_double(grid)
-    basis_d, basis_n, ext = dd.basis_d, dd.basis_n, dd.basis_circle
-    lifted = lift_region(dd, region)
-    U0 = extend_pair(dd, u0, v0)
+    ext = build_double(grid)
+    basis_d, basis_n = ext.walls
+    lifted = lift_region(ext, region)
+    U0 = extend_pair(ext, u0, v0)
 
     if method == "hum":
         signal = hum_full_control(ext, lifted, U0, T, steps=steps)
@@ -136,7 +136,7 @@ def run_simultaneous(
     # Neumann flux. The split run rounds at the scale of the whole circle
     # field u + v, so both are relative to the larger of the two direct
     # runs' sup norms, not each to its own.
-    u_split, v_split = split(dd, traj_double.states)
+    u_split, v_split = split(ext, traj_double.states)
     walls = [0, -1]
     trace = 0.5 * np.max(np.abs(traj_u.states[:, walls] - u_split[:, walls]))
     a_wall = grid.a[walls] * grid.kappa[walls]

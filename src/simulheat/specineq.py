@@ -32,10 +32,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .doubling import DoubleDomain, lift_region
+from .doubling import lift_region
 from .grid import ControlRegion
-from .operators import Basis, NumericalError
-from .spectral import SpectralCutoff, l1_norm_on, make_cutoff, sup_norm
+from .operators import Basis, CircleBasis, NumericalError
+from .spectral import l1_norm_on, mode_count, sup_norm
 
 # widest relative gap (upper - constant) / constant an exact-lp estimate may report
 _BRACKET_TOL = 1e-3
@@ -99,12 +99,9 @@ def _dual_model(rows: np.ndarray):
     return h
 
 
-def estimate_constant_lp(
-    basis: Basis,
-    cutoff: SpectralCutoff,
-    region: ControlRegion,
-) -> SpectralConstantEstimate:
-    """Exact discrete constant from warm-started LPs over the candidate peak cells.
+def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> SpectralConstantEstimate:
+    """Exact discrete constant of the modes at frequency lam or below, from
+    warm-started LPs over the candidate peak cells.
 
     Every cell is first bounded through its minimum-norm point. The cell with
     the largest bound is solved first, then the others in grid order, and a
@@ -117,14 +114,14 @@ def estimate_constant_lp(
     raises NumericalError when every cell's LP fails or the bracket is wider
     than _BRACKET_TOL.
     """
-    K = cutoff.count
+    K = mode_count(basis, lam)
     if K < 1:
-        raise ValueError("cutoff admits no modes")
+        raise ValueError(f"cutoff lam={lam:g} admits no modes")
     E = basis.columns(K)
     m = region.mask
     nw = int(m.sum())
     _, s, Vh = scipy.linalg.svd(np.sqrt(basis.grid.weights[m])[:, None] * E[m, :], full_matrices=nw < K)
-    est = SpectralConstantEstimate(lam=cutoff.lam, mode_count=K, region_measure=region.measure,
+    est = SpectralConstantEstimate(lam=float(lam), mode_count=K, region_measure=region.measure,
                                    method="exact-lp", constant=np.inf, upper=np.inf)
     # rank decision at the SVD noise floor: fewer observation cells than
     # modes leave null directions for sure; below the floor cannot be told
@@ -201,7 +198,7 @@ def estimate_constant_lp(
 
     if not upper - best_val <= _BRACKET_TOL * best_val:
         raise NumericalError(
-            f"exact-lp bracket [{best_val:.6e}, {upper:.6e}] at lam={cutoff.lam:g} is wider "
+            f"exact-lp bracket [{best_val:.6e}, {upper:.6e}] at lam={lam:g} is wider "
             f"than {_BRACKET_TOL:g} relative"
         )
     return replace(
@@ -217,8 +214,8 @@ def estimate_constant_lp(
 
 
 def simultaneous_constant(
-    dd: DoubleDomain,
-    cutoff_lam: float,
+    ext: CircleBasis,
+    lam: float,
     region: ControlRegion,
     wall_estimates: tuple[SpectralConstantEstimate | None, SpectralConstantEstimate | None],
 ) -> SpectralConstantEstimate:
@@ -233,25 +230,23 @@ def simultaneous_constant(
     Neumann family at the same cutoff and region, None for a family with no
     mode below it; they are folded in, not solved again.
     """
-    ext = dd.basis_circle
-    cut = make_cutoff(ext, cutoff_lam)
-    lifted = lift_region(dd, region)
-    est = estimate_constant_lp(ext, cut, lifted)
+    lifted = lift_region(ext, region)
+    est = estimate_constant_lp(ext, lam, lifted)
     best, best_cert = est.constant, est.certificate
 
     # Each wall certificate extends to the circle with peak and region mass
     # both scaled by 1/sqrt(2), so its ratio carries over unchanged. Folding
     # the single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
-    Eext = ext.columns(cut.count)
-    for wall_est, offset in zip(wall_estimates, (0, dd.base.n)):
+    Eext = ext.columns(est.mode_count)
+    for wall_est, offset in zip(wall_estimates, (0, ext.grid.n // 2)):
         if wall_est is None:
             continue
         if not np.isfinite(wall_est.constant):
             best, best_cert = np.inf, wall_est.certificate
             break
-        embedded = np.zeros(cut.count)
-        embedded[dd.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
+        embedded = np.zeros(est.mode_count)
+        embedded[ext.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
         val = _ratio(ext, Eext, lifted, embedded)
         if val > best:
             best, best_cert = val, embedded

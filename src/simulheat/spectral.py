@@ -1,27 +1,12 @@
-"""Frequency cutoffs, spectral projectors, and the norms they are measured in."""
+"""Mode counts up to a frequency cutoff, spectral projectors, and the norms
+they are measured in."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import ControlRegion, Grid1D
 from .operators import Basis
-
-
-@dataclass(frozen=True)
-class SpectralCutoff:
-    """Frequency threshold lam and the number of basis modes at or below it."""
-
-    lam: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {self.lam}")
-        if self.count < 0:
-            raise ValueError(f"mode count must be nonnegative, got {self.count}")
 
 
 def resolution(basis: Basis) -> float:
@@ -36,20 +21,22 @@ def resolution(basis: Basis) -> float:
     return basis.grid.n * float(np.finfo(float).eps) * max(float(basis.eigenvalues[-1]), 1.0)
 
 
-def make_cutoff(basis: Basis, lam: float) -> SpectralCutoff:
-    """Cutoff at lam for basis: the modes with eigenvalue <= lam^2 +
-    resolution(basis), so a frequency equal to lam up to rounding is included."""
+def mode_count(basis: Basis, lam: float) -> int:
+    """The number of modes of basis at frequency lam or below: those with
+    eigenvalue <= lam^2 + resolution(basis), so a frequency equal to lam up to
+    rounding is included."""
+    if lam < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {lam}")
     with np.errstate(over="ignore"):
         top = np.square(float(lam)) + resolution(basis)
-    count = int(np.searchsorted(basis.eigenvalues, top, side="right"))
-    return SpectralCutoff(lam=float(lam), count=count)
+    return int(np.searchsorted(basis.eigenvalues, top, side="right"))
 
 
-def project(basis: Basis, cutoff: SpectralCutoff, u: np.ndarray) -> np.ndarray:
-    """Weighted-orthogonal projection of u onto the modes below the cutoff."""
+def project(basis: Basis, count: int, u: np.ndarray) -> np.ndarray:
+    """Weighted-orthogonal projection of u onto the leading count modes."""
     if u.shape != (basis.grid.n,):
         raise ValueError(f"field has shape {u.shape}, expected ({basis.grid.n},)")
-    E = basis.columns(cutoff.count)
+    E = basis.columns(count)
     coeffs = E.T @ (basis.grid.weights * u)
     return E @ coeffs
 

@@ -24,7 +24,7 @@ from simulheat.operators import (
     eigendecompose,
 )
 from simulheat.specineq import SpectralConstantEstimate
-from simulheat.spectral import l1_norm_on, l2_norm, sup_norm
+from simulheat.spectral import l1_norm_on, l2_norm, mode_count, sup_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,14 +71,15 @@ def wall_basis(n, bc, length=1.0, kappa=1.0, a=1.0):
 
 
 def double_setup(n, length=1.0, kappa=1.0, a=1.0):
-    """(grid, dd, basis_d, basis_n, extended circle basis)."""
-    dd = build_double(problem(n, length, kappa, a))
-    return dd.base, dd, dd.basis_d, dd.basis_n, dd.basis_circle
+    """(grid, circle basis, basis_d, basis_n)."""
+    grid = problem(n, length, kappa, a)
+    ext = build_double(grid)
+    return (grid, ext, *ext.walls)
 
 
-def circle_operator(dd):
+def circle_operator(ext):
     """The periodic operator of the doubled problem, an oracle only."""
-    return assemble_laplacian(dd.doubled, P)
+    return assemble_laplacian(ext.grid, P)
 
 
 def dense_eigenbasis(op):
@@ -98,10 +99,10 @@ def dense_eigenbasis(op):
     )
 
 
-def copies(dd, X):
+def copies(ext, X):
     """The rows of X on the plus copy, circle cells 0..n-1, and on the mirror
     copy, cells 2n-1 down to n; both in base cell order, as views."""
-    n = dd.base.n
+    n = ext.grid.n // 2
     return X[:n], X[: n - 1 : -1]
 
 
@@ -110,38 +111,45 @@ def dense_modes(basis):
     return basis.columns(len(basis.eigenvalues))
 
 
-def mirror_flipped(dd, k):
-    """dd with circle mode k negated on the mirror copy: odd becomes even and
-    even odd, so that column is no eigenvector of the circle any more. The
-    circle basis becomes a dense EigenBasis, which answers as the view does."""
-    ext = dd.basis_circle
+@dataclasses.dataclass(frozen=True, eq=False)
+class DenseCircle(EigenBasis):
+    """A dense circle basis that still names its two wall bases, as the
+    doubling's functions read them from the circle basis."""
+
+    walls: tuple = dataclasses.field(repr=False)
+
+
+def mirror_flipped(ext, k):
+    """The circle basis ext with mode k negated on the mirror copy: odd becomes
+    even and even odd, so that column is no eigenvector of the circle any more.
+    It becomes a dense basis, which answers as the view does."""
     vectors = dense_modes(ext)
-    copies(dd, vectors)[1][:, k] *= -1.0
-    flipped = EigenBasis(bc=P, eigenvalues=ext.eigenvalues, frequencies=ext.frequencies, vectors=vectors,
-                         grid=dd.doubled)
-    return dataclasses.replace(dd, basis_circle=flipped)
+    copies(ext, vectors)[1][:, k] *= -1.0
+    return DenseCircle(bc=P, eigenvalues=ext.eigenvalues, frequencies=ext.frequencies, vectors=vectors,
+                       grid=ext.grid, walls=ext.walls)
 
 
-def extend_eigenfunction(dd, e, bc):
+def extend_eigenfunction(ext, e, bc):
     """Odd (Dirichlet) or even (Neumann) extension, unit-norm on the circle."""
     if bc is D:
-        ext = extend_pair(dd, e, np.zeros_like(e))
+        U = extend_pair(ext, e, np.zeros_like(e))
     elif bc is N:
-        ext = extend_pair(dd, np.zeros_like(e), e)
+        U = extend_pair(ext, np.zeros_like(e), e)
     else:
         raise ValueError("only wall problems extend; got periodic")
-    return ext / l2_norm(dd.doubled, ext)
+    return U / l2_norm(ext.grid, U)
 
 
-def extended_eigenbasis(dd, basis_d, basis_n):
-    """Circle basis built one column at a time: the oracle for dd.basis_circle."""
+def extended_eigenbasis(ext, basis_d, basis_n):
+    """Circle basis built one column at a time: the oracle for the view that
+    build_double returns."""
     if basis_d.bc is not D or basis_n.bc is not N:
         raise ValueError("pass the Dirichlet basis first and the Neumann basis second")
-    n = dd.base.n
+    n = ext.grid.n // 2
     cols = np.empty((2 * n, 2 * n))
     for k in range(n):
-        cols[:, k] = extend_eigenfunction(dd, basis_d.vectors[:, k], D)
-        cols[:, n + k] = extend_eigenfunction(dd, basis_n.vectors[:, k], N)
+        cols[:, k] = extend_eigenfunction(ext, basis_d.vectors[:, k], D)
+        cols[:, n + k] = extend_eigenfunction(ext, basis_n.vectors[:, k], N)
     vals = np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues])
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
@@ -150,7 +158,7 @@ def extended_eigenbasis(dd, basis_d, basis_n):
         eigenvalues=vals,
         frequencies=np.sqrt(np.maximum(vals, 0.0)),
         vectors=cols[:, order],
-        grid=dd.doubled,
+        grid=ext.grid,
     )
 
 
@@ -164,23 +172,24 @@ def unit_pair(grid, seed):
     return u / wu, v / wv
 
 
-def mass_matrix_on_region(basis, cutoff, region):
-    """M_kl = <e_k, 1_region e_l> in the weighted inner product."""
-    Ew = basis.rows(region.mask, cutoff.count)
+def mass_matrix_on_region(basis, count, region):
+    """M_kl = <e_k, 1_region e_l> in the weighted inner product, over the
+    leading count modes."""
+    Ew = basis.rows(region.mask, count)
     return Ew.T @ (basis.grid.weights[region.mask][:, None] * Ew)
 
 
-def gramian(basis, cutoff, region, tau):
-    """Continuous-time control Gramian over [0, tau] for the low modes: the
-    limit of the sampled Gramian of control.hum_low_mode_control.
+def gramian(basis, count, region, tau):
+    """Continuous-time control Gramian over [0, tau] for the leading count
+    modes: the limit of the sampled Gramian of control.hum_low_mode_control.
 
     G_kl = M_kl (1 - e^{-(nu_k^2 + nu_l^2) tau}) / (nu_k^2 + nu_l^2), with the
     diagonal-zero limit M_kl tau.
     """
     if tau <= 0:
         raise ValueError(f"horizon must be positive, got {tau}")
-    M = mass_matrix_on_region(basis, cutoff, region)
-    s = basis.eigenvalues[: cutoff.count]
+    M = mass_matrix_on_region(basis, count, region)
+    s = basis.eigenvalues[:count]
     denom = s[:, None] + s[None, :]
     factor = np.full_like(denom, tau)
     nz = denom > 0
@@ -188,19 +197,19 @@ def gramian(basis, cutoff, region, tau):
     return M * factor
 
 
-def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
+def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
     """(values, verified residual) of the dense steering solve that the block
     elimination in control.hum_low_mode_control replaced, kept as its oracle.
 
-    Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
+    Steers the leading K = len(y0) modes. Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
     Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and, until
     the residual reaches steer_tol / 4, keeps up to four defect-correction
     steps against H while each lowers it; values = avg^T (q o Phi^T) on the region.
     """
-    K = cutoff.count
+    K = len(y0)
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
-    H = (avg @ I.T) * mass_matrix_on_region(basis, cutoff, region)
+    H = (avg @ I.T) * mass_matrix_on_region(basis, K, region)
     Hreg = H.copy()
     Hreg.flat[:: K + 1] += 1e-12 * float(np.max(np.diag(H)))
     try:
@@ -225,14 +234,15 @@ def dense_steer(basis, cutoff, region, y0, timegrid, steer_tol=1e-8):
     return avg.T @ (q[:, None] * Phi.T), achieved
 
 
-def lp_cell_values(basis, cutoff, region, cells=None):
-    """One fresh linprog per peak cell i in cells (default: every cell).
+def lp_cell_values(basis, lam, region, cells=None):
+    """One fresh linprog per peak cell i in cells (default: every cell), over
+    the modes at frequency lam or below.
 
     The LP minimizes the weighted L1 mass on the region with (Ec)_i pinned at
     theta. Returns each cell's re-evaluated certificate ratio, at least C_i up
     to solver tolerance; 0 where the peak row is zero or every method fails.
     """
-    K = cutoff.count
+    K = mode_count(basis, lam)
     E = basis.columns(K)
     m = region.mask
     nw = int(m.sum())
@@ -267,11 +277,11 @@ def lp_cell_values(basis, cutoff, region, cells=None):
     return np.array(values)
 
 
-def lp_constant_oracle(basis, cutoff, region):
+def lp_constant_oracle(basis, lam, region):
     """Exact-LP constant as the best ratio over every cell's fresh linprog:
     the full sweep estimate_constant_lp replaced, kept as its oracle on
     well-conditioned instances."""
-    return float(np.max(lp_cell_values(basis, cutoff, region), initial=0.0))
+    return float(np.max(lp_cell_values(basis, lam, region), initial=0.0))
 
 
 def analytic_eigenbasis(grid, bc):
@@ -317,9 +327,10 @@ def analytic_eigenbasis(grid, bc):
     )
 
 
-def randomized_lower_bound(basis, cutoff, region, *, trials=256, seed=0):
-    """Best sup/L1 ratio over random coefficient draws; never above the LP value."""
-    K = cutoff.count
+def randomized_lower_bound(basis, lam, region, *, trials=256, seed=0):
+    """Best sup/L1 ratio over random draws of the coefficients of the modes at
+    frequency lam or below; never above the LP value."""
+    K = mode_count(basis, lam)
     if K < 1:
         raise ValueError("cutoff admits no modes")
     E = basis.columns(K)
@@ -333,7 +344,7 @@ def randomized_lower_bound(basis, cutoff, region, *, trials=256, seed=0):
         if val > best:
             best, best_c = val, c
     return SpectralConstantEstimate(
-        lam=cutoff.lam,
+        lam=float(lam),
         mode_count=K,
         region_measure=region.measure,
         method="randomized-lower",

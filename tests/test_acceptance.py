@@ -20,7 +20,7 @@ from simulheat.grid import fat_cantor_region, region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import propagate, run_simultaneous
 from simulheat.specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
-from simulheat.spectral import make_cutoff
+from simulheat.spectral import mode_count
 
 
 def test_criterion_1_spectrum_union():
@@ -38,10 +38,10 @@ def test_criterion_1_spectrum_union():
 
 
 def test_criterion_2_extension_property():
-    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
-    res = verify(dd, 0).extension_eigenvectors
+    grid, ext, basis_d, basis_n = double_setup(64, **VARIABLE)
+    res = verify(ext, 0).extension_eigenvectors
     X = dense_modes(ext)
-    G = X.T @ (dd.doubled.weights[:, None] * X)
+    G = X.T @ (ext.grid.weights[:, None] * X)
     gram_dev = float(np.max(np.abs(G - np.eye(2 * 64))))
     assert res <= 1e-10
     assert gram_dev <= 1e-10
@@ -50,8 +50,8 @@ def test_criterion_2_extension_property():
 
 def test_criterion_3_link_identity():
     # verify draws 100 seeded (u, v, lambda) triples, in the order double-check does
-    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
-    worst = verify(dd, 0).link_identity
+    grid, ext, basis_d, basis_n = double_setup(64, **VARIABLE)
+    worst = verify(ext, 0).link_identity
     assert worst <= 1e-10
     print(f"CRITERION 3 PASS: link identity over 100 triples, worst gap {worst:.3e} <= 1e-10")
 
@@ -127,16 +127,16 @@ def test_criterion_6_oracle_equivalence():
     # gramian against adaptive quadrature at K = 8
     basis = wall_basis(16, D, **VARIABLE)
     region = region_from_intervals(basis.grid, [(0.2, 0.55)])
-    cut = make_cutoff(basis, float(basis.frequencies[7]))
-    assert cut.count == 8
+    K = mode_count(basis, float(basis.frequencies[7]))
+    assert K == 8
     tau = 0.4
-    M = mass_matrix_on_region(basis, cut, region)
+    M = mass_matrix_on_region(basis, K, region)
     lam = basis.eigenvalues[:8]
     oracle, _ = scipy.integrate.quad_vec(
         lambda s: np.exp(-(lam[:, None] + lam[None, :]) * (tau - s)) * M,
         0.0, tau, epsabs=1e-13, epsrel=1e-13,
     )
-    worst_gram = float(np.max(np.abs(gramian(basis, cut, region, tau) - oracle)))
+    worst_gram = float(np.max(np.abs(gramian(basis, K, region, tau) - oracle)))
     assert worst_gram <= 1e-8
     print(
         f"CRITERION 6 PASS: propagate vs expm+Duhamel {worst_prop:.3e} <= 1e-8, "
@@ -145,20 +145,20 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_spectral_constant_behavior():
-    grid, dd, basis_d, basis_n, ext = double_setup(512)
+    grid, ext, basis_d, basis_n = double_setup(512)
     small = region_from_intervals(grid, [(0.45, 0.55)])
     big = region_from_intervals(grid, [(0.4, 0.6)])
     lams = [float(basis_d.frequencies[k]) for k in range(12)]
 
     cds, cns, css, cds_big = [], [], [], []
     for lam in lams:
-        cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), small)
-        cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), small)
-        cs = simultaneous_constant(dd, lam, small, wall_estimates=(cd, cn))
+        cd = estimate_constant_lp(basis_d, lam, small)
+        cn = estimate_constant_lp(basis_n, lam, small)
+        cs = simultaneous_constant(ext, lam, small, wall_estimates=(cd, cn))
         cds.append(cd)
         cns.append(cn)
         css.append(cs)
-        cds_big.append(estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), big))
+        cds_big.append(estimate_constant_lp(basis_d, lam, big))
 
     # sweep family: growing, finite, and antitone under region enlargement
     values = [e.constant for e in cds]
@@ -192,8 +192,8 @@ def test_criterion_8_boundary_recovery():
     assert rep.neumann_flux_residual <= 1e-10
     # the residuals above hold the direct wall runs against the split
     # controlled circle run at the walls; the split agrees at every cell
-    dd = build_double(grid)
-    su, sv = split(dd, rep.trajectory_double.states)
+    ext = build_double(grid)
+    su, sv = split(ext, rep.trajectory_double.states)
     assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
     assert np.max(np.abs(sv - rep.trajectory_v.states)) <= 1e-10
     print(

@@ -119,6 +119,19 @@ def test_unreadable_and_malformed_configs_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(lst)]) == 2
 
 
+def test_an_output_dir_that_cannot_be_made_exits_2_naming_the_field(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    # the config's output_dir names an existing file
+    cfg = write_config(tmp_path, n=8, output_dir=str(afile))
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    # the flag's output dir lies below a file
+    assert cli.main(["simulate", "--config", cfg, "--output-dir", str(afile / "sub")]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert afile.read_text() == ""
+
+
 def test_missing_mask_file_exits_2(tmp_path):
     code, _ = run(
         tmp_path, "control", n=16, region=str(tmp_path / "no_such.mask"), T=0.5
@@ -477,7 +490,7 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(cfg, outdir):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr(cli, "cmd_control", exhausted)
+    monkeypatch.setitem(cli.VERBS, "control", exhausted)
     code, _ = run(tmp_path, "control", n=32, region="0.2,0.3", steps=10**11)
     assert code == 3
     assert "out of memory" in capsys.readouterr().err

@@ -230,8 +230,7 @@ def test_problem_objects_compare_by_identity_and_hash():
     da, db = build_double(a), build_double(b)
     pairs = [
         (region_from_intervals(a, [(0.0, 0.5)]), region_from_intervals(a, [(0.0, 0.5)])),
-        (da.basis_d, db.basis_d),
-        (da.basis_circle, db.basis_circle),
+        (da.walls[0], db.walls[0]),
         (da, db),
     ]
     for x, y in pairs:

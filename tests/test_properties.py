@@ -17,7 +17,7 @@ from simulheat.grid import region_from_intervals
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import run_simultaneous
 from simulheat.specineq import estimate_constant_lp
-from simulheat.spectral import l2_norm, make_cutoff, sup_norm
+from simulheat.spectral import l2_norm, mode_count, sup_norm
 
 
 @st.composite
@@ -34,23 +34,23 @@ def fields(seed, shape):
 
 @given(interval_problems(), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_stacked_split_and_norms_equal_per_field_calls(grid, rows, seed):
-    dd = build_double(grid)
+    ext = build_double(grid)
     U = fields(seed, (rows, 2 * grid.n))
-    su, sv = split(dd, U)
+    su, sv = split(ext, U)
     for k in range(rows):
-        ru, rv = split(dd, U[k])
+        ru, rv = split(ext, U[k])
         assert_array_equal(su[k], ru)
         assert_array_equal(sv[k], rv)
-    for grid_, stack in ((grid, su), (dd.doubled, U)):
+    for grid_, stack in ((grid, su), (ext.grid, U)):
         assert_array_equal(l2_norm(grid_, stack), [l2_norm(grid_, row) for row in stack])
         assert_array_equal(sup_norm(stack), [sup_norm(row) for row in stack])
 
 
 @given(interval_problems(), st.integers(0, 2**32 - 1))
 def test_split_inverts_extend_pair(grid, seed):
-    dd = build_double(grid)
+    ext = build_double(grid)
     u, v = fields(seed, (2, grid.n))
-    ru, rv = split(dd, extend_pair(dd, u, v))
+    ru, rv = split(ext, extend_pair(ext, u, v))
     bound = np.finfo(float).eps * (np.abs(u) + np.abs(v))
     assert np.all(np.abs(ru - u) <= bound)
     assert np.all(np.abs(rv - v) <= bound)
@@ -107,14 +107,14 @@ def test_steering_meets_its_tolerance_or_raises(grid, bc, left, width, k, seed, 
     # the modes through it exactly
     basis = eigendecompose(assemble_laplacian(grid, bc))
     region = region_from_intervals(grid, [(left, left + width)])
-    cut = make_cutoff(basis, float(basis.frequencies[min(k, grid.n - 1)]))
-    y0 = np.random.default_rng(seed).standard_normal(cut.count)
+    K = mode_count(basis, float(basis.frequencies[min(k, grid.n - 1)]))
+    y0 = np.random.default_rng(seed).standard_normal(K)
     try:
-        sig = hum_low_mode_control(basis, cut, region, y0, 10.0**log_tau)
+        sig = hum_low_mode_control(basis, region, y0, 10.0**log_tau)
     except SingularGramianError:
         return
-    start = np.concatenate([y0, np.zeros(grid.n - cut.count)])
-    final = march(basis, start, sig.timegrid, sig)[-1, : cut.count]
+    start = np.concatenate([y0, np.zeros(grid.n - K)])
+    final = march(basis, start, sig.timegrid, sig)[-1, :K]
     # the solver verifies against its Gramian formed in float64, whose
     # rounding the marched state sees amplified: over 10,000 uniform draws of
     # these inputs the worst returned signal left 7.9e-8 |y0|
@@ -132,10 +132,10 @@ def test_steering_meets_its_tolerance_or_raises(grid, bc, left, width, k, seed, 
 def test_exact_lp_bracket_holds_the_randomized_lower_bound(grid, bc, left, width, k):
     basis = eigendecompose(assemble_laplacian(grid, bc))
     region = region_from_intervals(grid, [(left, left + width)])
-    cut = make_cutoff(basis, float(basis.frequencies[k]))
-    est = estimate_constant_lp(basis, cut, region)
+    lam = float(basis.frequencies[k])
+    est = estimate_constant_lp(basis, lam, region)
     if not np.isfinite(est.constant):
         return  # a rank-deficient restriction: fewer window cells than modes
     assert est.constant <= est.upper
-    assert est.constant >= randomized_lower_bound(basis, cut, region).constant * (1.0 - 1e-9)
+    assert est.constant >= randomized_lower_bound(basis, lam, region).constant * (1.0 - 1e-9)
     assert est.lp_solves <= grid.n

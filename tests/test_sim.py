@@ -108,8 +108,8 @@ def test_propagate_matches_expm_duhamel_oracle():
 
 
 def test_propagate_states_match_the_per_node_reconstruction():
-    grid, dd, basis_d, basis_n, ext = double_setup(32, **VARIABLE)
-    region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.3)]))
+    grid, ext, basis_d, basis_n = double_setup(32, **VARIABLE)
+    region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.3)]))
     rng = np.random.default_rng(11)
     timegrid = np.linspace(0.0, 0.5, 9)
     values = rng.standard_normal((8, int(region.mask.sum())))
@@ -140,19 +140,19 @@ def test_lr_costs_agree_with_a_dense_eigensolve(monkeypatch):
 
 
 def test_split_of_a_trajectory_stack_equals_per_state_splits():
-    grid, dd, basis_d, basis_n, ext = double_setup(8)
-    region = lift_region(dd, region_from_intervals(grid, [(0.2, 0.5)]))
+    grid, ext, basis_d, basis_n = double_setup(8)
+    region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.5)]))
     rng = np.random.default_rng(4)
     sig = zero_signal(ext.grid, region, 0.5, 5)
     traj = propagate(ext, rng.standard_normal(16), sig.timegrid, sig)
-    su, sv = split(dd, traj.states)
+    su, sv = split(ext, traj.states)
     assert su.shape == sv.shape == (6, 8)
     for U, u, v in zip(traj.states, su, sv):
-        ru, rv = split(dd, U)
+        ru, rv = split(ext, U)
         assert_array_equal(u, ru)
         assert_array_equal(v, rv)
     with pytest.raises(ValueError):
-        split(dd, su)  # a stack of wall states does not split
+        split(ext, su)  # a stack of wall states does not split
 
 
 def test_control_run_allocates_no_dense_circle_basis():
@@ -206,8 +206,8 @@ def test_pipeline_steers_both_walls_with_one_signal():
 def test_pipeline_split_route_equals_direct_wall_runs():
     grid, region, u0, v0 = pipeline_problem()
     rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
-    dd = build_double(grid)
-    su, sv = split(dd, rep.trajectory_double.states)
+    ext = build_double(grid)
+    su, sv = split(ext, rep.trajectory_double.states)
     assert_array_equal(rep.trajectory_double.times, rep.trajectory_u.times)
     assert np.max(np.abs(su - rep.trajectory_u.states)) <= 1e-10
     assert np.max(np.abs(sv - rep.trajectory_v.states)) <= 1e-10

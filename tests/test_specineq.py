@@ -35,7 +35,7 @@ from simulheat.specineq import (
     fit_exponential,
     simultaneous_constant,
 )
-from simulheat.spectral import l1_norm_on, make_cutoff, sup_norm
+from simulheat.spectral import l1_norm_on, mode_count, sup_norm
 
 
 def one_cell_region(n, i):
@@ -44,25 +44,24 @@ def one_cell_region(n, i):
     return ControlRegion(mask=mask, measure=1.0 / n)
 
 
-def wall_estimates(dd, lam, region):
+def wall_estimates(ext, lam, region):
     """The Dirichlet and Neumann exact-lp estimates at lam, None for a wall
     with no mode below it, as simultaneous_constant takes them."""
     ests = []
-    for basis in (dd.basis_d, dd.basis_n):
-        cut = make_cutoff(basis, lam)
-        ests.append(estimate_constant_lp(basis, cut, region) if cut.count else None)
+    for basis in ext.walls:
+        ests.append(estimate_constant_lp(basis, lam, region) if mode_count(basis, lam) else None)
     return tuple(ests)
 
 
 def test_lp_single_mode_matches_closed_form():
     basis = wall_basis(32, D)
-    cut = make_cutoff(basis, float(basis.frequencies[0]))
+    lam = float(basis.frequencies[0])
     e = basis.vectors[:, 0]
     for region in (
         region_from_intervals(basis.grid, [(0.2, 0.5)]),
         fat_cantor_region(basis.grid, 0.4, depth=2, seed=1),
     ):
-        est = estimate_constant_lp(basis, cut, region)
+        est = estimate_constant_lp(basis, lam, region)
         # the span is one-dimensional: the ratio does not depend on the coefficient
         assert_allclose(est.constant, sup_norm(e) / l1_norm_on(basis.grid, e, region), rtol=1e-12)
         assert est.method == "exact-lp"
@@ -72,7 +71,7 @@ def test_lp_single_mode_matches_closed_form():
 def test_lp_first_mode_approaches_continuum_ratio():
     basis = wall_basis(64, D)
     whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
-    est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[0])), whole)
+    est = estimate_constant_lp(basis, float(basis.frequencies[0]), whole)
     assert abs(est.constant - np.pi / 2.0) <= 1e-3
     # the single-mode ratio at n=4096 pins the continuum value far inside the bar
     fine = analytic_eigenbasis(Grid1D(4096), D)
@@ -83,8 +82,8 @@ def test_lp_first_mode_approaches_continuum_ratio():
 
 def test_lp_rank_deficiency_returns_infinity():
     basis = wall_basis(8, D)
-    cut = make_cutoff(basis, float(basis.frequencies[1]))  # two modes
-    est = estimate_constant_lp(basis, cut, one_cell_region(8, 3))
+    lam = float(basis.frequencies[1])  # two modes
+    est = estimate_constant_lp(basis, lam, one_cell_region(8, 3))
     assert est.constant == np.inf
     assert est.certificate is not None  # the null direction witnesses deficiency
     assert est.lp_solves == est.lp_retries == 0
@@ -94,7 +93,7 @@ def test_lp_constant_nondecreasing_in_lambda():
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
     values = [
-        estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[k])), region).constant
+        estimate_constant_lp(basis, float(basis.frequencies[k]), region).constant
         for k in range(5)
     ]
     assert all(np.isfinite(v) for v in values)
@@ -107,23 +106,23 @@ def test_lp_constant_antitone_under_region_growth():
     small = region_from_intervals(basis.grid, [(0.45, 0.55)])
     big = region_from_intervals(basis.grid, [(0.4, 0.6)])
     for k in (2, 4):
-        cut = make_cutoff(basis, float(basis.frequencies[k]))
-        c_small = estimate_constant_lp(basis, cut, small).constant
-        c_big = estimate_constant_lp(basis, cut, big).constant
+        lam = float(basis.frequencies[k])
+        c_small = estimate_constant_lp(basis, lam, small).constant
+        c_big = estimate_constant_lp(basis, lam, big).constant
         assert c_big <= c_small * (1.0 + 1e-10)
 
 
 @pytest.mark.parametrize("n, k", [(32, 4), (64, 3), (160, 2)])
 @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
 def test_lp_matches_per_cell_linprog_oracle(n, k, variable):
-    grid, dd, basis_d, basis_n, ext = double_setup(n, **(VARIABLE if variable else {}))
+    grid, ext, basis_d, basis_n = double_setup(n, **(VARIABLE if variable else {}))
     region = region_from_intervals(grid, [(0.3, 0.6)])
-    lifted = lift_region(dd, region)
+    lifted = lift_region(ext, region)
     for basis, reg in ((basis_d, region), (basis_n, region), (ext, lifted)):
-        cut = make_cutoff(basis, float(basis.frequencies[k]))
-        assert 3 <= cut.count <= 5
-        est = estimate_constant_lp(basis, cut, reg)
-        oracle = lp_constant_oracle(basis, cut, reg)
+        lam = float(basis.frequencies[k])
+        assert 3 <= mode_count(basis, lam) <= 5
+        est = estimate_constant_lp(basis, lam, reg)
+        oracle = lp_constant_oracle(basis, lam, reg)
         assert np.isfinite(est.constant) and est.constant <= est.upper
         assert_allclose(est.constant, oracle, rtol=1e-7)
         assert oracle <= est.constant * (1.0 + 1e-9)
@@ -154,16 +153,16 @@ class _BrokenHighs(_core._Highs):
 def test_lp_retries_a_failed_cell_from_a_cleared_basis(monkeypatch):
     basis = wall_basis(64, N, **VARIABLE)
     region = region_from_intervals(basis.grid, [(0.3, 0.5)])
-    cut = make_cutoff(basis, float(basis.frequencies[3]))
-    warm = estimate_constant_lp(basis, cut, region)
+    lam = float(basis.frequencies[3])
+    warm = estimate_constant_lp(basis, lam, region)
     monkeypatch.setattr(_core, "_Highs", _FlakyHighs)
-    cold = estimate_constant_lp(basis, cut, region)
+    cold = estimate_constant_lp(basis, lam, region)
     assert_allclose(cold.constant, warm.constant, rtol=1e-10)
     assert_allclose(cold.upper, warm.upper, rtol=1e-10)
     assert cold.lp_solves > 0 and cold.lp_retries == cold.lp_solves
     monkeypatch.setattr(_core, "_Highs", _BrokenHighs)
     with pytest.raises(NumericalError, match="every candidate peak cell"):
-        estimate_constant_lp(basis, cut, region)
+        estimate_constant_lp(basis, lam, region)
 
 
 class _SpyHighs(_core._Highs):
@@ -176,12 +175,12 @@ class _SpyHighs(_core._Highs):
         return super().changeRowBounds(row, lower, upper)
 
 
-def _solved_cells(basis, cut, region, monkeypatch):
+def _solved_cells(basis, lam, region, monkeypatch):
     """The estimate plus the cells whose LP ran, matched through their right-hand sides."""
     monkeypatch.setattr(_core, "_Highs", _SpyHighs)
     _SpyHighs.log = []
-    est = estimate_constant_lp(basis, cut, region)
-    K = cut.count
+    est = estimate_constant_lp(basis, lam, region)
+    K = est.mode_count
     E = basis.columns(K)
     B = (basis.grid.weights[region.mask][:, None] * E[region.mask]).T
     U, S, _ = scipy.linalg.svd(B, full_matrices=False)
@@ -197,50 +196,50 @@ def _solved_cells(basis, cut, region, monkeypatch):
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("family", ["dirichlet", "neumann", "circle"])
 def test_lp_skipped_cells_cannot_hold_the_maximum(family, k, monkeypatch):
-    grid, dd, basis_d, basis_n, ext = double_setup(64, **VARIABLE)
+    grid, ext, basis_d, basis_n = double_setup(64, **VARIABLE)
     region = region_from_intervals(grid, [(0.3, 0.5)])
     basis, reg = {
         "dirichlet": (basis_d, region),
         "neumann": (basis_n, region),
-        "circle": (ext, lift_region(dd, region)),
+        "circle": (ext, lift_region(ext, region)),
     }[family]
-    cut = make_cutoff(basis, float(basis.frequencies[k]))
-    assert 3 <= cut.count <= 5
-    est, solved = _solved_cells(basis, cut, reg, monkeypatch)
+    lam = float(basis.frequencies[k])
+    assert 3 <= mode_count(basis, lam) <= 5
+    est, solved = _solved_cells(basis, lam, reg, monkeypatch)
     skipped = sorted(set(range(basis.grid.n)) - solved)
     assert skipped, "the prune skipped no cell"
-    assert np.all(lp_cell_values(basis, cut, reg, skipped) <= est.constant * (1.0 + 1e-9))
+    assert np.all(lp_cell_values(basis, lam, reg, skipped) <= est.constant * (1.0 + 1e-9))
 
 
 def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
-    grid, dd, _, _, ext = double_setup(160)
+    grid, ext, _, _ = double_setup(160)
     region = region_from_intervals(grid, [(0.45, 0.55)])
-    est, solved = _solved_cells(ext, make_cutoff(ext, 7.0), lift_region(dd, region), monkeypatch)
+    est, solved = _solved_cells(ext, 7.0, lift_region(ext, region), monkeypatch)
     assert est.mode_count == 5
     assert len(solved) == est.lp_solves < ext.grid.n // 2
     # simultaneous_constant carries the circle estimate's counts through
-    sim = simultaneous_constant(dd, 7.0, region, wall_estimates(dd, 7.0, region))
+    sim = simultaneous_constant(ext, 7.0, region, wall_estimates(ext, 7.0, region))
     assert (sim.lp_solves, sim.lp_retries) == (est.lp_solves, est.lp_retries)
 
 
 def test_lp_bracket_wider_than_tolerance_raises(monkeypatch):
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
-    cut = make_cutoff(basis, float(basis.frequencies[4]))
-    est = estimate_constant_lp(basis, cut, region)
+    lam = float(basis.frequencies[4])
+    est = estimate_constant_lp(basis, lam, region)
     assert 0.0 < est.upper - est.constant <= 1e-9 * est.constant
     monkeypatch.setattr(specineq, "_BRACKET_TOL", 0.0)
     with pytest.raises(NumericalError, match="bracket"):
-        estimate_constant_lp(basis, cut, region)
+        estimate_constant_lp(basis, lam, region)
 
 
 def test_simultaneous_constant_certified_at_float64_horizon():
     # n=128, window (0.45, 0.55), lam=13: the circle has K=9 modes and the
     # restriction sigma_min/sigma_max ~ 1.4e-12
-    grid, dd, _, _, ext = double_setup(128)
+    grid, ext, _, _ = double_setup(128)
     region = region_from_intervals(grid, [(0.45, 0.55)])
-    lifted = lift_region(dd, region)
-    est = simultaneous_constant(dd, 13.0, region, wall_estimates(dd, 13.0, region))
+    lifted = lift_region(ext, region)
+    est = simultaneous_constant(ext, 13.0, region, wall_estimates(ext, 13.0, region))
     assert est.mode_count == 9
     E = ext.columns(9)
     R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
@@ -252,10 +251,10 @@ def test_simultaneous_constant_certified_at_float64_horizon():
 
 
 def test_neumann_lp_sweep_nondecreasing_at_n512():
-    grid, dd, basis_d, basis_n, _ = double_setup(512)
+    grid, ext, basis_d, basis_n = double_setup(512)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     values = [
-        estimate_constant_lp(basis_n, make_cutoff(basis_n, float(basis_d.frequencies[k])), region).constant
+        estimate_constant_lp(basis_n, float(basis_d.frequencies[k]), region).constant
         for k in range(12)
     ]
     assert all(np.isfinite(v) for v in values)
@@ -266,11 +265,11 @@ def test_neumann_lp_sweep_nondecreasing_at_n512():
 def test_l2_surrogate_shares_the_lp_rank_rule_at_n512():
     # Neumann at the 12th Dirichlet frequency (K=13): sigma_min ~ 6e-14 sits
     # above the relative rank floor, so the estimate is finite and carries it
-    grid, dd, basis_d, basis_n, _ = double_setup(512)
+    grid, ext, basis_d, basis_n = double_setup(512)
     region = region_from_intervals(grid, [(0.45, 0.55)])
-    cut = make_cutoff(basis_n, float(basis_d.frequencies[11]))
-    assert cut.count == 13
-    est = estimate_constant_lp(basis_n, cut, region)
+    lam = float(basis_d.frequencies[11])
+    assert mode_count(basis_n, lam) == 13
+    est = estimate_constant_lp(basis_n, lam, region)
     assert np.isfinite(est.constant)
     assert 0.0 < est.sigma_min < 1e-12
 
@@ -278,9 +277,9 @@ def test_l2_surrogate_shares_the_lp_rank_rule_at_n512():
 def test_randomized_bound_stays_below_lp():
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
-    cut = make_cutoff(basis, float(basis.frequencies[2]))
-    lp = estimate_constant_lp(basis, cut, region)
-    rnd = randomized_lower_bound(basis, cut, region, trials=200, seed=7)
+    lam = float(basis.frequencies[2])
+    lp = estimate_constant_lp(basis, lam, region)
+    rnd = randomized_lower_bound(basis, lam, region, trials=200, seed=7)
     assert rnd.constant <= lp.constant * (1.0 + 1e-12)
     assert rnd.method == "randomized-lower"
 
@@ -288,10 +287,10 @@ def test_randomized_bound_stays_below_lp():
 def test_certificates_reproduce_reported_constants():
     basis = wall_basis(64, N, kappa=lambda x: 1.0 + 0.3 * x)
     region = region_from_intervals(basis.grid, [(0.3, 0.5)])
-    cut = make_cutoff(basis, float(basis.frequencies[3]))
+    lam = float(basis.frequencies[3])
     for est in (
-        estimate_constant_lp(basis, cut, region),
-        randomized_lower_bound(basis, cut, region, trials=64, seed=0),
+        estimate_constant_lp(basis, lam, region),
+        randomized_lower_bound(basis, lam, region, trials=64, seed=0),
     ):
         p = basis.vectors[:, : est.mode_count] @ est.certificate
         ratio = sup_norm(p) / l1_norm_on(basis.grid, p, region)
@@ -301,10 +300,10 @@ def test_certificates_reproduce_reported_constants():
 def test_l2_surrogate_frozen_cases():
     basis = wall_basis(16, D)
     whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
-    est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[4])), whole)
+    est = estimate_constant_lp(basis, float(basis.frequencies[4]), whole)
     assert_allclose(est.sigma_min, 1.0, atol=1e-12)  # orthonormal restriction
     # more modes than observation cells forces rank deficiency
-    est = estimate_constant_lp(basis, make_cutoff(basis, float(basis.frequencies[2])), one_cell_region(16, 5))
+    est = estimate_constant_lp(basis, float(basis.frequencies[2]), one_cell_region(16, 5))
     assert est.constant == np.inf
     assert est.sigma_min == 0.0
 
@@ -312,42 +311,42 @@ def test_l2_surrogate_frozen_cases():
 def test_l2_surrogate_against_svd_oracle():
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.4, 0.6)])
-    cut = make_cutoff(basis, float(basis.frequencies[1]))
-    est = estimate_constant_lp(basis, cut, region)
+    lam = float(basis.frequencies[1])
+    est = estimate_constant_lp(basis, lam, region)
     R = np.sqrt(basis.grid.weights[region.mask])[:, None] * basis.vectors[region.mask, :2]
     smin = scipy.linalg.svdvals(R)[-1]
     assert_allclose(est.sigma_min, smin, rtol=1e-10)
 
 
 def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
-    grid, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, ext, basis_d, basis_n = double_setup(64)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     # lam below every positive frequency: only the circle's constant mode
-    est = simultaneous_constant(dd, 1.0, region, wall_estimates(dd, 1.0, region))
+    est = simultaneous_constant(ext, 1.0, region, wall_estimates(ext, 1.0, region))
     assert est.mode_count == 1
     assert_allclose(est.constant, 1.0 / region.measure, rtol=1e-10)
 
 
 def test_simultaneous_needs_as_many_cells_as_modes():
-    grid, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, ext, basis_d, basis_n = double_setup(64)
     narrow = region_from_intervals(grid, [(0.45, 0.55)])  # 6 cells
     lam = float(basis_d.frequencies[2])  # 3 odd + 4 even modes on the circle
-    est = simultaneous_constant(dd, lam, narrow, wall_estimates(dd, lam, narrow))
+    est = simultaneous_constant(ext, lam, narrow, wall_estimates(ext, lam, narrow))
     assert est.mode_count == 7
     assert est.constant == np.inf
 
 
 def test_simultaneous_dominates_both_walls():
-    grid, dd, basis_d, basis_n, _ = double_setup(64)
+    grid, ext, basis_d, basis_n = double_setup(64)
     region = region_from_intervals(grid, [(0.4, 0.6)])
     lam = float(basis_d.frequencies[2])
-    cd = estimate_constant_lp(basis_d, make_cutoff(basis_d, lam), region)
-    cn = estimate_constant_lp(basis_n, make_cutoff(basis_n, lam), region)
-    cs = simultaneous_constant(dd, lam, region, (cd, cn))
+    cd = estimate_constant_lp(basis_d, lam, region)
+    cn = estimate_constant_lp(basis_n, lam, region)
+    cs = simultaneous_constant(ext, lam, region, (cd, cn))
     assert np.isfinite(cs.constant)
     assert cs.constant >= max(cd.constant, cn.constant) * (1.0 - 1e-12)
     # the circle LP alone dominates both walls up to its solver slack
-    alone = simultaneous_constant(dd, lam, region, (None, None))
+    alone = simultaneous_constant(ext, lam, region, (None, None))
     assert alone.constant >= max(cd.constant, cn.constant) - 1e-8
     assert alone.constant <= cs.constant
 
@@ -389,7 +388,7 @@ def test_fit_rejects_bad_inputs():
 def test_empty_cutoff_rejected_everywhere():
     basis = wall_basis(8, D)
     region = region_from_intervals(basis.grid, [(0.2, 0.8)])
-    empty = make_cutoff(basis, 0.0)
+    empty = 0.0
     with pytest.raises(ValueError):
         estimate_constant_lp(basis, empty, region)
     with pytest.raises(ValueError):

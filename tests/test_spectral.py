@@ -1,4 +1,4 @@
-"""Cutoffs, projections, and the three norms."""
+"""Mode counts, projections, and the three norms."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from numpy.testing import assert_allclose
 from common import D, N, analytic_eigenbasis, double_setup, wall_basis
 from simulheat.grid import Grid1D, region_from_intervals
 from simulheat.spectral import (
-    SpectralCutoff,
     l1_norm_on,
     l2_norm,
-    make_cutoff,
+    mode_count,
     project,
     sup_norm,
 )
@@ -18,66 +17,64 @@ from simulheat.spectral import (
 
 def test_cutoff_counts_include_equality():
     basis = wall_basis(8, D)
-    assert make_cutoff(basis, 0.0).count == 0
-    assert make_cutoff(basis, float(basis.frequencies[2])).count == 3
-    assert make_cutoff(basis, float(basis.frequencies[2]) - 1e-9).count == 2
-    assert make_cutoff(basis, 1e9).count == 8
+    assert mode_count(basis, 0.0) == 0
+    assert mode_count(basis, float(basis.frequencies[2])) == 3
+    assert mode_count(basis, float(basis.frequencies[2]) - 1e-9) == 2
+    assert mode_count(basis, 1e9) == 8
     neumann = wall_basis(8, N)
-    assert make_cutoff(neumann, 0.0).count == 1  # kernel mode sits at frequency 0
+    assert mode_count(neumann, 0.0) == 1  # kernel mode sits at frequency 0
 
 
 def test_cutoff_counts_the_exact_ties_of_constant_coefficients():
     # Dirichlet mode k and Neumann mode k+1 share the wavenumber k+1, so the
     # two wall solves give the same eigenvalue up to rounding
-    grid, dd, basis_d, basis_n, ext = double_setup(512)
+    grid, ext, basis_d, basis_n = double_setup(512)
     for k in range(200):
         lam = float(basis_d.frequencies[k])
-        assert make_cutoff(basis_n, lam).count == k + 2
-        assert make_cutoff(ext, lam).count == 2 * k + 3
+        assert mode_count(basis_n, lam) == k + 2
+        assert mode_count(ext, lam) == 2 * k + 3
 
 
 def test_cutoff_validation():
     with pytest.raises(ValueError):
-        SpectralCutoff(lam=-1.0, count=0)
-    with pytest.raises(ValueError):
-        SpectralCutoff(lam=1.0, count=-2)
+        mode_count(wall_basis(8, D), -1.0)
 
 
 def test_projection_is_identity_above_top_frequency():
     basis = wall_basis(16, D, kappa=lambda x: 1.0 + x)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(16)
-    cut = make_cutoff(basis, float(basis.frequencies[-1]))
-    assert_allclose(project(basis, cut, u), u, rtol=0, atol=1e-12)
+    K = mode_count(basis, float(basis.frequencies[-1]))
+    assert_allclose(project(basis, K, u), u, rtol=0, atol=1e-12)
 
 
 def test_projection_at_zero_cutoff():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(16)
     bd = wall_basis(16, D)
-    assert_allclose(project(bd, make_cutoff(bd, 0.0), u), 0.0, atol=0)
+    assert_allclose(project(bd, mode_count(bd, 0.0), u), 0.0, atol=0)
     bn = wall_basis(16, N)
     mean = np.sum(bn.grid.weights * u) / np.sum(bn.grid.weights)
-    assert_allclose(project(bn, make_cutoff(bn, 0.0), u), mean, rtol=0, atol=1e-13)
+    assert_allclose(project(bn, mode_count(bn, 0.0), u), mean, rtol=0, atol=1e-13)
 
 
 def test_projection_idempotent_and_self_adjoint():
     basis = wall_basis(24, N, kappa=lambda x: 2.0 - x)
-    cut = make_cutoff(basis, float(basis.frequencies[9]))
+    K = mode_count(basis, float(basis.frequencies[9]))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(24)
     v = rng.standard_normal(24)
-    pu = project(basis, cut, u)
-    assert_allclose(project(basis, cut, pu), pu, rtol=0, atol=1e-12)
+    pu = project(basis, K, u)
+    assert_allclose(project(basis, K, pu), pu, rtol=0, atol=1e-12)
     w = basis.grid.weights
-    assert abs(np.sum(w * pu * v) - np.sum(w * u * project(basis, cut, v))) <= 1e-12
+    assert abs(np.sum(w * pu * v) - np.sum(w * u * project(basis, K, v))) <= 1e-12
 
 
 def test_projection_pythagoras():
     basis = wall_basis(32, D)
-    cut = make_cutoff(basis, float(basis.frequencies[10]))
+    K = mode_count(basis, float(basis.frequencies[10]))
     u = np.random.default_rng(1).standard_normal(32)
-    pu = project(basis, cut, u)
+    pu = project(basis, K, u)
     total = l2_norm(basis.grid, u) ** 2
     parts = l2_norm(basis.grid, pu) ** 2 + l2_norm(basis.grid, u - pu) ** 2
     assert abs(total - parts) <= 1e-10 * total
@@ -85,8 +82,8 @@ def test_projection_pythagoras():
 
 def test_projection_ranges_are_nested():
     basis = wall_basis(32, D)
-    lo = make_cutoff(basis, float(basis.frequencies[4]))
-    hi = make_cutoff(basis, float(basis.frequencies[11]))
+    lo = mode_count(basis, float(basis.frequencies[4]))
+    hi = mode_count(basis, float(basis.frequencies[11]))
     u = np.random.default_rng(8).standard_normal(32)
     plo = project(basis, lo, u)
     assert_allclose(project(basis, hi, plo), plo, rtol=0, atol=1e-12)
@@ -142,4 +139,4 @@ def test_first_mode_sup_to_mass_ratio_approaches_half_pi():
 def test_project_shape_guard():
     basis = wall_basis(8, D)
     with pytest.raises(ValueError):
-        project(basis, make_cutoff(basis, 10.0), np.zeros(9))
+        project(basis, mode_count(basis, 10.0), np.zeros(9))
