@@ -1,22 +1,22 @@
 """Control synthesis: sampled Gramians, one-shot minimal-norm steering, the
 dyadic low-frequency cascade, and the exact mode marcher they share.
 
-All signals are piecewise constant in time and supported on a cell region;
-with the exact per-mode propagator the map from signal values to the final
-state is then exact, so steering residuals measure arithmetic, not time
-discretization. The adjoint parametrization f = sum_l q_l avg_l(t) e_l
-restricted to the region turns the minimal-weighted-norm problem into a
-K x K system with the sampled Gramian H = (I I^T / dt) o M, the Hadamard
-product of the step-integral outer product with the region mass matrix.
-Both syntheses solve that system the same way: block elimination of
-H + 1e-12 max(diag H) I, with an nw x nw Woodbury factor for the modes that
-only the last step reaches and a Schur complement on the rest, then defect
-correction against the unregularized H in factored form. A steering target
-is its mode coefficients: hum_low_mode_control steers the leading len(y0)
-modes, hum_full_control hands it all of them and each cascade slice those
-below its cutoff. The cascade lays out its own dyadic slices from the
-horizon T and lambda0, and march projects every step of a signal onto the
-modes in one product.
+A ControlSignal is piecewise constant in time and supported on a cell region,
+whose own quadrature weights price it and project it onto the modes; with the
+exact per-mode propagator the map from signal values to the final state is
+then exact, so steering residuals measure arithmetic, not time discretization.
+The adjoint parametrization f = sum_l q_l avg_l(t) e_l restricted to the
+region turns the minimal-weighted-norm problem into a K x K system with the
+sampled Gramian H = (I I^T / dt) o M, the Hadamard product of the
+step-integral outer product with the region mass matrix. Both syntheses solve
+that system the same way: block elimination of H + 1e-12 max(diag H) I, with
+an nw x nw Woodbury factor for the modes that only the last step reaches and a
+Schur complement on the rest, then defect correction against the unregularized
+H in factored form. A steering target is its mode coefficients:
+hum_low_mode_control steers the leading len(y0) modes, hum_full_control hands
+it all of them and each cascade slice those below its cutoff. The cascade lays
+out its own dyadic slices from the horizon T and lambda0, and march projects
+every step of a signal onto the modes in one product.
 """
 
 from __future__ import annotations
@@ -49,22 +49,20 @@ class SingularGramianError(NumericalError):
 class ControlSignal:
     """Piecewise-constant control: values[m] holds on [timegrid[m], timegrid[m+1]).
 
-    region_weights are the quadrature weights of the region cells; the cost
-    l2_cost = sqrt(sum_m dt_m sum_j w_j values[m,j]^2) is computed from the
-    fields on first use.
+    The cost l2_cost = sqrt(sum_m dt_m sum_j w_j values[m,j]^2), with w the
+    region's weights, is computed from the fields on first use.
     """
 
     timegrid: np.ndarray
     values: np.ndarray
     region: ControlRegion
-    region_weights: np.ndarray
     slice_ledger: tuple[dict, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.timegrid.ndim != 1 or len(self.timegrid) < 2:
             raise ValueError("timegrid needs at least two nodes")
-        if np.any(np.diff(self.timegrid) <= 0):
-            raise ValueError("timegrid must be strictly increasing")
+        if not (np.isfinite(self.timegrid).all() and (np.diff(self.timegrid) > 0).all()):
+            raise ValueError("timegrid must be finite and strictly increasing")
         nw = int(self.region.mask.sum())
         if self.values.shape != (len(self.timegrid) - 1, nw):
             raise ValueError(
@@ -75,7 +73,7 @@ class ControlSignal:
     def l2_cost(self) -> float:
         dt = np.diff(self.timegrid)
         with np.errstate(over="ignore"):  # a cost beyond float64 reads inf
-            return float(np.sqrt(np.sum(dt * np.sum(self.region_weights * self.values**2, axis=1))))
+            return float(np.sqrt(np.sum(dt * np.sum(self.region.weights * self.values**2, axis=1))))
 
 
 def decay_factors(eigenvalues: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +108,7 @@ def march(
         # segs ascends, so the steps inside the window are one run of them,
         # all projected by one product and scaled in place
         live = slice(*np.searchsorted(segs, [0, len(signal.values)]))
-        forcing[live] *= (basis.grid.weights[m] * signal.values[segs[live]]) @ basis.rows(m)
+        forcing[live] *= (signal.region.weights * signal.values[segs[live]]) @ basis.rows(m)
     forcing[: live.start] = 0.0
     forcing[live.stop :] = 0.0
     out = np.empty((len(times), len(yhat)))
@@ -195,9 +193,9 @@ def hum_low_mode_control(
         raise ValueError(f"need at least one step, got {steps}")
     timegrid = np.linspace(0.0, tau, steps + 1)
     nw = int(region.mask.sum())
-    weights = basis.grid.weights[region.mask]
+    weights = region.weights
     if not y0.any():
-        return ControlSignal(timegrid, np.zeros((steps, nw)), region, weights)
+        return ControlSignal(timegrid, np.zeros((steps, nw)), region)
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
     Phi = basis.rows(region.mask, K)
@@ -258,7 +256,7 @@ def hum_low_mode_control(
         values[-1] = Phi @ (avg[:, -1] * q)
     if not np.isfinite(values).all():  # a signal beyond float64 steers nothing
         raise SingularGramianError(basis, K, region, steps, np.inf)
-    return ControlSignal(timegrid, values, region, weights)
+    return ControlSignal(timegrid, values, region)
 
 
 # The per-slice verified steering bar. It is looser than the one-shot default
@@ -345,9 +343,7 @@ def lr_control(
     # the tail [t_end, T] of length T 2^-(J+1) is free decay
     times.append(np.array([t_end, T]))
     vals.append(np.zeros((1, nw)))
-    return ControlSignal(
-        np.concatenate(times), np.vstack(vals), region, basis.grid.weights[region.mask], slice_ledger=tuple(ledger)
-    )
+    return ControlSignal(np.concatenate(times), np.vstack(vals), region, slice_ledger=tuple(ledger))
 
 
 def hum_full_control(

@@ -86,8 +86,7 @@ def split(ext: CircleBasis, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lift_region(ext: CircleBasis, region: ControlRegion) -> ControlRegion:
     """Carry a control region to the plus copy only; the mirror stays silent."""
-    mask = np.concatenate([region.mask, np.zeros(ext.grid.n // 2, dtype=bool)])
-    return ControlRegion(mask=mask, measure=ext.grid.h * int(mask.sum()))
+    return ControlRegion(ext.grid, np.concatenate([region.mask, np.zeros(ext.grid.n // 2, dtype=bool)]))
 
 
 @dataclass(frozen=True, eq=False)

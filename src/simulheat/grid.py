@@ -3,8 +3,9 @@
 The unit of discretization everywhere is the cell average: a Grid1D of n
 cells on [0, length] has centers at (i + 1/2)h, carries its coefficients
 (kappa at the centers, a at the faces) and the weighted inner product
-sum(weights * u * v), with weights = h * kappa(centers). Control regions are
-boolean cell masks with exact measure h * popcount.
+sum(weights * u * v), with weights = h * kappa(centers). A ControlRegion is a
+boolean mask over one grid's cells, and derives its measure h * popcount and
+its weights from the two, so it cannot disagree with its grid.
 """
 
 from __future__ import annotations
@@ -90,16 +91,22 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class ControlRegion:
-    """Subset of cells where the control acts. measure = h * popcount exactly."""
+    """The cells of grid where the control acts, as a boolean mask of shape
+    (grid.n,). measure = h * popcount and weights = grid.weights[mask] are
+    derived from them."""
 
+    grid: Grid1D
     mask: np.ndarray
-    measure: float
+    measure: float = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mask.dtype != np.bool_ or self.mask.ndim != 1:
-            raise ValueError("mask must be a 1D boolean array")
+        if self.mask.dtype != np.bool_ or self.mask.shape != (self.grid.n,):
+            raise ValueError(f"mask must be a boolean array of shape ({self.grid.n},)")
         if not self.mask.any():
             raise EmptyRegionError("control region is empty")
+        object.__setattr__(self, "measure", self.grid.h * int(self.mask.sum()))
+        object.__setattr__(self, "weights", _frozen(self.grid.weights[self.mask]))
 
 
 def region_from_intervals(grid: Grid1D, intervals: Sequence[tuple[float, float]]) -> ControlRegion:
@@ -113,7 +120,7 @@ def region_from_intervals(grid: Grid1D, intervals: Sequence[tuple[float, float]]
         raise EmptyRegionError(
             f"no cell center lies in {list(intervals)} at resolution h={grid.h}"
         )
-    return ControlRegion(mask=mask, measure=grid.h * int(mask.sum()))
+    return ControlRegion(grid, mask)
 
 
 def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int) -> ControlRegion:
@@ -165,7 +172,7 @@ def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int
                 if lo + left + r < hi:
                     nxt.append((lo + left + r, hi))
             intervals = nxt
-    return ControlRegion(mask=mask, measure=grid.h * int(mask.sum()))
+    return ControlRegion(grid, mask)
 
 
 def _write_atomic(path: str | os.PathLike, text: str) -> None:
@@ -199,8 +206,7 @@ def read_mask_file(path: str | os.PathLike, grid: Grid1D) -> ControlRegion:
         raise ValueError(
             f"mask file {os.fspath(path)!r} must hold exactly {grid.n} chars of 0/1"
         )
-    mask = np.frombuffer(line.encode(), dtype=np.uint8) == ord("1")
-    return ControlRegion(mask=mask.copy(), measure=grid.h * int(mask.sum()))
+    return ControlRegion(grid, np.frombuffer(line.encode(), dtype=np.uint8) == ord("1"))
 
 
 def parse_region_spec(spec: str, grid: Grid1D) -> ControlRegion:

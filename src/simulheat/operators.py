@@ -119,7 +119,7 @@ class CircleBasis:
     def rows(self, mask: np.ndarray, count: int | None = None) -> np.ndarray:
         count = len(self.eigenvalues) if count is None else count
         n = self.walls[0].grid.n
-        cells = np.flatnonzero(mask)
+        cells = np.arange(self.grid.n)[mask]  # refuses a mask of another length
         mirror = cells >= n
         base = np.minimum(cells, 2 * n - 1 - cells)  # the base cell of each
         both = np.empty((len(cells), count))  # wall by wall, then taken into circle order

@@ -68,8 +68,8 @@ def propagate(
     the times; a node inside a step would go unseen, and is refused.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times need at least two strictly increasing nodes")
+    if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("times need at least two finite, strictly increasing nodes")
     n = basis.grid.n
     if state0.shape != (n,):
         raise ValueError(f"state has shape {state0.shape}, expected ({n},)")
@@ -125,7 +125,7 @@ def run_simultaneous(
     # split normalization: a source g supported on the embedded copy has odd
     # and even parts extend_pair(g/2, g/2), so each wall problem is driven by
     # g/2, and that halved trace is the single control both runs share.
-    base_signal = ControlSignal(signal.timegrid, 0.5 * signal.values, region, grid.weights[region.mask])
+    base_signal = ControlSignal(signal.timegrid, 0.5 * signal.values, region)
     traj_u = propagate(basis_d, u0, signal.timegrid, base_signal)
     traj_v = propagate(basis_n, v0, signal.timegrid, base_signal)
     traj_double = propagate(ext, U0, signal.timegrid, signal)

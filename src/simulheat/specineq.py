@@ -4,8 +4,9 @@ For the K-dimensional space spanned by the modes below a cutoff, the discrete
 constant is sup ||p||_inf / ||p||_{L1(region)} over the span. It is finite
 exactly when the restriction-to-region map has full rank on the span, and the
 sup is attained at a grid cell i, so it is the max over i of the dual LP
-C_i = min ||y||_inf subject to B y = E_i, with B = (w * E[region])^T. Only the
-K right-hand sides change from cell to cell, so one HiGHS model with rows
+C_i = min ||y||_inf subject to B y = E_i, with B = (w * E[region])^T and w
+the region's own weights, which _ratio's l1_norm_on reads too. Only the K
+right-hand sides change from cell to cell, so one HiGHS model with rows
 orthonormalized through the SVD of B serves the sweep, each dual-simplex solve
 warm-started from the last. Each estimate is a bracket: the best re-evaluated
 primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
@@ -68,9 +69,9 @@ class FitResult(NamedTuple):
     residual: float
 
 
-def _ratio(basis: Basis, E: np.ndarray, region: ControlRegion, c: np.ndarray) -> float:
+def _ratio(E: np.ndarray, region: ControlRegion, c: np.ndarray) -> float:
     p = E @ c
-    denom = l1_norm_on(basis.grid, p, region)
+    denom = l1_norm_on(p, region)
     if denom == 0.0:
         return np.inf
     return sup_norm(p) / denom
@@ -120,7 +121,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     E = basis.columns(K)
     m = region.mask
     nw = int(m.sum())
-    _, s, Vh = scipy.linalg.svd(np.sqrt(basis.grid.weights[m])[:, None] * E[m, :], full_matrices=nw < K)
+    _, s, Vh = scipy.linalg.svd(np.sqrt(region.weights)[:, None] * E[m, :], full_matrices=nw < K)
     est = SpectralConstantEstimate(lam=float(lam), mode_count=K, region_measure=region.measure,
                                    method="exact-lp", constant=np.inf, upper=np.inf)
     # rank decision at the SVD noise floor: fewer observation cells than
@@ -137,7 +138,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     # ||(T B)^T lam||_1 the solver saw, where the float64 V^T would leave it
     # off by eps * s_max / s_min relative, 1e-3 near the float64 horizon.
     ld = np.longdouble
-    B = (basis.grid.weights[m][:, None] * E[m, :]).T
+    B = (region.weights[:, None] * E[m, :]).T
     U, S, Vt = scipy.linalg.svd(B, full_matrices=False)
     s_min = S[-1]
     T = (U / S).T
@@ -189,7 +190,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
             solved += 1
             c = T.T @ sol.row_dual[:K]  # c = T^T lam from the row duals lam
             if c.any():
-                val = _ratio(basis, E, region, c)  # re-evaluated, trims solver slack
+                val = _ratio(E, region, c)  # re-evaluated, trims solver slack
                 if val > best_val:
                     best_val, best_cert = val, c
     if not solved:
@@ -247,13 +248,12 @@ def simultaneous_constant(
             break
         embedded = np.zeros(est.mode_count)
         embedded[ext.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
-        val = _ratio(ext, Eext, lifted, embedded)
+        val = _ratio(Eext, lifted, embedded)
         if val > best:
             best, best_cert = val, embedded
 
     # a folded wall ratio lies below the circle's constant, up to rounding
-    return replace(est, region_measure=region.measure, constant=float(best), certificate=best_cert,
-                   upper=max(est.upper, float(best)))
+    return replace(est, constant=float(best), certificate=best_cert, upper=max(est.upper, float(best)))
 
 
 def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:

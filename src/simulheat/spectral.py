@@ -25,7 +25,7 @@ def mode_count(basis: Basis, lam: float) -> int:
     """The number of modes of basis at frequency lam or below: those with
     eigenvalue <= lam^2 + resolution(basis), so a frequency equal to lam up to
     rounding is included."""
-    if lam < 0:
+    if not lam >= 0:  # NaN too, which searchsorted would place past every mode
         raise ValueError(f"cutoff must be nonnegative, got {lam}")
     with np.errstate(over="ignore"):
         top = np.square(float(lam)) + resolution(basis)
@@ -57,7 +57,6 @@ def l2_norm(grid: Grid1D, u: np.ndarray) -> float | np.ndarray:
     return norms if u.ndim > 1 else float(norms)
 
 
-def l1_norm_on(grid: Grid1D, u: np.ndarray, region: ControlRegion) -> float:
+def l1_norm_on(u: np.ndarray, region: ControlRegion) -> float:
     """Weighted L1 norm of u restricted to the region's cells."""
-    m = region.mask
-    return float(np.sum(grid.weights[m] * np.abs(u[m])))
+    return float(np.sum(region.weights * np.abs(u[region.mask])))

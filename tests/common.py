@@ -270,7 +270,7 @@ def lp_cell_values(basis, lam, region, cells=None):
                           bounds=bounds, method=method, options=options)
             if res.status == 0 and res.fun > 0.0:
                 p = E @ res.x[:K]
-                values[-1] = sup_norm(p) / l1_norm_on(basis.grid, p, region)
+                values[-1] = sup_norm(p) / l1_norm_on(p, region)
                 break
             if res.status == 2:  # the peak row is identically zero
                 break
@@ -339,7 +339,7 @@ def randomized_lower_bound(basis, lam, region, *, trials=256, seed=0):
     for _ in range(trials):
         c = rng.standard_normal(K)
         p = E @ c
-        mass = l1_norm_on(basis.grid, p, region)
+        mass = l1_norm_on(p, region)
         val = np.inf if mass == 0.0 else sup_norm(p) / mass
         if val > best:
             best, best_c = val, c

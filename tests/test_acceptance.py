@@ -107,7 +107,7 @@ def test_criterion_6_oracle_equivalence():
         region = region_from_intervals(grid, [(0.25, 0.75)])
         timegrid = np.linspace(0.0, 0.4, 6)
         values = rng.standard_normal((5, int(region.mask.sum())))
-        sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
+        sig = ControlSignal(timegrid, values, region)
         u0 = rng.standard_normal(16)
         traj = propagate(basis, u0, timegrid, sig)
         A = op.dense()

@@ -61,10 +61,10 @@ def last_step_only(basis, timegrid):
     return np.flatnonzero(~I[:, :-1].any(axis=1))
 
 
-def center_cell_region(n):
-    mask = np.zeros(n, dtype=bool)
-    mask[n // 2] = True
-    return ControlRegion(mask=mask, measure=1.0 / n)
+def center_cell_region(grid):
+    mask = np.zeros(grid.n, dtype=bool)
+    mask[grid.n // 2] = True
+    return ControlRegion(grid, mask)
 
 
 def test_decay_factors_handle_the_kernel_limit():
@@ -223,6 +223,16 @@ def test_hum_low_rejects_malformed_problems():
             hum_low_mode_control(basis, region, np.array([1.0, bad]), 0.5)
 
 
+def test_a_region_of_another_grid_is_refused():
+    # a base-grid region must be lifted before it steers the circle, and a
+    # lifted one steers no wall
+    grid, ext, basis_d, _ = double_setup(8)
+    region = region_from_intervals(grid, [(0.2, 0.5)])
+    for basis, wrong in ((ext, region), (basis_d, lift_region(ext, region))):
+        with pytest.raises(IndexError):
+            hum_low_mode_control(basis, wrong, np.ones(2), 0.5)
+
+
 def test_a_signal_beyond_float64_is_a_miss():
     # on a horizon of 1.8e-308 the two-mode solve verifies, but the sampled
     # values, q times step averages of order 1/dt, overflow
@@ -237,7 +247,7 @@ def test_hum_low_raises_on_unobservable_mode():
     # center-cell control sees a structurally singular Gramian
     basis = wall_basis(9, D)
     assert abs(basis.vectors[4, 1]) <= 1e-14
-    region = center_cell_region(9)
+    region = center_cell_region(basis.grid)
     with pytest.raises(SingularGramianError) as err:
         hum_low_mode_control(basis, region, np.array([0.3, -0.2, 1.0]), 0.2)
     # the top steered frequency is 9 = 3 pi / (pi / 3) up to rounding
@@ -249,20 +259,21 @@ def test_signal_cost_cache_and_validation():
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     sig = hum_low_mode_control(basis, region, np.array([1.0, -2.0, 0.5]), 0.4)
     dt = np.diff(sig.timegrid)
-    recomputed = np.sqrt(np.sum(dt[:, None] * sig.region_weights[None, :] * sig.values**2))
+    rw = basis.grid.weights[region.mask]
+    recomputed = np.sqrt(np.sum(dt[:, None] * rw[None, :] * sig.values**2))
     assert sig.l2_cost == pytest.approx(recomputed, rel=1e-12)
     assert sig.l2_cost is sig.l2_cost  # computed once, then cached
     nw = int(region.mask.sum())
-    rw = basis.grid.weights[region.mask]
     # a signal built directly prices its own values
-    direct = ControlSignal(np.array([0.0, 0.25, 1.0]), np.full((2, nw), 2.0), region, rw)
+    direct = ControlSignal(np.array([0.0, 0.25, 1.0]), np.full((2, nw), 2.0), region)
     assert direct.l2_cost == pytest.approx(2.0 * np.sqrt(np.sum(rw)), rel=1e-12)
     with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0]), np.zeros((0, nw)), region, rw)
+        ControlSignal(np.array([0.0]), np.zeros((0, nw)), region)
+    for nodes in ([0.0, 0.5, 0.5], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError):
+            ControlSignal(np.array(nodes), np.zeros((2, nw)), region)
     with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0, 0.5, 0.5]), np.zeros((2, nw)), region, rw)
-    with pytest.raises(ValueError):
-        ControlSignal(np.array([0.0, 1.0]), np.zeros((1, nw + 1)), region, rw)
+        ControlSignal(np.array([0.0, 1.0]), np.zeros((1, nw + 1)), region)
 
 
 def test_schedule_collapses_to_one_slice():
@@ -456,7 +467,7 @@ def test_one_shot_beats_the_cascade_on_cost():
 
 def test_hum_full_rejects_underdetermined_sampling():
     basis = wall_basis(8, D)
-    region = center_cell_region(8)
+    region = center_cell_region(basis.grid)
     with pytest.raises(ValueError):
         hum_full_control(basis, region, np.ones(8), 1.0, steps=7)
     with pytest.raises(ValueError):
@@ -465,7 +476,7 @@ def test_hum_full_rejects_underdetermined_sampling():
 
 def test_hum_full_raises_on_unreachable_target():
     basis = wall_basis(9, D)
-    region = center_cell_region(9)
+    region = center_cell_region(basis.grid)
     field0 = basis.vectors[:, 1] + 0.1 * basis.vectors[:, 0]
     with pytest.raises(SingularGramianError):
         hum_full_control(basis, region, field0, 0.1, steps=16)

@@ -112,7 +112,7 @@ def test_region_error_cases():
     with pytest.raises(ValueError):
         region_from_intervals(g, [(0.5, 0.5)])
     with pytest.raises(EmptyRegionError):
-        ControlRegion(mask=np.zeros(4, dtype=bool), measure=0.0)
+        ControlRegion(g, np.zeros(4, dtype=bool))
 
 
 def test_region_monotone_under_enlargement():
@@ -245,7 +245,7 @@ def test_result_objects_compare_by_identity_and_hash():
     region = region_from_intervals(grid, [(0.0, 0.5)])
 
     def signal():
-        return ControlSignal(np.array([0.0, 1.0]), np.zeros((1, 2)), region, grid.weights[region.mask])
+        return ControlSignal(np.array([0.0, 1.0]), np.zeros((1, 2)), region)
 
     def trajectory():
         return Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4)), np.zeros(2), np.zeros(2))

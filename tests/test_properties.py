@@ -1,10 +1,14 @@
 """Property tests over drawn sizes and coefficient profiles: the stacked
 paths against their per-field calls, the split round trip, the doubling
 checks against their double-check bars, the wall residuals of the
-shared-control pipeline, steering that meets its tolerance or raises, and
-the exact-lp bracket."""
+shared-control pipeline, steering that meets its tolerance or raises, the
+exact-lp bracket, and regions that weigh exactly their grid's cells."""
+
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
@@ -12,8 +16,16 @@ from numpy.testing import assert_array_equal
 from common import D, N, piecewise_linear, problem, profiles, randomized_lower_bound, unit_pair
 from simulheat.cli import _DOUBLE_CHECK_TOL
 from simulheat.control import _STEER_TOL, SingularGramianError, hum_low_mode_control, march
-from simulheat.doubling import build_double, extend_pair, split, verify
-from simulheat.grid import region_from_intervals
+from simulheat.doubling import build_double, extend_pair, lift_region, split, verify
+from simulheat.grid import (
+    ControlRegion,
+    EmptyRegionError,
+    Grid1D,
+    fat_cantor_region,
+    read_mask_file,
+    region_from_intervals,
+    write_mask_file,
+)
 from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import run_simultaneous
 from simulheat.specineq import estimate_constant_lp
@@ -139,3 +151,40 @@ def test_exact_lp_bracket_holds_the_randomized_lower_bound(grid, bc, left, width
     assert est.constant <= est.upper
     assert est.constant >= randomized_lower_bound(basis, lam, region).constant * (1.0 - 1e-9)
     assert est.lp_solves <= grid.n
+
+
+@given(
+    st.integers(2, 64),
+    st.floats(1e-3, 1e3),
+    profiles(),
+    st.data(),
+)
+def test_every_region_weighs_exactly_its_cells(n, length, kappa, data):
+    grid = Grid1D(n, length, kappa)
+    ext = build_double(grid)
+    # an interval pair around a drawn cell center holds that cell
+    center = grid.centers[data.draw(st.integers(0, n - 1))]
+    left, right = (data.draw(st.floats(1e-6, 0.5)) * length for _ in range(2))
+    keep = data.draw(st.integers(1, n))
+    cantor = fat_cantor_region(grid, min(keep * grid.h, grid.length), data.draw(st.integers(1, 6)),
+                               data.draw(st.integers(0, 2**32 - 1)))
+    regions = [region_from_intervals(grid, [(center - left, center + right)]), cantor]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mask.txt")
+        write_mask_file(path, cantor)
+        regions.append(read_mask_file(path, grid))
+    for region in regions:
+        assert region.grid is grid
+        assert region.measure == grid.h * int(region.mask.sum())
+        assert_array_equal(region.weights, grid.weights[region.mask])
+        lifted = lift_region(ext, region)
+        assert lifted.grid is ext.grid
+        assert lifted.measure == region.measure
+        assert_array_equal(lifted.weights, ext.grid.weights[lifted.mask])
+        assert_array_equal(lifted.weights, region.weights)
+    mask = regions[0].mask
+    for bad in (mask[:-1], np.concatenate([mask, mask]), mask.astype(int)):
+        with pytest.raises(ValueError, match="boolean array of shape"):
+            ControlRegion(grid, bad)
+    with pytest.raises(EmptyRegionError):
+        ControlRegion(grid, np.zeros(n, dtype=bool))

@@ -28,14 +28,8 @@ from simulheat.operators import assemble_laplacian, eigendecompose
 from simulheat.sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 
 
-def zero_signal(grid, region, t_end, steps):
-    nw = int(region.mask.sum())
-    return ControlSignal(
-        np.linspace(0.0, t_end, steps + 1),
-        np.zeros((steps, nw)),
-        region,
-        grid.weights[region.mask],
-    )
+def zero_signal(region, t_end, steps):
+    return ControlSignal(np.linspace(0.0, t_end, steps + 1), np.zeros((steps, int(region.mask.sum()))), region)
 
 
 def test_free_eigenmode_decays_exactly():
@@ -58,7 +52,7 @@ def test_free_decay_norms_never_increase():
     basis = eigendecompose(assemble_laplacian(grid, D))
     region = region_from_intervals(grid, [(0.4, 0.6)])
     rng = np.random.default_rng(2)
-    sig = zero_signal(grid, region, 1.0, 8)
+    sig = zero_signal(region, 1.0, 8)
     traj = propagate(basis, rng.standard_normal(24), sig.timegrid, sig)
     assert len(traj.times) == 9
     assert np.all(np.diff(traj.l2_norms) <= 1e-12)
@@ -68,9 +62,10 @@ def test_free_decay_norms_never_increase():
 def test_propagate_validates_inputs():
     basis = wall_basis(16, D)
     region = region_from_intervals(basis.grid, [(0.4, 0.6)])
-    sig = zero_signal(basis.grid, region, 1.0, 4)
-    with pytest.raises(ValueError):
-        propagate(basis, np.zeros(16), np.array([0.0, 0.0]))
+    sig = zero_signal(region, 1.0, 4)
+    for times in ([0.0, 0.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError):
+            propagate(basis, np.zeros(16), np.array(times))
     with pytest.raises(ValueError):
         propagate(basis, np.zeros(15), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -90,7 +85,7 @@ def test_propagate_matches_expm_duhamel_oracle():
     rng = np.random.default_rng(9)
     timegrid = np.linspace(0.0, 0.4, 6)
     values = rng.standard_normal((5, int(region.mask.sum())))
-    sig = ControlSignal(timegrid, values, region, grid.weights[region.mask])
+    sig = ControlSignal(timegrid, values, region)
     u0 = rng.standard_normal(12)
     traj = propagate(basis, u0, timegrid, sig)
 
@@ -113,7 +108,7 @@ def test_propagate_states_match_the_per_node_reconstruction():
     rng = np.random.default_rng(11)
     timegrid = np.linspace(0.0, 0.5, 9)
     values = rng.standard_normal((8, int(region.mask.sum())))
-    sig = ControlSignal(timegrid, values, region, ext.grid.weights[region.mask])
+    sig = ControlSignal(timegrid, values, region)
     U0 = rng.standard_normal(64)
     traj = propagate(ext, U0, np.r_[timegrid, 0.7], sig)
     # the loop the wall products replaced: one product with the dense circle
@@ -143,7 +138,7 @@ def test_split_of_a_trajectory_stack_equals_per_state_splits():
     grid, ext, basis_d, basis_n = double_setup(8)
     region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.5)]))
     rng = np.random.default_rng(4)
-    sig = zero_signal(ext.grid, region, 0.5, 5)
+    sig = zero_signal(region, 0.5, 5)
     traj = propagate(ext, rng.standard_normal(16), sig.timegrid, sig)
     su, sv = split(ext, traj.states)
     assert su.shape == sv.shape == (6, 8)

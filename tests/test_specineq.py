@@ -38,10 +38,10 @@ from simulheat.specineq import (
 from simulheat.spectral import l1_norm_on, mode_count, sup_norm
 
 
-def one_cell_region(n, i):
-    mask = np.zeros(n, dtype=bool)
+def one_cell_region(grid, i):
+    mask = np.zeros(grid.n, dtype=bool)
     mask[i] = True
-    return ControlRegion(mask=mask, measure=1.0 / n)
+    return ControlRegion(grid, mask)
 
 
 def wall_estimates(ext, lam, region):
@@ -63,7 +63,7 @@ def test_lp_single_mode_matches_closed_form():
     ):
         est = estimate_constant_lp(basis, lam, region)
         # the span is one-dimensional: the ratio does not depend on the coefficient
-        assert_allclose(est.constant, sup_norm(e) / l1_norm_on(basis.grid, e, region), rtol=1e-12)
+        assert_allclose(est.constant, sup_norm(e) / l1_norm_on(e, region), rtol=1e-12)
         assert est.method == "exact-lp"
         assert est.mode_count == 1
 
@@ -77,13 +77,13 @@ def test_lp_first_mode_approaches_continuum_ratio():
     fine = analytic_eigenbasis(Grid1D(4096), D)
     e1 = fine.vectors[:, 0]
     whole_fine = region_from_intervals(fine.grid, [(0.0, 1.0)])
-    assert abs(sup_norm(e1) / l1_norm_on(fine.grid, e1, whole_fine) - np.pi / 2.0) <= 1e-3
+    assert abs(sup_norm(e1) / l1_norm_on(e1, whole_fine) - np.pi / 2.0) <= 1e-3
 
 
 def test_lp_rank_deficiency_returns_infinity():
     basis = wall_basis(8, D)
     lam = float(basis.frequencies[1])  # two modes
-    est = estimate_constant_lp(basis, lam, one_cell_region(8, 3))
+    est = estimate_constant_lp(basis, lam, one_cell_region(basis.grid, 3))
     assert est.constant == np.inf
     assert est.certificate is not None  # the null direction witnesses deficiency
     assert est.lp_solves == est.lp_retries == 0
@@ -244,7 +244,7 @@ def test_simultaneous_constant_certified_at_float64_horizon():
     E = ext.columns(9)
     R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
     p = E @ scipy.linalg.svd(R)[2][-1]
-    witness = sup_norm(p) / l1_norm_on(ext.grid, p, lifted)
+    witness = sup_norm(p) / l1_norm_on(p, lifted)
     assert witness > 6e12
     assert est.constant >= witness
     assert est.upper - est.constant <= 1e-3 * est.constant
@@ -293,7 +293,7 @@ def test_certificates_reproduce_reported_constants():
         randomized_lower_bound(basis, lam, region, trials=64, seed=0),
     ):
         p = basis.vectors[:, : est.mode_count] @ est.certificate
-        ratio = sup_norm(p) / l1_norm_on(basis.grid, p, region)
+        ratio = sup_norm(p) / l1_norm_on(p, region)
         assert abs(ratio - est.constant) <= 1e-8 * est.constant
 
 
@@ -303,7 +303,7 @@ def test_l2_surrogate_frozen_cases():
     est = estimate_constant_lp(basis, float(basis.frequencies[4]), whole)
     assert_allclose(est.sigma_min, 1.0, atol=1e-12)  # orthonormal restriction
     # more modes than observation cells forces rank deficiency
-    est = estimate_constant_lp(basis, float(basis.frequencies[2]), one_cell_region(16, 5))
+    est = estimate_constant_lp(basis, float(basis.frequencies[2]), one_cell_region(basis.grid, 5))
     assert est.constant == np.inf
     assert est.sigma_min == 0.0
 
