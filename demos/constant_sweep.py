@@ -27,7 +27,7 @@ basis_d, basis_n = ext.walls
 
 window = region_from_intervals(grid, [(0.45, 0.55)])
 wide = region_from_intervals(grid, [(0.4, 0.6)])
-print(f"n={n}, window (0.45, 0.55) = {int(window.mask.sum())} cells")
+print(f"n={n}, window (0.45, 0.55) = {len(window.cells)} cells")
 print()
 print("  cutoff   modes   C(window)      C(wide)        C(simultaneous)")
 

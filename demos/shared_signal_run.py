@@ -24,7 +24,7 @@ def main(seed: int) -> None:
     u0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
 
-    print(f"n={n}, horizon T={T}, control window (0.2, 0.3) = {int(region.mask.sum())} cells, seed {seed}")
+    print(f"n={n}, horizon T={T}, control window (0.2, 0.3) = {len(region.cells)} cells, seed {seed}")
     for method in ("hum", "lr"):
         rep = run_simultaneous(grid, u0, v0, region, T, method)
         print(f"\n[{method}]")

@@ -248,7 +248,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
     )
 
     sig = report.signal
-    cells = np.flatnonzero(sig.region.mask)  # the circle signal lives on the lifted region
+    cells = sig.region.cells  # the circle signal lives on the lifted region
     header = "t," + ",".join(f"cell_{int(c)}" for c in cells)
     # each node with the value holding from it; the last node closes with zeros
     table = np.column_stack([sig.timegrid, np.vstack([sig.values, np.zeros(len(cells))])])
@@ -282,7 +282,7 @@ def cmd_fatcantor(cfg: ExperimentConfig, outdir: str) -> int:
     region = fat_cantor_region(grid, cfg.cantor_measure, cfg.cantor_depth, cfg.seed)
     path = os.path.join(outdir, "cantor_mask.txt")
     write_mask_file(path, region)
-    print(f"wrote {path}: measure {_fmt(region.measure)} over {int(region.mask.sum())} cells")
+    print(f"wrote {path}: measure {_fmt(region.measure)} over {len(region.cells)} cells")
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Control synthesis: sampled Gramians, one-shot minimal-norm steering, the
 dyadic low-frequency cascade, and the exact mode marcher they share.
 
-A ControlSignal is piecewise constant in time and supported on a cell region,
-whose own quadrature weights price it and project it onto the modes; with the
-exact per-mode propagator the map from signal values to the final state is
-then exact, so steering residuals measure arithmetic, not time discretization.
+A ControlSignal is piecewise constant in time on a region of the basis's own
+grid (basis.rows refuses another), whose weights price it and project it onto
+the modes; with the exact per-mode propagator the map from signal values to
+the final state is exact, so steering residuals measure arithmetic alone.
 The adjoint parametrization f = sum_l q_l avg_l(t) e_l restricted to the
 region turns the minimal-weighted-norm problem into a K x K system with the
 sampled Gramian H = (I I^T / dt) o M, the Hadamard product of the
@@ -40,7 +40,7 @@ class SingularGramianError(NumericalError):
     def __init__(self, basis: Basis, count: int, region: ControlRegion, steps: int, achieved: float):
         super().__init__(
             f"steering {count} modes up to frequency {basis.frequencies[count - 1]:.6g} from "
-            f"{int(region.mask.sum())} cells (region measure {region.measure:.6g}) on {steps} steps: "
+            f"{len(region.cells)} cells (region measure {region.measure:.6g}) on {steps} steps: "
             f"verified residual {achieved:.3e}"
         )
 
@@ -63,7 +63,7 @@ class ControlSignal:
             raise ValueError("timegrid needs at least two nodes")
         if not (np.isfinite(self.timegrid).all() and (np.diff(self.timegrid) > 0).all()):
             raise ValueError("timegrid must be finite and strictly increasing")
-        nw = int(self.region.mask.sum())
+        nw = len(self.region.cells)
         if self.values.shape != (len(self.timegrid) - 1, nw):
             raise ValueError(
                 f"values shaped {self.values.shape}, expected ({len(self.timegrid) - 1}, {nw})"
@@ -103,12 +103,11 @@ def march(
     decay, forcing = decay_factors(basis.eigenvalues, np.diff(times))
     live = slice(0, 0)  # without a signal no step is forced
     if signal is not None:
-        m = signal.region.mask
         segs = np.searchsorted(signal.timegrid, times[:-1], side="right") - 1
         # segs ascends, so the steps inside the window are one run of them,
         # all projected by one product and scaled in place
         live = slice(*np.searchsorted(segs, [0, len(signal.values)]))
-        forcing[live] *= (signal.region.weights * signal.values[segs[live]]) @ basis.rows(m)
+        forcing[live] *= (signal.region.weights * signal.values[segs[live]]) @ basis.rows(signal.region)
     forcing[: live.start] = 0.0
     forcing[live.stop :] = 0.0
     out = np.empty((len(times), len(yhat)))
@@ -192,13 +191,13 @@ def hum_low_mode_control(
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     timegrid = np.linspace(0.0, tau, steps + 1)
-    nw = int(region.mask.sum())
+    Phi = basis.rows(region, K)  # refuses a region of another grid, even for a zero target
+    nw = len(region.cells)
     weights = region.weights
     if not y0.any():
         return ControlSignal(timegrid, np.zeros((steps, nw)), region)
     lam = basis.eigenvalues[:K]
     I, avg = _step_integrals(lam, timegrid)
-    Phi = basis.rows(region.mask, K)
     rhs = -np.exp(-lam * timegrid[-1]) * y0
 
     reached = I[:, :-1].any(axis=1)
@@ -306,7 +305,7 @@ def lr_control(
     ledger: list[dict] = []
     times: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    nw = int(region.mask.sum())
+    nw = len(region.cells)
     # once the targeted modes dip below representable precision of the input,
     # an active solve would only pump rounding noise back in
     floor = 64.0 * np.finfo(float).eps * float(np.linalg.norm(yhat))
@@ -359,7 +358,7 @@ def hum_full_control(
     enough steps to make the input map onto, to its default 1e-8 relative
     residual."""
     K = len(basis.eigenvalues)
-    nw = int(region.mask.sum())
+    nw = len(region.cells)
     if steps is None:
         steps = max(64, -(-2 * K // nw))
     if steps * nw < K:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ControlRegion, Grid1D
-from .operators import BoundaryCondition, CircleBasis, _snap_kernel, assemble_laplacian, eigendecompose
+from .operators import BoundaryCondition, CircleBasis, _cells, _snap_kernel, assemble_laplacian, eigendecompose
 from .spectral import l2_norm, mode_count, project, sup_norm
 
 # random (u, v, lambda) triples the link identity and the split round trip are checked on
@@ -85,8 +85,8 @@ def split(ext: CircleBasis, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lift_region(ext: CircleBasis, region: ControlRegion) -> ControlRegion:
-    """Carry a control region to the plus copy only; the mirror stays silent."""
-    return ControlRegion(ext.grid, np.concatenate([region.mask, np.zeros(ext.grid.n // 2, dtype=bool)]))
+    """Carry a control region of the base grid to the plus copy only; the mirror stays silent."""
+    return ControlRegion(ext.grid, np.isin(np.arange(ext.grid.n), _cells(ext.walls[0], region)))
 
 
 @dataclass(frozen=True, eq=False)

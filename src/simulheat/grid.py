@@ -4,8 +4,8 @@ The unit of discretization everywhere is the cell average: a Grid1D of n
 cells on [0, length] has centers at (i + 1/2)h, carries its coefficients
 (kappa at the centers, a at the faces) and the weighted inner product
 sum(weights * u * v), with weights = h * kappa(centers). A ControlRegion is a
-boolean mask over one grid's cells, and derives its measure h * popcount and
-its weights from the two, so it cannot disagree with its grid.
+read-only boolean mask over one grid's cells, from which it derives its cells,
+measure h * len(cells) and weights, so it cannot disagree with its grid.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class ResolutionError(ValueError):
     """Requested construction is not representable at this grid resolution."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _frozen(arr: np.ndarray, dtype: type | None = float) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -91,22 +91,27 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class ControlRegion:
-    """The cells of grid where the control acts, as a boolean mask of shape
-    (grid.n,). measure = h * popcount and weights = grid.weights[mask] are
-    derived from them."""
+    """The cells of grid where the control acts, from a boolean mask of shape
+    (grid.n,). mask is a read-only copy, and cells = flatnonzero(mask), measure
+    = h * len(cells) and weights = grid.weights[cells] are derived from it."""
 
     grid: Grid1D
     mask: np.ndarray
+    cells: np.ndarray = field(init=False)
     measure: float = field(init=False)
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mask.dtype != np.bool_ or self.mask.shape != (self.grid.n,):
+        mask = _frozen(self.mask, dtype=None)  # a copy, so the caller's array may change freely
+        if mask.dtype != np.bool_ or mask.shape != (self.grid.n,):
             raise ValueError(f"mask must be a boolean array of shape ({self.grid.n},)")
-        if not self.mask.any():
+        cells = _frozen(np.flatnonzero(mask), dtype=None)
+        if not len(cells):
             raise EmptyRegionError("control region is empty")
-        object.__setattr__(self, "measure", self.grid.h * int(self.mask.sum()))
-        object.__setattr__(self, "weights", _frozen(self.grid.weights[self.mask]))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "measure", self.grid.h * len(cells))
+        object.__setattr__(self, "weights", _frozen(self.grid.weights[cells]))
 
 
 def region_from_intervals(grid: Grid1D, intervals: Sequence[tuple[float, float]]) -> ControlRegion:

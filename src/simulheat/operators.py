@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid1D
+from .grid import ControlRegion, Grid1D
 
 
 class NumericalError(RuntimeError):
@@ -50,6 +50,13 @@ class Operator:
         return A
 
 
+def _cells(basis: Basis, region: ControlRegion) -> np.ndarray:
+    """The cells of region, refused unless it lives on basis's own grid: the package's one grid check."""
+    if region.grid is not basis.grid:
+        raise ValueError(f"region lives on another grid than the {basis.bc.value} basis it is read through")
+    return region.cells
+
+
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Weighted-orthonormal eigenvectors, ascending eigenvalues.
@@ -68,9 +75,9 @@ class EigenBasis:
         """The leading count modes, one per column."""
         return self.vectors[:, :count]
 
-    def rows(self, mask: np.ndarray, count: int | None = None) -> np.ndarray:
-        """The leading count modes (all of them if None) on the cells of mask, one row per cell."""
-        return self.vectors[mask, :count]
+    def rows(self, region: ControlRegion, count: int | None = None) -> np.ndarray:
+        """The leading count modes (all of them if None) on the region's cells, one row per cell."""
+        return self.vectors[_cells(self, region), :count]
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """All weighted mode coefficients <e_k, u>."""
@@ -84,7 +91,8 @@ class EigenBasis:
 @dataclass(frozen=True, eq=False)
 class CircleBasis:
     """The periodic eigenbasis of the doubled grid as a view of the two wall
-    bases, answering as EigenBasis does without storing a 2n x 2n matrix.
+    bases, answering as EigenBasis does without storing a 2n x 2n matrix:
+    rows reads a region of the doubled grid, and columns reads all of it.
 
     Base cell i is circle cell i on the plus copy and 2n-1-i on the mirror
     copy. Circle mode circle_rows[k] is the odd extension of Dirichlet mode k
@@ -114,12 +122,12 @@ class CircleBasis:
 
     def columns(self, count: int) -> np.ndarray:
         # modes contiguous in memory, as the columns of a wall basis are
-        return np.asfortranarray(self.rows(np.ones(self.grid.n, dtype=bool), count))
+        return np.asfortranarray(self.rows(ControlRegion(self.grid, np.ones(self.grid.n, dtype=bool)), count))
 
-    def rows(self, mask: np.ndarray, count: int | None = None) -> np.ndarray:
+    def rows(self, region: ControlRegion, count: int | None = None) -> np.ndarray:
         count = len(self.eigenvalues) if count is None else count
         n = self.walls[0].grid.n
-        cells = np.arange(self.grid.n)[mask]  # refuses a mask of another length
+        cells = _cells(self, region)
         mirror = cells >= n
         base = np.minimum(cells, 2 * n - 1 - cells)  # the base cell of each
         both = np.empty((len(cells), count))  # wall by wall, then taken into circle order

@@ -4,8 +4,8 @@ For the K-dimensional space spanned by the modes below a cutoff, the discrete
 constant is sup ||p||_inf / ||p||_{L1(region)} over the span. It is finite
 exactly when the restriction-to-region map has full rank on the span, and the
 sup is attained at a grid cell i, so it is the max over i of the dual LP
-C_i = min ||y||_inf subject to B y = E_i, with B = (w * E[region])^T and w
-the region's own weights, which _ratio's l1_norm_on reads too. Only the K
+C_i = min ||y||_inf subject to B y = E_i, with B = (w * basis.rows(region))^T
+and w the region's weights, which _ratio's l1_norm_on reads too. Only the K
 right-hand sides change from cell to cell, so one HiGHS model with rows
 orthonormalized through the SVD of B serves the sweep, each dual-simplex solve
 warm-started from the last. Each estimate is a bracket: the best re-evaluated
@@ -118,10 +118,9 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     K = mode_count(basis, lam)
     if K < 1:
         raise ValueError(f"cutoff lam={lam:g} admits no modes")
-    E = basis.columns(K)
-    m = region.mask
-    nw = int(m.sum())
-    _, s, Vh = scipy.linalg.svd(np.sqrt(region.weights)[:, None] * E[m, :], full_matrices=nw < K)
+    E, Er = basis.columns(K), basis.rows(region, K)
+    nw = len(region.cells)
+    _, s, Vh = scipy.linalg.svd(np.sqrt(region.weights)[:, None] * Er, full_matrices=nw < K)
     est = SpectralConstantEstimate(lam=float(lam), mode_count=K, region_measure=region.measure,
                                    method="exact-lp", constant=np.inf, upper=np.inf)
     # rank decision at the SVD noise floor: fewer observation cells than
@@ -138,7 +137,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     # ||(T B)^T lam||_1 the solver saw, where the float64 V^T would leave it
     # off by eps * s_max / s_min relative, 1e-3 near the float64 horizon.
     ld = np.longdouble
-    B = (region.weights[:, None] * E[m, :]).T
+    B = (region.weights[:, None] * Er).T
     U, S, Vt = scipy.linalg.svd(B, full_matrices=False)
     s_min = S[-1]
     T = (U / S).T

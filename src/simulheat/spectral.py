@@ -59,4 +59,4 @@ def l2_norm(grid: Grid1D, u: np.ndarray) -> float | np.ndarray:
 
 def l1_norm_on(u: np.ndarray, region: ControlRegion) -> float:
     """Weighted L1 norm of u restricted to the region's cells."""
-    return float(np.sum(region.weights * np.abs(u[region.mask])))
+    return float(np.sum(region.weights * np.abs(u[region.cells])))

@@ -175,7 +175,7 @@ def unit_pair(grid, seed):
 def mass_matrix_on_region(basis, count, region):
     """M_kl = <e_k, 1_region e_l> in the weighted inner product, over the
     leading count modes."""
-    Ew = basis.rows(region.mask, count)
+    Ew = basis.rows(region, count)
     return Ew.T @ (basis.grid.weights[region.mask][:, None] * Ew)
 
 
@@ -230,7 +230,7 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
         if better >= achieved:
             break
         q, achieved = candidate, better
-    Phi = basis.rows(region.mask, K)
+    Phi = basis.rows(region, K)
     return avg.T @ (q[:, None] * Phi.T), achieved
 
 

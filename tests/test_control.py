@@ -23,8 +23,10 @@ from simulheat.control import (
     lr_control,
     march,
 )
-from simulheat.doubling import extend_pair, lift_region
-from simulheat.grid import ControlRegion, fat_cantor_region, region_from_intervals
+from simulheat.doubling import build_double, extend_pair, lift_region
+from simulheat.grid import ControlRegion, Grid1D, fat_cantor_region, region_from_intervals
+from simulheat.sim import propagate
+from simulheat.specineq import estimate_constant_lp
 from simulheat.spectral import mode_count
 
 
@@ -32,7 +34,7 @@ def step_heat(basis, yhat, signal, mode_count=None):
     """March mode coefficients through a piecewise-constant signal exactly."""
     K = len(yhat) if mode_count is None else mode_count
     lam = basis.eigenvalues[:K]
-    Phi = basis.rows(signal.region.mask, K)
+    Phi = basis.rows(signal.region, K)
     w = basis.grid.weights[signal.region.mask]
     y = np.array(yhat[:K], dtype=float)
     for m in range(len(signal.timegrid) - 1):
@@ -229,8 +231,27 @@ def test_a_region_of_another_grid_is_refused():
     grid, ext, basis_d, _ = double_setup(8)
     region = region_from_intervals(grid, [(0.2, 0.5)])
     for basis, wrong in ((ext, region), (basis_d, lift_region(ext, region))):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="another grid"):
             hum_low_mode_control(basis, wrong, np.ones(2), 0.5)
+    # a region of a grid with the same n but another kappa would be weighed
+    # with that grid's weights: refused on a wall and on the circle alike
+    _, ext, basis_d, _ = double_setup(16)
+    other = build_double(Grid1D(16, kappa=2.0))
+    wrong = region_from_intervals(other.walls[0].grid, [(0.2, 0.5)])
+    for basis, region in ((basis_d, wrong), (ext, lift_region(other, wrong))):
+        sig = ControlSignal(np.linspace(0.0, 0.5, 5), np.zeros((4, len(region.cells))), region)
+        calls = (
+            lambda: hum_low_mode_control(basis, region, np.ones(2), 0.5),
+            lambda: hum_low_mode_control(basis, region, np.zeros(2), 0.5),
+            lambda: estimate_constant_lp(basis, 5.0, region),
+            lambda: march(basis, np.zeros(len(basis.eigenvalues)), sig.timegrid, sig),
+            lambda: propagate(basis, np.zeros(basis.grid.n), sig.timegrid, sig),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="another grid"):
+                call()
+    with pytest.raises(ValueError, match="another grid"):
+        lift_region(ext, wrong)  # a base region lifts only to its own grid's circle
 
 
 def test_a_signal_beyond_float64_is_a_miss():
@@ -426,7 +447,7 @@ def test_hum_full_attains_the_least_squares_cost():
         -np.expm1(-lam[:, None] * dt[None, :]) / np.where(lam[:, None] > 0, lam[:, None], 1.0),
         dt[None, :],
     )
-    Phi = ext.rows(region.mask)
+    Phi = ext.rows(region)
     w = ext.grid.weights[region.mask]
     nw = len(w)
     A = np.zeros((len(lam), len(dt) * nw))

@@ -25,7 +25,7 @@ from common import (
     unit_pair,
 )
 from simulheat.doubling import build_double, extend_pair, lift_region, split, verify
-from simulheat.grid import region_from_intervals
+from simulheat.grid import ControlRegion, region_from_intervals
 from simulheat.spectral import l2_norm, mode_count, project, sup_norm
 
 
@@ -254,11 +254,11 @@ def test_circle_view_serves_what_the_dense_basis_did(n, profile):
     rng = np.random.default_rng(n)
     # rows of the lifted window and of a mask on both copies, for every K
     lifted = lift_region(ext, region_from_intervals(grid, [(0.2, 0.6)]))
-    both = rng.random(2 * n) < 0.5
-    for mask in (lifted.mask, both):
+    both = ControlRegion(ext.grid, rng.random(2 * n) < 0.5)
+    for region in (lifted, both):
         for K in range(2 * n + 1):
-            assert np.max(np.abs(ext.rows(mask, K) - E[mask, :K]), initial=0.0) <= tol
-        assert_array_equal(ext.rows(mask), ext.rows(mask, 2 * n))
+            assert np.max(np.abs(ext.rows(region, K) - E[region.mask, :K]), initial=0.0) <= tol
+        assert_array_equal(ext.rows(region), ext.rows(region, 2 * n))
     for K in range(2 * n + 1):
         assert np.max(np.abs(ext.columns(K) - E[:, :K]), initial=0.0) <= tol
     # each coefficient and each synthesized entry is a sum of 2n terms, which
@@ -290,7 +290,7 @@ def test_dense_circle_basis_is_the_former_fill(n, profile):
     assert_array_equal(dense, X.T)
     assert dense.flags.f_contiguous
     lifted = lift_region(ext, region_from_intervals(grid, [(0.2, 0.6)]))
-    assert_array_equal(ext.rows(lifted.mask, n), X.T[lifted.mask, :n])
+    assert_array_equal(ext.rows(lifted, n), X.T[lifted.mask, :n])
 
 
 @pytest.mark.parametrize("n", [2, 64])

@@ -173,6 +173,14 @@ def test_every_region_weighs_exactly_its_cells(n, length, kappa, data):
         path = os.path.join(tmp, "mask.txt")
         write_mask_file(path, cantor)
         regions.append(read_mask_file(path, grid))
+    # a region made from a caller's array keeps its own copy of it
+    mine = regions[0].mask.copy()
+    copied = ControlRegion(grid, mine)
+    kept = [copied.mask.copy(), copied.cells.copy(), copied.measure, copied.weights.copy()]
+    np.logical_not(mine, out=mine)
+    for now, then in zip((copied.mask, copied.cells, copied.measure, copied.weights), kept):
+        assert_array_equal(now, then)
+    regions.append(copied)
     for region in regions:
         assert region.grid is grid
         assert region.measure == grid.h * int(region.mask.sum())
@@ -182,6 +190,11 @@ def test_every_region_weighs_exactly_its_cells(n, length, kappa, data):
         assert lifted.measure == region.measure
         assert_array_equal(lifted.weights, ext.grid.weights[lifted.mask])
         assert_array_equal(lifted.weights, region.weights)
+        for r in (region, lifted):
+            assert_array_equal(r.cells, np.flatnonzero(r.mask))
+            for arr in (r.mask, r.cells, r.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
     mask = regions[0].mask
     for bad in (mask[:-1], np.concatenate([mask, mask]), mask.astype(int)):
         with pytest.raises(ValueError, match="boolean array of shape"):
