@@ -7,15 +7,14 @@ with the same config and seed produces byte-identical artifacts. Exit codes:
 miss.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Sequence
+from types import NoneType, UnionType
+from typing import Any, Literal, Sequence, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 import numpy as np
 
@@ -36,13 +35,16 @@ class ConfigError(ValueError):
     pass
 
 
+Coefficients = TypedDict("Coefficients", {"kappa": list[float], "a": list[float]})
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved run parameters; every field lands in the summary for provenance."""
 
     n: int
     length: float = 1.0
-    coefficients: Any = "constant"
+    coefficients: Literal["constant"] | Coefficients = "constant"
     region: str | None = None
     T: float = 1.0
     method: str = "hum"
@@ -57,46 +59,30 @@ class ExperimentConfig:
     steps: int | None = None
 
 
-_NUMBER = (int, float)
-# JSON type of each scalar field; the optional ones may also be null
-_SCALAR_TYPES = {
-    "n": int, "length": _NUMBER, "region": str, "T": _NUMBER, "method": str,
-    "lambda0": _NUMBER, "seed": int, "output_dir": str, "cantor_measure": _NUMBER,
-    "cantor_depth": int, "bc": str, "steps": int,
-}
-_OPTIONAL = {"region", "lambda0", "cantor_measure", "cantor_depth", "steps"}
+# each field's type, resolved once: get_type_hints costs about 0.3 ms a call
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _has_type(value: Any, types) -> bool:
-    """value is of types, and neither a bool nor a NaN or infinite float
-    (JSON's NaN and Infinity parse to floats)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _numbers(value: Any) -> bool:
-    return isinstance(value, list) and all(_has_type(x, _NUMBER) for x in value)
-
-
-def _check_types(raw: dict) -> None:
-    """Raise ConfigError, naming the field, on a field of the wrong JSON type
-    or a number that is not finite."""
-    for key, value in raw.items():
-        if key in _SCALAR_TYPES:
-            ok = (value is None and key in _OPTIONAL) or _has_type(value, _SCALAR_TYPES[key])
-        elif key == "lambda_sweep":
-            ok = _numbers(value)
-        elif key == "tolerances":
-            ok = isinstance(value, dict) and _numbers(list(value.values()))
-        elif key == "coefficients":
-            ok = value == "constant" or (
-                isinstance(value, dict) and set(value) == {"kappa", "a"} and all(map(_numbers, value.values()))
-            )
-        else:
-            ok = True
-        if not ok:
-            raise ConfigError(f"config field {key} has the wrong type or a non-finite number: {value!r:.80}")
+def _fits(value: Any, hint: Any) -> bool:
+    """value, as JSON parses it, has the type hint. A float hint takes an int too;
+    a bool is never a number, and no hint takes a NaN or infinite float. A hint
+    of another form raises TypeError rather than pass the value unchecked."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_fits(value, h) for h in args)
+    if origin is Literal:
+        return value in args
+    if origin is list:
+        return isinstance(value, list) and all(_fits(x, args[0]) for x in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if is_typeddict(hint):  # exactly its keys, each of its type
+        keys = hint.__annotations__
+        return isinstance(value, dict) and set(value) == set(keys) and all(_fits(value[k], keys[k]) for k in keys)
+    if hint in (int, float, str, NoneType):  # the one branch that takes a float
+        ok = isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
+        return ok and not (isinstance(value, float) and not math.isfinite(value))
+    raise TypeError(f"cannot check a config value against the type {hint!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -109,13 +95,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
+    if unknown := set(raw) - set(_FIELD_TYPES):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "n" not in raw:
         raise ConfigError("config must set n")
-    _check_types(raw)
+    for key, value in raw.items():
+        if not _fits(value, _FIELD_TYPES[key]):
+            raise ConfigError(f"config field {key} has the wrong type or a non-finite number: {value!r:.80}")
     cfg = ExperimentConfig(**raw)
     if cfg.n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {cfg.n!r}")
@@ -145,9 +131,7 @@ def build_problem(cfg: ExperimentConfig) -> Grid1D:
 
 
 def _fmt(x: float) -> str:
-    if np.isinf(x):
-        return "INF"
-    return repr(float(x))
+    return "INF" if np.isinf(x) else repr(float(x))
 
 
 def _csv_rows(table: np.ndarray) -> list[str]:
@@ -161,10 +145,8 @@ def _write_json(path: str, obj: Any) -> None:
 
 
 def _seeded_unit_pair(grid: Grid1D, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    u0 = rng.standard_normal(grid.n)
-    v0 = rng.standard_normal(grid.n)
-    return u0 / l2_norm(grid, u0), v0 / l2_norm(grid, v0)
+    pair = np.random.default_rng(seed).standard_normal((2, grid.n))
+    return tuple(pair / l2_norm(grid, pair)[:, None])
 
 
 # pass bar of each doubling check; the round trip is an identity up to the

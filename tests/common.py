@@ -12,7 +12,7 @@ import scipy.sparse
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from simulheat.control import _step_integrals
+from simulheat.control import _REFINE_STEPS, _step_integrals
 from simulheat.doubling import build_double, extend_pair
 from simulheat.grid import Grid1D
 from simulheat.operators import (
@@ -203,8 +203,9 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
 
     Steers the leading K = len(y0) modes. Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
     Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and, until
-    the residual reaches steer_tol / 4, keeps up to four defect-correction
-    steps against H while each lowers it; values = avg^T (q o Phi^T) on the region.
+    the residual reaches steer_tol / 4, keeps up to the solver's
+    _REFINE_STEPS defect-correction steps against H while each lowers it;
+    values = avg^T (q o Phi^T) on the region.
     """
     K = len(y0)
     lam = basis.eigenvalues[:K]
@@ -222,7 +223,7 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
     scale = float(np.linalg.norm(y0))
     q = solve(rhs)
     achieved = float(np.linalg.norm(rhs - H @ q)) / scale
-    for _ in range(4):
+    for _ in range(_REFINE_STEPS):
         if achieved <= 0.25 * steer_tol:
             break
         candidate = q + solve(rhs - H @ q)

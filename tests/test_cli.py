@@ -4,6 +4,7 @@ Every test drives cli.main in process and reads the artifacts back from a
 temporary directory.
 """
 
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -13,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,9 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "tolerances": {"hmu": 1e-30}},
         {"n": 8, "tolerances": {"hum": 0.0}},
         {"n": 8, "tolerances": {"hum": -1}},
+        {"n": 8, "cantor_depth": 2.5},
+        # sampled coefficients need both kappa and a
+        {"n": 8, "coefficients": {"kappa": [1.0] * 8}},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
@@ -93,6 +98,34 @@ def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
     assert code == 2
     if fields:  # the message names the offending field
         assert list(fields)[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(cli.ExperimentConfig), ids=lambda f: f.name)
+def test_every_config_field_is_type_checked(tmp_path, capsys, f):
+    hint = typing.get_type_hints(cli.ExperimentConfig)[f.name]
+    wrong = [{"x": []}]  # no field type takes it
+    if {int, float} & {hint, *typing.get_args(hint)}:
+        wrong.append(True)  # a bool is never a number
+    if f.default is not None:
+        wrong.append(None)
+    for value in wrong:
+        code, _ = run(tmp_path, "simulate", **{"n": 8, f.name: value})
+        assert code == 2
+        assert f"config field {f.name} " in capsys.readouterr().err
+    if f.default is None:
+        assert run(tmp_path, "simulate", **{"n": 8, f.name: None})[0] == 0
+
+
+def test_a_field_type_the_check_cannot_read_fails_loudly(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._FIELD_TYPES, "seed", set[int])
+    with pytest.raises(TypeError, match="set"):
+        cli.main(["simulate", "--config", write_config(tmp_path, n=8, seed=0)])
+
+
+def test_loading_a_config_resolves_no_type_hints(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "get_type_hints", None)  # resolved once, at import
+    cfg = write_config(tmp_path, n=8, coefficients={"kappa": [1.0] * 8, "a": [1.0] * 9})
+    assert cli.load_config(cfg).coefficients["a"] == [1.0] * 9
 
 
 def test_a_tolerance_for_the_other_method_is_kept(tmp_path):

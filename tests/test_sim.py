@@ -198,6 +198,19 @@ def test_pipeline_steers_both_walls_with_one_signal():
     assert rep.control_cost > 0.0
 
 
+@pytest.mark.parametrize("method", ["hum", "lr"])
+@pytest.mark.parametrize(
+    "n, u0, v0", [(128, 0.0, 1.0), (128, 1.0, 1.0), (128, 1.0, 0.0), (32, 0.0, 1.0)]
+)
+def test_pipeline_steers_constant_pairs(n, u0, v0, method):
+    # v0 = 1 is the circle's kernel mode, which the Gramian barely reaches:
+    # defect correction shrinks its residual by only about 0.69 a step
+    grid = problem(n)
+    region = region_from_intervals(grid, [(0.2, 0.3)])
+    rep = run_simultaneous(grid, np.full(n, u0), np.full(n, v0), region, 1.0, method)
+    assert rep.passed  # read from the propagated final states
+
+
 def test_pipeline_split_route_equals_direct_wall_runs():
     grid, region, u0, v0 = pipeline_problem()
     rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
