@@ -14,9 +14,9 @@ an nw x nw Woodbury factor for the modes that only the last step reaches and a
 Schur complement on the rest, then defect correction against the unregularized
 H until the residual reaches steer_tol/4, stops falling, or 32 steps are taken.
 A steering target is its mode coefficients: hum_low_mode_control steers the
-leading len(y0) modes, hum_full_control all of them and each cascade slice
-those below its cutoff. The cascade lays out its dyadic slices from T and
-lambda0, and march projects every step of a signal onto the modes at once.
+leading len(y0) modes, all of them for one-shot steering and those below its
+cutoff for each cascade slice. The cascade lays out its dyadic slices from T
+and lambda0, and march projects every step of a signal onto the modes at once.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def hum_low_mode_control(
     y0: np.ndarray,
     tau: float,
     *,
-    steps: int = 64,
+    steps: int | None = None,
     steer_tol: float = _STEER_TOL,
 ) -> ControlSignal:
     """Null control for the leading K = len(y0) modes, minimal weighted norm.
@@ -167,6 +167,8 @@ def hum_low_mode_control(
     Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
     f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
     intervals, where avg_l is the exact per-step average of e^{-lam_l(tau-t)}.
+    steps defaults to max(64, ceil(2K/nw)) on nw region cells, and steps * nw
+    < K, too few step values for the input map to be onto, raises ValueError.
     Steering of the sampled dynamics is exact up to arithmetic; a verified
     residual above steer_tol or not a number, or values that overflow, raise
     SingularGramianError.
@@ -191,11 +193,13 @@ def hum_low_mode_control(
         raise ValueError("y0 holds a non-finite mode coefficient")
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"horizon must be positive and finite, got {tau}")
-    if steps < 1:
-        raise ValueError(f"need at least one step, got {steps}")
-    timegrid = np.linspace(0.0, tau, steps + 1)
     Phi = basis.rows(region, K)  # refuses a region of another grid, even for a zero target
     nw = len(region.cells)
+    if steps is None:
+        steps = max(64, -(-2 * K // nw))
+    if steps * nw < K:  # nw and K are positive, so this refuses steps < 1 too
+        raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
+    timegrid = np.linspace(0.0, tau, steps + 1)
     weights = region.weights
     if not y0.any():
         return ControlSignal(timegrid, np.zeros((steps, nw)), region)
@@ -272,12 +276,12 @@ _SLICE_TOL = 1e-6
 def lr_control(
     basis: Basis,
     region: ControlRegion,
-    field0: np.ndarray,
+    y0: np.ndarray,
     T: float,
     lambda0: float | None = None,
 ) -> ControlSignal:
-    """Cascade control over [0, T]: each dyadic slice kills its low modes,
-    then coasts.
+    """Cascade control over [0, T] of y0, one coefficient per mode of basis:
+    each dyadic slice kills its low modes, then coasts.
 
     Slice j spans [T(1 - 2^-j), T(1 - 2^-(j+1))] and targets the frequencies
     below lambda0 2^j; slices are added until that covers the top frequency
@@ -286,11 +290,14 @@ def lr_control(
     kernel mode alone. The active half of slice j runs hum_low_mode_control
     on the current state for the modes with lambda_k < lam_j^2 -
     resolution(basis), strictly below lam_j whatever the rounding of a tie at
-    it, on its default 64 steps, to a relative residual of 1e-6; the passive
-    half and the tail after the terminal slice are free decay. The state is
-    marched exactly through every step, so the returned per-slice ledger
-    records true norms.
+    it, on its default steps to a relative residual of 1e-6, or holds zero
+    once they sit below the rounding floor of y0; the passive half and the
+    tail after the terminal slice are free decay. The state is marched
+    exactly through every step, so the per-slice ledger records true norms.
     """
+    yhat = np.asarray(y0, dtype=float)
+    if yhat.shape != basis.eigenvalues.shape or not np.isfinite(yhat).all():
+        raise ValueError(f"y0 must hold {len(basis.eigenvalues)} finite mode coefficients, got shape {yhat.shape}")
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive and finite, got {T}")
     if lambda0 is None:
@@ -304,7 +311,6 @@ def lr_control(
     while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12) and J < 60:
         J += 1
 
-    yhat = basis.coefficients(field0)
     ledger: list[dict] = []
     times: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -324,21 +330,17 @@ def lr_control(
         if j < J:
             count = int(np.searchsorted(basis.eigenvalues, lam**2 - r, side="left"))
         tau = t_mid - t_start
-        cost = 0.0
         if float(np.linalg.norm(yhat[:count])) > floor:
             sig = hum_low_mode_control(basis, region, yhat[:count], tau, steer_tol=_SLICE_TOL)
-            cost = sig.l2_cost
-            # exact propagation of the full state through the active half
-            yhat = march(basis, yhat, sig.timegrid, sig)[-1]
-            times.append(t_start + sig.timegrid[:-1])
-            vals.append(sig.values)
         else:
-            yhat = yhat * np.exp(-basis.eigenvalues * tau)
-            times.append(np.array([t_start]))
-            vals.append(np.zeros((1, nw)))
+            sig = ControlSignal(np.array([0.0, tau]), np.zeros((1, nw)), region)
+        # exact propagation of the full state through the active half
+        yhat = march(basis, yhat, sig.timegrid, sig)[-1]
+        times.append(t_start + sig.timegrid[:-1])
+        vals.append(sig.values)
         yhat = yhat * np.exp(-basis.eigenvalues * (t_end - t_mid))
         post = float(np.linalg.norm(yhat))
-        ledger.append({"j": j, "lambda": lam, "active_cost": cost, "pre_norm": pre, "post_norm": post})
+        ledger.append({"j": j, "lambda": lam, "active_cost": sig.l2_cost, "pre_norm": pre, "post_norm": post})
         times.append(np.array([t_mid]))
         vals.append(np.zeros((1, nw)))
 
@@ -346,24 +348,3 @@ def lr_control(
     times.append(np.array([t_end, T]))
     vals.append(np.zeros((1, nw)))
     return ControlSignal(np.concatenate(times), np.vstack(vals), region, slice_ledger=tuple(ledger))
-
-
-def hum_full_control(
-    basis: Basis,
-    region: ControlRegion,
-    field0: np.ndarray,
-    T: float,
-    *,
-    steps: int | None = None,
-) -> ControlSignal:
-    """One-shot minimal-norm steering of every mode over [0, T]:
-    hum_low_mode_control on all of field0's mode coefficients, on at least
-    enough steps to make the input map onto, to its default 1e-8 relative
-    residual."""
-    K = len(basis.eigenvalues)
-    nw = len(region.cells)
-    if steps is None:
-        steps = max(64, -(-2 * K // nw))
-    if steps * nw < K:
-        raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
-    return hum_low_mode_control(basis, region, basis.coefficients(field0), T, steps=steps)

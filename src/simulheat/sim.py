@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlSignal, hum_full_control, lr_control, march
+from .control import ControlSignal, hum_low_mode_control, lr_control, march
 from .doubling import build_double, extend_pair, lift_region, split
 from .grid import ControlRegion, Grid1D
 from .operators import Basis
@@ -112,11 +112,12 @@ def run_simultaneous(
     basis_d, basis_n = ext.walls
     lifted = lift_region(ext, region)
     U0 = extend_pair(ext, u0, v0)
+    y0 = ext.coefficients(U0)
 
     if method == "hum":
-        signal = hum_full_control(ext, lifted, U0, T, steps=steps)
+        signal = hum_low_mode_control(ext, lifted, y0, T, steps=steps)
     else:
-        signal = lr_control(ext, lifted, U0, T, lambda0)
+        signal = lr_control(ext, lifted, y0, T, lambda0)
 
     # Read the shared signal off the plus copy.  The halving is forced by the
     # split normalization: a source g supported on the embedded copy has odd

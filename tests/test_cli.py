@@ -91,6 +91,11 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "cantor_depth": 2.5},
         # sampled coefficients need both kappa and a
         {"n": 8, "coefficients": {"kappa": [1.0] * 8}},
+        # JSON integers beyond float64's range
+        {"n": 10**400},
+        {"n": 8, "length": 10**400},
+        {"n": 8, "T": 10**400},
+        {"n": 32, "region": "0.45,0.55", "lambda_sweep": [10**400]},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):

@@ -18,14 +18,13 @@ from simulheat.control import (
     ControlSignal,
     SingularGramianError,
     decay_factors,
-    hum_full_control,
     hum_low_mode_control,
     lr_control,
     march,
 )
 from simulheat.doubling import build_double, extend_pair, lift_region
 from simulheat.grid import ControlRegion, Grid1D, fat_cantor_region, region_from_intervals
-from simulheat.sim import propagate
+from simulheat.sim import propagate, run_simultaneous
 from simulheat.specineq import estimate_constant_lp
 from simulheat.spectral import mode_count
 
@@ -47,8 +46,8 @@ def step_heat(basis, yhat, signal, mode_count=None):
 
 def full_steering_problem(n, region_of):
     """(circle basis, lifted region, y0, timegrid) of the hum
-    solve for a seeded unit pair on n cells, over T = 1 on hum_full_control's
-    default steps."""
+    solve for a seeded unit pair on n cells, over T = 1 on
+    hum_low_mode_control's default steps for all 2n modes."""
     grid, ext, basis_d, basis_n = double_setup(n)
     region = lift_region(ext, region_of(grid))
     y0 = ext.coefficients(extend_pair(ext, *unit_pair(grid, 0)))
@@ -91,7 +90,7 @@ def test_march_matches_the_step_integrator():
     grid, ext, basis_d, basis_n = double_setup(16)
     region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.3)]))
     y0 = np.random.default_rng(2).standard_normal(ext.grid.n)
-    sig = hum_full_control(ext, region, ext.synthesize(y0), 0.5)
+    sig = hum_low_mode_control(ext, region, y0, 0.5)
     path = march(ext, y0, sig.timegrid, sig)
     assert path.shape == (len(sig.timegrid), ext.grid.n)
     assert_array_equal(path[0], y0)
@@ -330,6 +329,11 @@ def test_schedule_rejects_bad_parameters():
     for lambda0 in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="lambda0"):
             lr_control(basis, region, np.ones(8), 1.0, lambda0)
+    # the target is one finite coefficient per mode of the basis, not a prefix of them;
+    # a NaN would read as below the rounding floor and skip every slice
+    for y0 in (np.ones(7), np.ones(9), np.ones((8, 1)), np.r_[np.nan, np.ones(7)]):
+        with pytest.raises(ValueError, match="y0"):
+            lr_control(basis, region, y0, 1.0)
 
 
 @pytest.mark.parametrize("T", [np.nan, np.inf])
@@ -337,7 +341,7 @@ def test_front_ends_refuse_a_non_finite_horizon(T):
     basis = wall_basis(8, D)
     region = region_from_intervals(basis.grid, [(0.2, 0.8)])
     with pytest.raises(ValueError, match="horizon"):
-        hum_full_control(basis, region, np.ones(8), T)
+        hum_low_mode_control(basis, region, np.ones(8), T)
     with pytest.raises(ValueError, match="horizon"):
         lr_control(basis, region, np.ones(8), T)
     with pytest.raises(ValueError, match="horizon"):
@@ -358,7 +362,7 @@ def test_lr_single_slice_reduces_to_hum_low():
     rng = np.random.default_rng(5)
     field0 = rng.standard_normal(16)
     lam0 = 2.0 * float(basis.frequencies[-1])
-    lr = lr_control(basis, region, field0, 1.0, lam0)
+    lr = lr_control(basis, region, basis.coefficients(field0), 1.0, lam0)
     hum = hum_low_mode_control(
         basis, region,
         basis.coefficients(field0), 0.25, steps=64, steer_tol=1e-6,
@@ -376,7 +380,7 @@ def test_terminal_slice_at_the_top_frequency_steers_every_mode():
     # only the top mode is excited: the earlier slices stay below it, so
     # the terminal slice alone can steer it
     top = basis.vectors[:, -1]
-    sig = lr_control(basis, whole, top, 1e-3, numax / 4.0)
+    sig = lr_control(basis, whole, basis.coefficients(top), 1e-3, numax / 4.0)
     assert sig.slice_ledger[-1]["lambda"] == numax
     costs = [row["active_cost"] for row in sig.slice_ledger]
     assert costs[:-1] == [0.0, 0.0]
@@ -393,7 +397,7 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
 
-    sig = lr_control(ext, region, field0, 1.0, lam0)
+    sig = lr_control(ext, region, ext.coefficients(field0), 1.0, lam0)
     ledger = sig.slice_ledger
     assert [row["j"] for row in ledger] == list(range(5))
     for row in ledger:
@@ -414,7 +418,7 @@ def test_lr_cascade_kills_the_field_and_coasts_when_done():
 def test_hum_full_zero_field_is_silent():
     grid, ext, basis_d, basis_n = double_setup(8)
     region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.8)]))
-    sig = hum_full_control(ext, region, np.zeros(16), 1.0)
+    sig = hum_low_mode_control(ext, region, np.zeros(16), 1.0)
     assert not sig.values.any()
 
 
@@ -423,8 +427,8 @@ def test_hum_full_steers_every_mode():
     region = lift_region(ext, region_from_intervals(grid, [(0.0, 1.0)]))
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
-    sig = hum_full_control(ext, region, field0, 0.7, steps=32)
     yhat0 = ext.coefficients(field0)
+    sig = hum_low_mode_control(ext, region, yhat0, 0.7, steps=32)
     final = step_heat(ext, yhat0, sig)
     assert np.linalg.norm(final) <= 1e-10 * np.linalg.norm(yhat0)
 
@@ -435,7 +439,7 @@ def test_hum_full_attains_the_least_squares_cost():
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
     T = 0.7
-    sig = hum_full_control(ext, region, field0, T, steps=32)
+    sig = hum_low_mode_control(ext, region, ext.coefficients(field0), T, steps=32)
 
     # minimum-norm benchmark over the same input class: unknowns are the
     # step values scaled so the Euclidean norm of x is the control cost
@@ -462,12 +466,13 @@ def test_hum_full_attains_the_least_squares_cost():
 
 def test_hum_full_is_hum_low_at_the_full_cutoff():
     grid, ext, basis_d, basis_n = double_setup(16)
-    region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.45)]))
-    field0 = np.random.default_rng(3).standard_normal(ext.grid.n)
-    full = hum_full_control(ext, region, field0, 0.7, steps=24)
+    base = region_from_intervals(grid, [(0.2, 0.45)])
+    u0, v0 = np.random.default_rng(3).standard_normal((2, grid.n))
+    full = run_simultaneous(grid, u0, v0, base, 0.7, "hum", steps=24).signal
     assert mode_count(ext, float(ext.frequencies[-1])) == ext.grid.n
-    low = hum_low_mode_control(ext, region, ext.coefficients(field0), 0.7, steps=24, steer_tol=1e-8)
-    # one steering solver behind both front ends: same inputs, same bits
+    y0 = ext.coefficients(extend_pair(ext, u0, v0))
+    low = hum_low_mode_control(ext, lift_region(ext, base), y0, 0.7, steps=24, steer_tol=1e-8)
+    # the pipeline's one-shot control is the one steering solve on every mode: same bits
     assert_array_equal(full.values, low.values)
     assert_array_equal(full.timegrid, low.timegrid)
 
@@ -479,10 +484,11 @@ def test_one_shot_beats_the_cascade_on_cost():
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
     lam0 = float(ext.frequencies[ext.frequencies > 1e-9][0])
-    cascade = lr_control(ext, region, field0, 1.0, lam0)
-    one_shot = hum_full_control(ext, region, field0, 1.0)
+    yhat0 = ext.coefficients(field0)
+    cascade = lr_control(ext, region, yhat0, 1.0, lam0)
+    one_shot = hum_low_mode_control(ext, region, yhat0, 1.0)
     assert one_shot.l2_cost <= cascade.l2_cost
-    final = step_heat(ext, ext.coefficients(field0), one_shot)
+    final = step_heat(ext, yhat0, one_shot)
     assert np.linalg.norm(final) <= 1e-8
 
 
@@ -490,9 +496,28 @@ def test_hum_full_rejects_underdetermined_sampling():
     basis = wall_basis(8, D)
     region = center_cell_region(basis.grid)
     with pytest.raises(ValueError):
-        hum_full_control(basis, region, np.ones(8), 1.0, steps=7)
+        hum_low_mode_control(basis, region, np.ones(8), 1.0, steps=7)
     with pytest.raises(ValueError):
-        hum_full_control(basis, region, np.ones(8), 0.0)
+        hum_low_mode_control(basis, region, np.ones(8), 0.0)
+
+
+@pytest.mark.parametrize("n, interval, K, nw, steps", [
+    (8, (0.2, 0.8), 8, 4, 64),  # 2K/nw is 4: the floor of 64 steps
+    (64, (0.5, 0.52), 64, 1, 128),
+    (128, (0.5, 0.525), 100, 3, 67),  # 2K/nw is 66.7, rounded up
+], ids=["floor", "one-cell", "rounded-up"])
+def test_steps_default_to_the_onto_rule(n, interval, K, nw, steps):
+    """Without steps, K modes on nw cells take max(64, ceil(2K/nw)) steps;
+    explicit steps with steps * nw < K are refused."""
+    basis = wall_basis(n, D)
+    region = region_from_intervals(basis.grid, [interval])
+    assert len(region.cells) == nw
+    sig = hum_low_mode_control(basis, region, np.zeros(K), 1.0)
+    assert len(sig.timegrid) - 1 == steps
+    short = -(-K // nw) - 1  # one step fewer than onto needs
+    with pytest.raises(ValueError, match=f"^{short} steps on {nw} cells cannot steer {K} modes$"):
+        hum_low_mode_control(basis, region, np.zeros(K), 1.0, steps=short)
+    assert len(hum_low_mode_control(basis, region, np.zeros(K), 1.0, steps=short + 1).timegrid) == short + 2
 
 
 def test_hum_full_raises_on_unreachable_target():
@@ -500,7 +525,7 @@ def test_hum_full_raises_on_unreachable_target():
     region = center_cell_region(basis.grid)
     field0 = basis.vectors[:, 1] + 0.1 * basis.vectors[:, 0]
     with pytest.raises(SingularGramianError):
-        hum_full_control(basis, region, field0, 0.1, steps=16)
+        hum_low_mode_control(basis, region, basis.coefficients(field0), 0.1, steps=16)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +586,7 @@ def test_hum_factors_no_matrix_wider_than_the_region_or_s(monkeypatch):
         monkeypatch.setattr(control.scipy.linalg, name, recorded)
     grid, ext, basis_d, basis_n = double_setup(512)
     region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.3)]))
-    sig = hum_full_control(ext, region, extend_pair(ext, *unit_pair(grid, 0)), 1.0)
+    sig = hum_low_mode_control(ext, region, ext.coefficients(extend_pair(ext, *unit_pair(grid, 0))), 1.0)
     nw = int(region.mask.sum())
     s_size = ext.grid.n - len(last_step_only(ext, sig.timegrid))
     assert sides and max(sides) <= max(nw, s_size) < ext.grid.n // 4

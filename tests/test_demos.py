@@ -1,20 +1,26 @@
-"""The demos and the README's code blocks run against the current API.
+"""The demos and the README run against the current API.
 
 Each demo is run to completion in a subprocess, and so are the README's
 Python blocks, top to bottom in one interpreter, as a reader would paste
-them; every name they import from simulheat is also checked to exist.
+them; every name they import from simulheat is also checked to exist, and so
+is every function the README's prose writes a call to.
 """
 
 import ast
+import builtins
 import importlib
+import inspect
+import pkgutil
 import re
 
 import pytest
 
+import simulheat
 from common import ROOT, run_python
 
 DEMOS = ROOT / "demos"
-README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
 
 
 @pytest.mark.parametrize("demo", ["constant_sweep.py", "double_spectrum.py", "shared_signal_run.py"])
@@ -44,3 +50,20 @@ def test_sweep_demo_imports_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_readme_prose_calls_only_functions_that_exist():
+    """Every call `name(...)` or `owner.name(...)` in the README outside its
+    code blocks names a function, class or method of a simulheat module, or a
+    builtin."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    called = {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)\(", prose)}
+    defined = set(dir(builtins))
+    for info in pkgutil.iter_modules(simulheat.__path__, "simulheat."):
+        for name, obj in vars(importlib.import_module(info.name)).items():
+            if callable(obj) and getattr(obj, "__module__", "") == info.name:
+                defined.add(name)
+                if inspect.isclass(obj):
+                    defined.update(attr for attr, value in vars(obj).items() if callable(value))
+    assert len(called) >= 20
+    assert sorted(called - defined) == []

@@ -200,14 +200,24 @@ def test_pipeline_steers_both_walls_with_one_signal():
 
 @pytest.mark.parametrize("method", ["hum", "lr"])
 @pytest.mark.parametrize(
-    "n, u0, v0", [(128, 0.0, 1.0), (128, 1.0, 1.0), (128, 1.0, 0.0), (32, 0.0, 1.0)]
+    "n, u0, v0",
+    [(128, 0.0, 1.0), (128, 1.0, 1.0), (128, 1.0, 0.0), (32, 0.0, 1.0)]
+    # single wall modes: the first of each wall's non-constant ones and the top of each
+    + [(n, u0, v0) for n in (32, 128) for u0, v0 in [("D0", 0.0), (0.0, "N1"), ("Dtop", 0.0), (0.0, "Ntop")]],
 )
 def test_pipeline_steers_constant_pairs(n, u0, v0, method):
     # v0 = 1 is the circle's kernel mode, which the Gramian barely reaches:
     # defect correction shrinks its residual by only about 0.69 a step
     grid = problem(n)
+    walls = dict(zip("DN", build_double(grid).walls))
+
+    def initial(spec):  # a constant, or wall mode k ("D0") or the top one ("Dtop")
+        if isinstance(spec, float):
+            return np.full(n, spec)
+        return walls[spec[0]].vectors[:, -1 if spec[1:] == "top" else int(spec[1:])]
+
     region = region_from_intervals(grid, [(0.2, 0.3)])
-    rep = run_simultaneous(grid, np.full(n, u0), np.full(n, v0), region, 1.0, method)
+    rep = run_simultaneous(grid, initial(u0), initial(v0), region, 1.0, method)
     assert rep.passed  # read from the propagated final states
 
 
