@@ -224,10 +224,11 @@ def parse_region_spec(spec: str, grid: Grid1D) -> ControlRegion:
             part = part.strip()
             if not part:
                 continue
-            pieces = part.split(",")
-            if len(pieces) != 2:
-                raise ValueError(f"bad interval {part!r} in region spec {spec!r}")
-            intervals.append((float(pieces[0]), float(pieces[1])))
+            try:
+                lo, hi = map(float, part.split(","))
+            except ValueError:  # not two pieces, or a piece that is not a number
+                raise ValueError(f"bad interval {part!r} in region spec {spec!r}") from None
+            intervals.append((lo, hi))
         if not intervals:
             raise ValueError(f"region spec {spec!r} holds no intervals")
         return region_from_intervals(grid, intervals)

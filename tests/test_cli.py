@@ -73,11 +73,8 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "region": 5},
         {"n": 8, "tolerances": [1]},
         {"n": 8, "lambda_sweep": [2, "x"]},
-        {"n": 8, "steps": "x"},
-        {"n": 8, "lambda0": "x"},
         # JSON's NaN and Infinity parse as floats, but no field takes them
         {"n": 8, "lambda_sweep": [float("nan"), 4]},
-        {"n": 8, "method": "lr", "lambda0": float("nan")},
         {"n": 8, "T": float("nan")},
         {"n": 8, "T": float("inf")},
         {"n": 8, "coefficients": {"kappa": [1.0] * 7 + [None], "a": [1.0] * 9}},
@@ -136,6 +133,45 @@ def test_loading_a_config_resolves_no_type_hints(tmp_path, monkeypatch):
 def test_a_tolerance_for_the_other_method_is_kept(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, n=8, method="hum", tolerances={"lr": 1e-3}))
     assert cfg.tolerances == {"lr": 1e-3}
+
+
+def test_the_method_set_is_declared_once(tmp_path, capsys):
+    assert set(typing.get_args(simulheat.sim.Method)) == set(simulheat.sim.DEFAULT_TOLERANCES)
+    # the config's method and tolerance keys are checked against that one set
+    for key, value in (("method", "shooting"), ("tolerances", {"hmu": 1e-30})):
+        assert run(tmp_path, "control", n=16, region="0.2,0.5", **{key: value})[0] == 2
+        assert f"config field {key} has the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["hum", "lr"])
+@pytest.mark.parametrize("knob", [{"steps": 0}, {"lambda0": 1.0}])
+def test_control_refuses_a_per_method_knob(tmp_path, capsys, method, knob):
+    """The pipeline takes no steps or cascade cutoff: a config naming either
+    exits 2 for both methods, not only where the method would have read it."""
+    code, out = run(tmp_path, "control", n=32, region="0.2,0.3", method=method, **knob)
+    assert code == 2
+    assert f"unknown config keys: {list(knob)}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("verb, fields", [
+    ("control", {"n": 16, "region": "0.2,0.5"}),
+    ("simulate", {"n": 8}),
+    ("fatcantor", {"n": 64, "cantor_measure": 0.3, "cantor_depth": 4}),
+])
+def test_a_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, verb, fields):
+    cfg = write_config(tmp_path, **fields, seed=-1)
+    assert cli.main([verb, "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    cfg = write_config(tmp_path, **fields)
+    assert cli.main([verb, "--config", cfg, "--output-dir", str(tmp_path / "b"), "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_an_interval_of_no_numbers_exits_2_naming_the_region_spec(tmp_path, capsys):
+    code, _ = run(tmp_path, "control", n=16, region="a,b")
+    assert code == 2
+    assert "bad interval 'a,b' in region spec 'a,b'" in capsys.readouterr().err
 
 
 def test_readme_config_table_lists_every_config_field():
@@ -529,7 +565,7 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 745. GiB")
 
     monkeypatch.setitem(cli.VERBS, "control", exhausted)
-    code, _ = run(tmp_path, "control", n=32, region="0.2,0.3", steps=10**11)
+    code, _ = run(tmp_path, "control", n=32, region="0.2,0.3")
     assert code == 3
     assert "out of memory" in capsys.readouterr().err
 

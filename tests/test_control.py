@@ -468,10 +468,10 @@ def test_hum_full_is_hum_low_at_the_full_cutoff():
     grid, ext, basis_d, basis_n = double_setup(16)
     base = region_from_intervals(grid, [(0.2, 0.45)])
     u0, v0 = np.random.default_rng(3).standard_normal((2, grid.n))
-    full = run_simultaneous(grid, u0, v0, base, 0.7, "hum", steps=24).signal
+    full = run_simultaneous(grid, u0, v0, base, 0.7, "hum").signal
     assert mode_count(ext, float(ext.frequencies[-1])) == ext.grid.n
     y0 = ext.coefficients(extend_pair(ext, u0, v0))
-    low = hum_low_mode_control(ext, lift_region(ext, base), y0, 0.7, steps=24, steer_tol=1e-8)
+    low = hum_low_mode_control(ext, lift_region(ext, base), y0, 0.7, steer_tol=1e-8)
     # the pipeline's one-shot control is the one steering solve on every mode: same bits
     assert_array_equal(full.values, low.values)
     assert_array_equal(full.timegrid, low.timegrid)
