@@ -73,8 +73,12 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "region": 5},
         {"n": 8, "tolerances": [1]},
         {"n": 8, "lambda_sweep": [2, "x"]},
+        {"n": 8, "seed": 1.5},
+        # a seed must be non-negative
+        {"n": 8, "seed": -1},
         # JSON's NaN and Infinity parse as floats, but no field takes them
         {"n": 8, "lambda_sweep": [float("nan"), 4]},
+        {"n": 8, "length": float("nan")},
         {"n": 8, "T": float("nan")},
         {"n": 8, "T": float("inf")},
         {"n": 8, "coefficients": {"kappa": [1.0] * 7 + [None], "a": [1.0] * 9}},
