@@ -23,7 +23,7 @@ from simulheat import (
 n = 128
 grid = Grid1D(n)
 ext = build_double(grid)
-basis_d, basis_n = ext.walls
+basis_d = ext.walls[0]
 
 window = region_from_intervals(grid, [(0.45, 0.55)])
 wide = region_from_intervals(grid, [(0.4, 0.6)])
@@ -34,15 +34,14 @@ print("  cutoff   modes   C(window)      C(wide)        C(simultaneous)")
 sweep = []
 for k in range(8):
     lam = float(basis_d.frequencies[k])
-    est = estimate_constant_lp(basis_d, lam, window)
-    est_wide = estimate_constant_lp(basis_d, lam, wide)
-    sweep.append(est)
-    if k < 4:
-        cn = estimate_constant_lp(basis_n, lam, window)
-        cs = simultaneous_constant(ext, lam, window, wall_estimates=(est, cn))
+    if k < 4:  # one call gives the Dirichlet, the Neumann and the joint constant
+        est, cn, cs = simultaneous_constant(ext, lam, window)
         joint = f"{cs.constant:.4e}  (>= both walls: {cs.constant >= max(est.constant, cn.constant)})"
     else:
+        est = estimate_constant_lp(basis_d, lam, window)
         joint = ""
+    est_wide = estimate_constant_lp(basis_d, lam, wide)
+    sweep.append(est)
     print(f"  {lam:6.3f}   {mode_count(basis_d, lam):>5}   {est.constant:.4e}   {est_wide.constant:.4e}   {joint}")
 
 fit = fit_exponential(sweep)

@@ -22,8 +22,8 @@ from .doubling import build_double, verify
 from .grid import Grid1D, _write_atomic, fat_cantor_region, parse_region_spec, write_mask_file
 from .operators import BoundaryCondition, NumericalError, assemble_laplacian, eigendecompose
 from .sim import Method, propagate, run_simultaneous
-from .specineq import estimate_constant_lp, fit_exponential, simultaneous_constant
-from .spectral import l2_norm, mode_count
+from .specineq import fit_exponential, simultaneous_constant
+from .spectral import l2_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,9 +184,7 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
     # below the cutoff has none, while the circle always holds the kernel mode
     estimates: dict[str, list] = {"dirichlet": [], "neumann": [], "simultaneous": []}
     for lam in cfg.lambda_sweep:
-        walls = [estimate_constant_lp(b, lam, region) if mode_count(b, lam) else None for b in ext.walls]
-        walls.append(simultaneous_constant(ext, lam, region, tuple(walls)))
-        for family, est in zip(estimates, walls):
+        for family, est in zip(estimates, simultaneous_constant(ext, lam, region)):
             if est is not None:
                 estimates[family].append(est)
 
@@ -312,12 +310,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise ConfigError(f"output_dir {outdir!r} cannot be made: {exc}") from exc
         return VERBS[args.verb](cfg, outdir)
+    # a steering miss, a failed eigensolve, LP or fit; LinAlgError is a
+    # ValueError too, so this clause comes before the config errors
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical infeasibility: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ValueError as exc:  # ConfigError and the grid's region and resolution errors too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:  # a steering miss or a failed eigensolve or LP
-        print(f"numerical infeasibility: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -16,7 +16,8 @@ H until the residual reaches steer_tol/4, stops falling, or 32 steps are taken.
 A steering target is its mode coefficients: hum_low_mode_control steers the
 leading len(y0) modes, all of them for one-shot steering and those below its
 cutoff for each cascade slice. The cascade lays out its dyadic slices from T
-and lambda0, and march projects every step of a signal onto the modes at once.
+and the basis's smallest positive frequency, and march projects every step of a
+signal onto the modes at once.
 """
 
 from __future__ import annotations
@@ -159,16 +160,14 @@ def hum_low_mode_control(
     y0: np.ndarray,
     tau: float,
     *,
-    steps: int | None = None,
     steer_tol: float = _STEER_TOL,
 ) -> ControlSignal:
     """Null control for the leading K = len(y0) modes, minimal weighted norm.
 
     Solves H q = -e^{-lam tau} y0 for the adjoint coefficients and samples
-    f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of `steps`
-    intervals, where avg_l is the exact per-step average of e^{-lam_l(tau-t)}.
-    steps defaults to max(64, ceil(2K/nw)) on nw region cells, and steps * nw
-    < K, too few step values for the input map to be onto, raises ValueError.
+    f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of max(64,
+    ceil(2K/nw)) steps on nw region cells, where avg_l is the exact per-step
+    average of e^{-lam_l(tau-t)}; at least K/nw steps keep the input map onto.
     Steering of the sampled dynamics is exact up to arithmetic; a verified
     residual above steer_tol or not a number, or values that overflow, raise
     SingularGramianError.
@@ -195,10 +194,7 @@ def hum_low_mode_control(
         raise ValueError(f"horizon must be positive and finite, got {tau}")
     Phi = basis.rows(region, K)  # refuses a region of another grid, even for a zero target
     nw = len(region.cells)
-    if steps is None:
-        steps = max(64, -(-2 * K // nw))
-    if steps * nw < K:  # nw and K are positive, so this refuses steps < 1 too
-        raise ValueError(f"{steps} steps on {nw} cells cannot steer {K} modes")
+    steps = max(64, -(-2 * K // nw))
     timegrid = np.linspace(0.0, tau, steps + 1)
     weights = region.weights
     if not y0.any():
@@ -278,21 +274,19 @@ def lr_control(
     region: ControlRegion,
     y0: np.ndarray,
     T: float,
-    lambda0: float | None = None,
 ) -> ControlSignal:
     """Cascade control over [0, T] of y0, one coefficient per mode of basis:
     each dyadic slice kills its low modes, then coasts.
 
     Slice j spans [T(1 - 2^-j), T(1 - 2^-(j+1))] and targets the frequencies
-    below lambda0 2^j; slices are added until that covers the top frequency
-    of basis, and the last one, the terminal slice, steers every mode. The
-    default lambda0 is the smallest positive frequency, so slice 0 steers the
-    kernel mode alone. The active half of slice j runs hum_low_mode_control
-    on the current state for the modes with lambda_k < lam_j^2 -
-    resolution(basis), strictly below lam_j whatever the rounding of a tie at
-    it, on its default steps to a relative residual of 1e-6, or holds zero
-    once they sit below the rounding floor of y0; the passive half and the
-    tail after the terminal slice are free decay. The state is marched
+    below lambda0 2^j, with lambda0 the smallest positive frequency of basis,
+    so slice 0 steers the kernel mode alone; slices are added until that
+    covers the top frequency, and the last one, the terminal slice, steers
+    every mode. The active half of slice j runs hum_low_mode_control on the
+    current state for the modes with lambda_k < lam_j^2 - resolution(basis),
+    strictly below lam_j whatever the rounding of a tie at it, to a relative
+    residual of 1e-6, or holds zero once they sit below the rounding floor of
+    y0; the passive half and the tail after the terminal slice are free decay. The state is marched
     exactly through every step, so the per-slice ledger records true norms.
     """
     yhat = np.asarray(y0, dtype=float)
@@ -300,13 +294,10 @@ def lr_control(
         raise ValueError(f"y0 must hold {len(basis.eigenvalues)} finite mode coefficients, got shape {yhat.shape}")
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    if lambda0 is None:
-        pos = basis.frequencies[basis.frequencies > 0]
-        if len(pos) == 0:
-            raise ValueError("basis has no positive frequencies")
-        lambda0 = float(pos[0])
-    if not (np.isfinite(lambda0) and lambda0 > 0):
-        raise ValueError(f"lambda0 must be positive and finite, got {lambda0}")
+    pos = basis.frequencies[basis.frequencies > 0]
+    if len(pos) == 0:
+        raise ValueError("basis has no positive frequencies")
+    lambda0 = float(pos[0])
     J = 0
     while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12) and J < 60:
         J += 1

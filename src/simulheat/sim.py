@@ -102,7 +102,7 @@ def run_simultaneous(
 
     The pair is carried to the circle, a single control is synthesized there
     on the lifted region ('hum': one-shot minimal norm; 'lr': dyadic
-    cascade, each with its own default steps or slices), and the very same
+    cascade, each laying out its own steps or slices), and the very same
     signal then drives the Dirichlet run from u0 and the Neumann run from v0.
     A final norm above tolerance (the method's DEFAULT_TOLERANCES entry if
     None) times the larger initial norm is reported as passed=False, not

@@ -16,9 +16,10 @@ so a cell whose bound is already below the best certificate is skipped.
 
 The estimate also carries sigma_min of the sqrt(w)-weighted restriction, from
 the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
-costs no second SVD. simultaneous_constant folds the two wall estimates it is
-handed into the circle's; fit_exponential fits log(constant) ~ slope * lam to
-compare against the e^{C lam} growth that observability predicts.
+costs no second SVD. simultaneous_constant estimates both walls and the circle
+at one cutoff and region, folding the wall estimates into the circle's;
+fit_exponential fits log(constant) ~ slope * lam to compare against the
+e^{C lam} growth that observability predicts.
 
 scipy's HiGHS binding and scipy.sparse, which lays out the model's rows, are
 imported where the model is built, at the first estimate: of all scipy.optimize
@@ -213,23 +214,20 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     )
 
 
-def simultaneous_constant(
-    ext: CircleBasis,
-    lam: float,
-    region: ControlRegion,
-    wall_estimates: tuple[SpectralConstantEstimate | None, SpectralConstantEstimate | None],
-) -> SpectralConstantEstimate:
-    """Joint constant for both wall families observed through one region.
+def simultaneous_constant(ext: CircleBasis, lam: float, region: ControlRegion) -> tuple[
+    SpectralConstantEstimate | None, SpectralConstantEstimate | None, SpectralConstantEstimate
+]:
+    """Exact-lp constants (dirichlet, neumann, simultaneous) at cutoff lam,
+    each family observed through the same region of the base grid; a wall
+    family with no mode at or below lam gets None.
 
-    Runs the exact LP on the circle with the extended odd+even basis and the
-    region lifted to the plus copy. By the trace identity the objective equals
-    max(||P_D u + P_N v||_inf, ||P_D u - P_N v||_inf) over the pair span, so
-    this dominates each single-family constant.
-
-    wall_estimates holds the exact-lp estimates of the Dirichlet and the
-    Neumann family at the same cutoff and region, None for a family with no
-    mode below it; they are folded in, not solved again.
+    The simultaneous constant runs the exact LP on the circle with the
+    extended odd+even basis and the region lifted to the plus copy. By the
+    trace identity the objective equals max(||P_D u + P_N v||_inf,
+    ||P_D u - P_N v||_inf) over the pair span, so it dominates each wall's
+    constant, whose estimate is folded in too.
     """
+    walls = [estimate_constant_lp(b, lam, region) if mode_count(b, lam) else None for b in ext.walls]
     lifted = lift_region(ext, region)
     est = estimate_constant_lp(ext, lam, lifted)
     best, best_cert = est.constant, est.certificate
@@ -239,7 +237,7 @@ def simultaneous_constant(
     # the single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
     Eext = ext.columns(est.mode_count)
-    for wall_est, offset in zip(wall_estimates, (0, ext.grid.n // 2)):
+    for wall_est, offset in zip(walls, (0, ext.grid.n // 2)):
         if wall_est is None:
             continue
         if not np.isfinite(wall_est.constant):
@@ -252,7 +250,7 @@ def simultaneous_constant(
             best, best_cert = val, embedded
 
     # a folded wall ratio lies below the circle's constant, up to rounding
-    return replace(est, constant=float(best), certificate=best_cert, upper=max(est.upper, float(best)))
+    return (*walls, replace(est, constant=float(best), certificate=best_cert, upper=max(est.upper, float(best))))
 
 
 def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:

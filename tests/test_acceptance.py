@@ -152,9 +152,7 @@ def test_criterion_7_spectral_constant_behavior():
 
     cds, cns, css, cds_big = [], [], [], []
     for lam in lams:
-        cd = estimate_constant_lp(basis_d, lam, small)
-        cn = estimate_constant_lp(basis_n, lam, small)
-        cs = simultaneous_constant(ext, lam, small, wall_estimates=(cd, cn))
+        cd, cn, cs = simultaneous_constant(ext, lam, small)
         cds.append(cd)
         cns.append(cn)
         css.append(cs)

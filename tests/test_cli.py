@@ -481,6 +481,19 @@ def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
     assert all(line.startswith("numerical infeasibility: steering") for line in lines)
 
 
+def test_a_failed_fit_exits_3_not_2(tmp_path):
+    # cutoffs near the float64 floor leave the growth fit's least squares
+    # without a converged SVD; numpy's LinAlgError is a ValueError, but the
+    # config is valid. Run in a fresh interpreter, as the fit warns on the
+    # way and LAPACK prints to stdout
+    config = write_config(tmp_path, n=16, region="0,1", lambda_sweep=[1e-300, 2e-300, 3e-300])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "simulheat.cli", "specineq", "--config", config, "--output-dir", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("numerical infeasibility:")
+
 def test_one_hum_run_makes_one_steering_call(tmp_path, monkeypatch):
     steers = count_calls(monkeypatch, simulheat.control, "hum_low_mode_control")
     code, _ = run(tmp_path, "control", n=16, region="0.2,0.5", T=1.0, method="hum")

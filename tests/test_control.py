@@ -45,15 +45,12 @@ def step_heat(basis, yhat, signal, mode_count=None):
 
 
 def full_steering_problem(n, region_of):
-    """(circle basis, lifted region, y0, timegrid) of the hum
-    solve for a seeded unit pair on n cells, over T = 1 on
-    hum_low_mode_control's default steps for all 2n modes."""
+    """(circle basis, lifted region, y0) of the hum solve for a seeded unit
+    pair on n cells, all 2n modes of it."""
     grid, ext, basis_d, basis_n = double_setup(n)
     region = lift_region(ext, region_of(grid))
     y0 = ext.coefficients(extend_pair(ext, *unit_pair(grid, 0)))
-    K, nw = 2 * n, int(region.mask.sum())
-    timegrid = np.linspace(0.0, 1.0, max(64, -(-2 * K // nw)) + 1)
-    return ext, region, y0, timegrid
+    return ext, region, y0
 
 
 def last_step_only(basis, timegrid):
@@ -183,7 +180,7 @@ def test_hum_low_steers_the_constant_mode():
     basis = wall_basis(16, N)
     region = region_from_intervals(basis.grid, [(0.25, 0.75)])
     K = mode_count(basis, 0.0)
-    sig = hum_low_mode_control(basis, region, np.array([3.0]), 0.8, steps=8)
+    sig = hum_low_mode_control(basis, region, np.array([3.0]), 0.8)
     final = step_heat(basis, np.array([3.0]), sig)
     # one mode stops at the Tikhonov floor: the shifted solve leaves
     # y0 sigma / (h + sigma) of y0, with h the sampled Gramian and sigma = 1e-12 h
@@ -215,8 +212,6 @@ def test_hum_low_rejects_malformed_problems():
         hum_low_mode_control(basis, region, np.zeros((2, 1)), 0.5)
     with pytest.raises(ValueError):
         hum_low_mode_control(basis, region, np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        hum_low_mode_control(basis, region, np.zeros(2), 0.5, steps=0)
     # the factors do not screen their input, so a NaN target must not pass
     # for a steering miss
     for bad in (np.nan, np.inf):
@@ -297,23 +292,24 @@ def test_signal_cost_cache_and_validation():
 
 
 def test_schedule_collapses_to_one_slice():
-    basis = wall_basis(8, D)
-    region = region_from_intervals(basis.grid, [(0.3, 0.6)])
-    lam0 = 2.0 * float(basis.frequencies[-1])
-    sig = lr_control(basis, region, np.zeros(8), 1.0, lam0)
+    # two Neumann cells: the smallest positive frequency is the top one
+    basis = wall_basis(2, N)
+    region = region_from_intervals(basis.grid, [(0.0, 0.5)])
+    lam0 = float(basis.frequencies[-1])
+    sig = lr_control(basis, region, np.zeros(2), 1.0)
     # one slice [0, 0.5], its active half ending at 0.25, then the tail
     assert [(row["j"], row["lambda"]) for row in sig.slice_ledger] == [(0, lam0)]
     assert_array_equal(sig.timegrid, [0.0, 0.25, 0.5, 1.0])
 
 
 def test_schedule_tiles_dyadically():
-    basis = wall_basis(8, D)
+    basis = wall_basis(4, D)
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
-    numax = float(basis.frequencies[-1])
-    sig = lr_control(basis, region, np.zeros(8), 2.0, numax / 4.0)
+    lam0, numax = float(basis.frequencies[0]), float(basis.frequencies[-1])
+    sig = lr_control(basis, region, np.zeros(4), 2.0)
     ledger = sig.slice_ledger
     assert [row["j"] for row in ledger] == [0, 1, 2]
-    assert_allclose([row["lambda"] for row in ledger], numax / 4.0 * np.array([1.0, 2.0, 4.0]))
+    assert_allclose([row["lambda"] for row in ledger], lam0 * np.array([1.0, 2.0, 4.0]))
     assert ledger[-1]["lambda"] >= numax * (1.0 - 1e-12)
     # a zero field leaves every slice passive: each slice start [0, 1, 1.5]
     # and the midpoint splitting it into its active and passive halves, then
@@ -325,10 +321,7 @@ def test_schedule_rejects_bad_parameters():
     basis = wall_basis(8, D)
     region = region_from_intervals(basis.grid, [(0.3, 0.6)])
     with pytest.raises(ValueError):
-        lr_control(basis, region, np.ones(8), 0.0, 1.0)
-    for lambda0 in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="lambda0"):
-            lr_control(basis, region, np.ones(8), 1.0, lambda0)
+        lr_control(basis, region, np.ones(8), 0.0)
     # the target is one finite coefficient per mode of the basis, not a prefix of them;
     # a NaN would read as below the rounding floor and skip every slice
     for y0 in (np.ones(7), np.ones(9), np.ones((8, 1)), np.r_[np.nan, np.ones(7)]):
@@ -357,16 +350,14 @@ def test_lr_zero_field_is_silent():
 
 
 def test_lr_single_slice_reduces_to_hum_low():
-    basis = wall_basis(16, D)
-    region = region_from_intervals(basis.grid, [(0.3, 0.6)])
+    # two Neumann cells lay out a single slice
+    basis = wall_basis(2, N)
+    region = region_from_intervals(basis.grid, [(0.0, 0.5)])
     rng = np.random.default_rng(5)
-    field0 = rng.standard_normal(16)
-    lam0 = 2.0 * float(basis.frequencies[-1])
-    lr = lr_control(basis, region, basis.coefficients(field0), 1.0, lam0)
-    hum = hum_low_mode_control(
-        basis, region,
-        basis.coefficients(field0), 0.25, steps=64, steer_tol=1e-6,
-    )
+    field0 = rng.standard_normal(2)
+    lr = lr_control(basis, region, basis.coefficients(field0), 1.0)
+    assert len(lr.slice_ledger) == 1
+    hum = hum_low_mode_control(basis, region, basis.coefficients(field0), 0.25, steer_tol=1e-6)
     # one active window, identical inputs: the values must agree bit for bit
     assert_array_equal(lr.values[:64], hum.values)
     assert not lr.values[64:].any()
@@ -374,16 +365,16 @@ def test_lr_single_slice_reduces_to_hum_low():
 
 
 def test_terminal_slice_at_the_top_frequency_steers_every_mode():
-    basis = wall_basis(16, D)
+    basis = wall_basis(8, D)
     numax = float(basis.frequencies[-1])
     whole = region_from_intervals(basis.grid, [(0.0, 1.0)])
     # only the top mode is excited: the earlier slices stay below it, so
     # the terminal slice alone can steer it
     top = basis.vectors[:, -1]
-    sig = lr_control(basis, whole, basis.coefficients(top), 1e-3, numax / 4.0)
-    assert sig.slice_ledger[-1]["lambda"] == numax
+    sig = lr_control(basis, whole, basis.coefficients(top), 1e-3)
+    assert sig.slice_ledger[-1]["lambda"] >= numax
     costs = [row["active_cost"] for row in sig.slice_ledger]
-    assert costs[:-1] == [0.0, 0.0]
+    assert costs[:-1] == [0.0, 0.0, 0.0]
     assert costs[-1] > 0.0
     assert np.linalg.norm(step_heat(basis, basis.coefficients(top), sig)) <= 1e-6
 
@@ -391,15 +382,14 @@ def test_terminal_slice_at_the_top_frequency_steers_every_mode():
 def test_lr_cascade_kills_the_field_and_coasts_when_done():
     grid, ext, basis_d, basis_n = double_setup(32)
     region = lift_region(ext, region_from_intervals(grid, [(0.2, 0.3)]))
-    pos = ext.frequencies[ext.frequencies > 1e-9]
-    lam0 = float(np.unique(np.round(pos, 12))[1])
     rng = np.random.default_rng(7)
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
 
-    sig = lr_control(ext, region, ext.coefficients(field0), 1.0, lam0)
+    sig = lr_control(ext, region, ext.coefficients(field0), 1.0)
     ledger = sig.slice_ledger
-    assert [row["j"] for row in ledger] == list(range(5))
+    # from the smallest positive frequency, about pi, to the top one, 64
+    assert [row["j"] for row in ledger] == list(range(6))
     for row in ledger:
         assert row["post_norm"] <= row["pre_norm"] * (1.0 + 1e-12)
     # once the remaining energy drops below the precision floor the cascade
@@ -428,7 +418,7 @@ def test_hum_full_steers_every_mode():
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
     yhat0 = ext.coefficients(field0)
-    sig = hum_low_mode_control(ext, region, yhat0, 0.7, steps=32)
+    sig = hum_low_mode_control(ext, region, yhat0, 0.7)
     final = step_heat(ext, yhat0, sig)
     assert np.linalg.norm(final) <= 1e-10 * np.linalg.norm(yhat0)
 
@@ -439,7 +429,7 @@ def test_hum_full_attains_the_least_squares_cost():
     rng = np.random.default_rng(3)
     field0 = rng.standard_normal(8)
     T = 0.7
-    sig = hum_low_mode_control(ext, region, ext.coefficients(field0), T, steps=32)
+    sig = hum_low_mode_control(ext, region, ext.coefficients(field0), T)
 
     # minimum-norm benchmark over the same input class: unknowns are the
     # step values scaled so the Euclidean norm of x is the control cost
@@ -483,9 +473,8 @@ def test_one_shot_beats_the_cascade_on_cost():
     rng = np.random.default_rng(7)
     field0 = rng.standard_normal(ext.grid.n)
     field0 /= np.sqrt(np.sum(ext.grid.weights * field0**2))
-    lam0 = float(ext.frequencies[ext.frequencies > 1e-9][0])
     yhat0 = ext.coefficients(field0)
-    cascade = lr_control(ext, region, yhat0, 1.0, lam0)
+    cascade = lr_control(ext, region, yhat0, 1.0)
     one_shot = hum_low_mode_control(ext, region, yhat0, 1.0)
     assert one_shot.l2_cost <= cascade.l2_cost
     final = step_heat(ext, yhat0, one_shot)
@@ -495,8 +484,8 @@ def test_one_shot_beats_the_cascade_on_cost():
 def test_hum_full_rejects_underdetermined_sampling():
     basis = wall_basis(8, D)
     region = center_cell_region(basis.grid)
-    with pytest.raises(ValueError):
-        hum_low_mode_control(basis, region, np.ones(8), 1.0, steps=7)
+    # the step rule samples 8 modes on one cell with at least 8 step values
+    assert len(hum_low_mode_control(basis, region, np.zeros(8), 1.0).values) >= 8
     with pytest.raises(ValueError):
         hum_low_mode_control(basis, region, np.ones(8), 0.0)
 
@@ -507,17 +496,12 @@ def test_hum_full_rejects_underdetermined_sampling():
     (128, (0.5, 0.525), 100, 3, 67),  # 2K/nw is 66.7, rounded up
 ], ids=["floor", "one-cell", "rounded-up"])
 def test_steps_default_to_the_onto_rule(n, interval, K, nw, steps):
-    """Without steps, K modes on nw cells take max(64, ceil(2K/nw)) steps;
-    explicit steps with steps * nw < K are refused."""
+    """K modes on nw cells take max(64, ceil(2K/nw)) steps."""
     basis = wall_basis(n, D)
     region = region_from_intervals(basis.grid, [interval])
     assert len(region.cells) == nw
     sig = hum_low_mode_control(basis, region, np.zeros(K), 1.0)
     assert len(sig.timegrid) - 1 == steps
-    short = -(-K // nw) - 1  # one step fewer than onto needs
-    with pytest.raises(ValueError, match=f"^{short} steps on {nw} cells cannot steer {K} modes$"):
-        hum_low_mode_control(basis, region, np.zeros(K), 1.0, steps=short)
-    assert len(hum_low_mode_control(basis, region, np.zeros(K), 1.0, steps=short + 1).timegrid) == short + 2
 
 
 def test_hum_full_raises_on_unreachable_target():
@@ -525,7 +509,7 @@ def test_hum_full_raises_on_unreachable_target():
     region = center_cell_region(basis.grid)
     field0 = basis.vectors[:, 1] + 0.1 * basis.vectors[:, 0]
     with pytest.raises(SingularGramianError):
-        hum_low_mode_control(basis, region, basis.coefficients(field0), 0.1, steps=16)
+        hum_low_mode_control(basis, region, basis.coefficients(field0), 0.1)
 
 
 @pytest.mark.parametrize(
@@ -538,27 +522,23 @@ def test_hum_full_raises_on_unreachable_target():
     ids=["no-F", "F-below-nw", "F-above-nw"],
 )
 def test_block_steer_matches_the_dense_oracle(n, region_of, f_size):
-    basis, region, y0, timegrid = full_steering_problem(n, region_of)
-    assert f_size(len(last_step_only(basis, timegrid)), int(region.mask.sum()))
-    steps = len(timegrid) - 1
-    sig = hum_low_mode_control(basis, region, y0, timegrid[-1], steps=steps)
-    values, _ = dense_steer(basis, region, y0, timegrid)
+    basis, region, y0 = full_steering_problem(n, region_of)
+    sig = hum_low_mode_control(basis, region, y0, 1.0)
+    assert f_size(len(last_step_only(basis, sig.timegrid)), int(region.mask.sum()))
+    values, _ = dense_steer(basis, region, y0, sig.timegrid)
     assert np.linalg.norm(sig.values - values) <= 1e-8 * np.linalg.norm(values)
     # a zero tolerance forces a miss, which reports the residual the dense solve reaches
     with pytest.raises(SingularGramianError) as miss:
-        hum_low_mode_control(basis, region, y0, timegrid[-1], steps=steps, steer_tol=0.0)
-    _, dense_achieved = dense_steer(basis, region, y0, timegrid, steer_tol=0.0)
+        hum_low_mode_control(basis, region, y0, 1.0, steer_tol=0.0)
+    _, dense_achieved = dense_steer(basis, region, y0, sig.timegrid, steer_tol=0.0)
     achieved = float(str(miss.value).rsplit(" ", 1)[-1])
     assert achieved == pytest.approx(dense_achieved, rel=1e-3)
 
 
 def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
-    basis, region, y0, timegrid = full_steering_problem(
-        256, lambda g: fat_cantor_region(g, 0.3, depth=6, seed=0)
-    )
-    F = last_step_only(basis, timegrid)
-    steps = len(timegrid) - 1
-    sig = hum_low_mode_control(basis, region, y0, timegrid[-1], steps=steps)
+    basis, region, y0 = full_steering_problem(256, lambda g: fat_cantor_region(g, 0.3, depth=6, seed=0))
+    sig = hum_low_mode_control(basis, region, y0, 1.0)
+    F = last_step_only(basis, sig.timegrid)
     step_integrals = control._step_integrals
 
     def nudged(lam, tg):
@@ -569,8 +549,8 @@ def test_last_step_modes_are_a_sparsity_pattern_not_a_cutoff(monkeypatch):
         return I, I / np.diff(tg)
 
     monkeypatch.setattr(control, "_step_integrals", nudged)
-    assert len(last_step_only(basis, timegrid)) == len(F) - 2
-    moved = hum_low_mode_control(basis, region, y0, timegrid[-1], steps=steps)
+    assert len(last_step_only(basis, sig.timegrid)) == len(F) - 2
+    moved = hum_low_mode_control(basis, region, y0, 1.0)
     assert np.linalg.norm(moved.values - sig.values) <= 1e-10 * np.linalg.norm(sig.values)
 
 

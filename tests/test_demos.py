@@ -55,15 +55,30 @@ def test_sweep_demo_imports_exist():
 def test_readme_prose_calls_only_functions_that_exist():
     """Every call `name(...)` or `owner.name(...)` in the README outside its
     code blocks names a function, class or method of a simulheat module, or a
-    builtin."""
+    builtin, and every keyword `key=` it writes is a parameter of a callable
+    of that name."""
     prose = re.sub(r"```.*?```", "", README, flags=re.S)
-    called = {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)\(", prose)}
-    defined = set(dir(builtins))
+    calls = [(name.rsplit(".", 1)[-1], args) for name, args in re.findall(r"`([\w.]+)\(([^`]*)`", prose)]
+    defined = {name: [getattr(builtins, name)] for name in dir(builtins)}
     for info in pkgutil.iter_modules(simulheat.__path__, "simulheat."):
         for name, obj in vars(importlib.import_module(info.name)).items():
             if callable(obj) and getattr(obj, "__module__", "") == info.name:
-                defined.add(name)
+                defined.setdefault(name, []).append(obj)
                 if inspect.isclass(obj):
-                    defined.update(attr for attr, value in vars(obj).items() if callable(value))
+                    for attr, value in vars(obj).items():
+                        if callable(value):
+                            defined.setdefault(attr, []).append(value)
+    called = {name for name, _ in calls}
     assert len(called) >= 20
-    assert sorted(called - defined) == []
+    assert sorted(called - set(defined)) == []
+
+    def parameters(obj):
+        try:
+            return inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # a builtin without a signature
+            return {}
+
+    keywords = [(name, key) for name, args in calls for key in re.findall(r"(\w+)=(?!=)", args)]
+    assert len(keywords) >= 5
+    stale = [f"{name}({key}=)" for name, key in keywords if not any(key in parameters(f) for f in defined[name])]
+    assert stale == []

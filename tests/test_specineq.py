@@ -5,7 +5,7 @@ fit."""
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize._highspy import _core
 from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -42,15 +42,6 @@ def one_cell_region(grid, i):
     mask = np.zeros(grid.n, dtype=bool)
     mask[i] = True
     return ControlRegion(grid, mask)
-
-
-def wall_estimates(ext, lam, region):
-    """The Dirichlet and Neumann exact-lp estimates at lam, None for a wall
-    with no mode below it, as simultaneous_constant takes them."""
-    ests = []
-    for basis in ext.walls:
-        ests.append(estimate_constant_lp(basis, lam, region) if mode_count(basis, lam) else None)
-    return tuple(ests)
 
 
 def test_lp_single_mode_matches_closed_form():
@@ -218,7 +209,7 @@ def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
     assert est.mode_count == 5
     assert len(solved) == est.lp_solves < ext.grid.n // 2
     # simultaneous_constant carries the circle estimate's counts through
-    sim = simultaneous_constant(ext, 7.0, region, wall_estimates(ext, 7.0, region))
+    _, _, sim = simultaneous_constant(ext, 7.0, region)
     assert (sim.lp_solves, sim.lp_retries) == (est.lp_solves, est.lp_retries)
 
 
@@ -239,7 +230,7 @@ def test_simultaneous_constant_certified_at_float64_horizon():
     grid, ext, _, _ = double_setup(128)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     lifted = lift_region(ext, region)
-    est = simultaneous_constant(ext, 13.0, region, wall_estimates(ext, 13.0, region))
+    _, _, est = simultaneous_constant(ext, 13.0, region)
     assert est.mode_count == 9
     E = ext.columns(9)
     R = np.sqrt(ext.grid.weights[lifted.mask])[:, None] * E[lifted.mask]
@@ -322,7 +313,7 @@ def test_simultaneous_kernel_only_cutoff_gives_inverse_measure():
     grid, ext, basis_d, basis_n = double_setup(64)
     region = region_from_intervals(grid, [(0.45, 0.55)])
     # lam below every positive frequency: only the circle's constant mode
-    est = simultaneous_constant(ext, 1.0, region, wall_estimates(ext, 1.0, region))
+    _, _, est = simultaneous_constant(ext, 1.0, region)
     assert est.mode_count == 1
     assert_allclose(est.constant, 1.0 / region.measure, rtol=1e-10)
 
@@ -331,7 +322,7 @@ def test_simultaneous_needs_as_many_cells_as_modes():
     grid, ext, basis_d, basis_n = double_setup(64)
     narrow = region_from_intervals(grid, [(0.45, 0.55)])  # 6 cells
     lam = float(basis_d.frequencies[2])  # 3 odd + 4 even modes on the circle
-    est = simultaneous_constant(ext, lam, narrow, wall_estimates(ext, lam, narrow))
+    _, _, est = simultaneous_constant(ext, lam, narrow)
     assert est.mode_count == 7
     assert est.constant == np.inf
 
@@ -340,15 +331,39 @@ def test_simultaneous_dominates_both_walls():
     grid, ext, basis_d, basis_n = double_setup(64)
     region = region_from_intervals(grid, [(0.4, 0.6)])
     lam = float(basis_d.frequencies[2])
-    cd = estimate_constant_lp(basis_d, lam, region)
-    cn = estimate_constant_lp(basis_n, lam, region)
-    cs = simultaneous_constant(ext, lam, region, (cd, cn))
+    cd, cn, cs = simultaneous_constant(ext, lam, region)
     assert np.isfinite(cs.constant)
     assert cs.constant >= max(cd.constant, cn.constant) * (1.0 - 1e-12)
     # the circle LP alone dominates both walls up to its solver slack
-    alone = simultaneous_constant(ext, lam, region, (None, None))
+    alone = estimate_constant_lp(ext, lam, lift_region(ext, region))
     assert alone.constant >= max(cd.constant, cn.constant) - 1e-8
     assert alone.constant <= cs.constant
+
+
+@pytest.mark.parametrize("lam, solves", [(1.0, 2), (7.0, 3)])
+def test_simultaneous_constant_estimates_each_wall_once(lam, solves, monkeypatch):
+    # lam=1.0 lies below every Dirichlet frequency: that wall has no mode and
+    # gets None, and only the Neumann wall and the circle are solved
+    grid, ext, _, _ = double_setup(64)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return estimate_constant_lp(*args)
+
+    monkeypatch.setattr(specineq, "estimate_constant_lp", counted)
+    *walls, joint = simultaneous_constant(ext, lam, region)
+    assert len(calls) == solves
+    assert (walls[0] is None) == (lam == 1.0)
+    assert joint.mode_count == mode_count(ext, lam)
+    for basis, est in zip(ext.walls, walls):
+        if est is None:
+            assert mode_count(basis, lam) == 0
+            continue
+        direct = estimate_constant_lp(basis, lam, region)
+        assert (est.constant, est.upper, est.lp_solves) == (direct.constant, direct.upper, direct.lp_solves)
+        assert_array_equal(est.certificate, direct.certificate)
 
 
 def test_fit_recovers_exact_exponential():
