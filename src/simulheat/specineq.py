@@ -11,8 +11,11 @@ orthonormalized through the SVD of B serves the sweep, each dual-simplex solve
 warm-started from the last. Each estimate is a bracket: the best re-evaluated
 primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
 above; one wider than _BRACKET_TOL relative raises NumericalError. The same
-upper end taken at the minimum-norm point bounds every C_i before any LP runs,
-so a cell whose bound is already below the best certificate is skipped.
+upper end taken at the minimum-norm point m_i bounds every C_i before any LP
+runs, and each solved cell i tightens the bound of every cell j still in play
+to U_i + ||m_j - m_i||_inf + (||r_j||_2 + ||r_i||_2) / sigma_min(B), with U_i
+its own upper end and r the minimum-norm residuals; a cell whose bound is
+below the best certificate is skipped.
 
 The estimate also carries sigma_min of the sqrt(w)-weighted restriction, from
 the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
@@ -21,9 +24,9 @@ at one cutoff and region, folding the wall estimates into the circle's;
 fit_exponential fits log(constant) ~ slope * lam to compare against the
 e^{C lam} growth that observability predicts.
 
-scipy's HiGHS binding and scipy.sparse, which lays out the model's rows, are
-imported where the model is built, at the first estimate: of all scipy.optimize
-only the exact LP needs them, so a run that solves none never loads them.
+scipy's HiGHS binding is imported where the model is built, at the first
+estimate: of all scipy.optimize only the exact LP needs it, so a run that
+solves none never loads it. The model's rows are laid out with numpy alone.
 """
 
 from __future__ import annotations
@@ -81,8 +84,9 @@ def _ratio(E: np.ndarray, region: ControlRegion, c: np.ndarray) -> float:
 def _dual_model(rows: np.ndarray):
     """Quiet dual-simplex model of min t subject to rows @ z = rhs and |z_j| <= t.
 
-    The equality rows come first; their bounds, the rhs, are set per cell."""
-    import scipy.sparse
+    The equality rows come first; their bounds, the rhs, are set per cell. The
+    rows go in as compressed sparse rows: K dense ones over z, then z_j - t
+    and z_j + t, two nonzeros each."""
     from scipy.optimize._highspy._core import _Highs, kHighsInf
 
     K, nw = rows.shape
@@ -92,29 +96,58 @@ def _dual_model(rows: np.ndarray):
         h.setOptionValue(option, value)
     h.addVars(nw + 1, np.r_[np.full(nw, -kHighsInf), 0.0], np.full(nw + 1, kHighsInf))
     h.changeColCost(nw, 1.0)
-    eye, ones = np.eye(nw), np.ones((nw, 1))
-    A = scipy.sparse.csr_matrix(np.block([[rows, np.zeros((K, 1))], [eye, -ones], [eye, ones]]))
+    j, ones = np.arange(nw), np.ones(nw)
+    pair = np.c_[j, np.full(nw, nw)].ravel()  # columns z_j and t
+    starts = np.r_[np.arange(K) * nw, K * nw + 2 * np.arange(2 * nw)].astype(np.int32)
+    index = np.r_[np.tile(j, K), pair, pair].astype(np.int32)
+    coef = np.r_[rows.ravel(), np.c_[ones, -ones].ravel(), np.c_[ones, ones].ravel()]
     lower = np.r_[np.zeros(K), np.full(nw, -kHighsInf), np.zeros(nw)]  # z_j - t <= 0
     upper = np.r_[np.zeros(K), np.zeros(nw), np.full(nw, kHighsInf)]  # z_j + t >= 0
-    h.addRows(A.shape[0], lower, upper, A.nnz, A.indptr[:-1].astype(np.int32),
-              A.indices.astype(np.int32), A.data)
+    h.addRows(K + 2 * nw, lower, upper, len(coef), starts, index, coef)
     return h
+
+
+def _upper_ends(Z: np.ndarray, El: np.ndarray, Bl: np.ndarray, T: np.ndarray, Vt: np.ndarray,
+                s_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of El, in extended precision as Bl is, the refined point y from
+    y = Z / s_min, ||r||_2 with r = E_i - B y, and ||y||_inf + ||r||_2 / s_min.
+
+    (Ec)_i = y.B^T c + r.c <= ||y||_inf + ||r||_2 / s_min whenever
+    ||B^T c||_1 <= 1, so the last bounds C_i. Two refinement steps with
+    residuals in extended precision shrink r, which the solver leaves at its
+    feasibility tolerance."""
+    Y = Z.astype(El.dtype) / s_min
+    for _ in range(2):
+        Y += (((El - Y @ Bl.T).astype(float) @ T.T) @ Vt).astype(El.dtype)
+    R = El - Y @ Bl.T
+    rnorm = np.sqrt(np.sum(R * R, axis=1))
+    return Y.astype(float), rnorm.astype(float), (np.max(np.abs(Y), axis=1) + rnorm / s_min).astype(float)
 
 
 def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> SpectralConstantEstimate:
     """Exact discrete constant of the modes at frequency lam or below, from
     warm-started LPs over the candidate peak cells.
 
-    Every cell is first bounded through its minimum-norm point. The cell with
-    the largest bound is solved first, then the others in grid order, and a
-    cell whose bound lies below the best re-evaluated certificate so far is
-    skipped: it cannot hold the maximum. A skipped or failed cell enters upper
-    through its minimum-norm point. The constant is the best re-evaluated
-    certificate ratio, so it is self-verifying, and upper bounds it; sigma_min
-    is that of the rank decision. Returns +inf (with a null-direction
-    certificate and sigma_min 0.0) when the restriction is rank-deficient;
-    raises NumericalError when every cell's LP fails or the bracket is wider
-    than _BRACKET_TOL.
+    Every cell j is first bounded through the upper end of m_j, its refined
+    minimum-norm solution of B y = E_j, with residual r_j = E_j - B m_j. The
+    cell with the largest bound is solved first, then the others in grid
+    order, each warm-started, and a cell whose bound lies below the best
+    re-evaluated certificate so far is skipped: it cannot hold the maximum.
+    A solved cell i, with refined solution y_i and upper end U_i, tightens the
+    bounds still in play: y_i + m_j - m_i solves B y = E_j up to the residual
+    r_i^sol + r_j - r_i, so
+
+        C_j <= U_i + ||m_j - m_i||_inf + (||r_j||_2 + ||r_i||_2) / s_min,
+
+    plus 8 eps max|m| for the float64 rounding of the terms. Only cells not
+    yet solved whose bound is still at least the best certificate are
+    updated. upper is the max over cells of their final bound, U_i at a
+    solved cell; a failed cell keeps its bound and gives no certificate. The
+    constant is the best re-evaluated certificate ratio, so it is
+    self-verifying, and upper bounds it; sigma_min is that of the rank
+    decision. Returns +inf (with a null-direction certificate and sigma_min
+    0.0) when the restriction is rank-deficient; raises NumericalError when
+    every cell's LP fails or the bracket is wider than _BRACKET_TOL.
     """
     K = mode_count(basis, lam)
     if K < 1:
@@ -146,21 +179,10 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     rows = (T.astype(ld) @ Bl).astype(float)
     rhs = (El @ T.T.astype(ld) * s_min).astype(float)
 
-    def upper_ends(Z: np.ndarray) -> np.ndarray:
-        """Per cell ||y_i||_inf + ||E_i - B y_i||_2 / s_min at y = Z / s_min.
-
-        (Ec)_i = y.B^T c + r.c <= ||y||_inf + ||r||_2 / s_min whenever
-        ||B^T c||_1 <= 1, so this bounds C_i. Two refinement steps with
-        residuals in extended precision shrink r, which the solver leaves at
-        its feasibility tolerance."""
-        Y = Z.astype(ld) / s_min
-        for _ in range(2):
-            Y += (((El - Y @ Bl.T).astype(float) @ T.T) @ Vt).astype(ld)
-        R = El - Y @ Bl.T
-        return (np.max(np.abs(Y), axis=1) + np.sqrt(np.sum(R * R, axis=1)) / s_min).astype(float)
-
-    Z = rhs @ Vt  # the minimum-norm feasible point, kept where a cell is skipped or fails
-    bounds = upper_ends(Z)
+    # M holds the refined minimum-norm points m_i, bounds their upper ends
+    M, rnorm, bounds = _upper_ends(rhs @ Vt, El, Bl, T, Vt, s_min)
+    # covers the float64 rounding of M, of its differences and of their sums
+    slack = 8 * np.finfo(float).eps * np.max(np.abs(M))
     # the cell with the largest bound first, cold; the rest in grid order,
     # each warm-started from the last
     first = int(np.argmax(bounds))
@@ -170,7 +192,8 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     model = _dual_model(rows)
     best_val = 0.0
     best_cert: np.ndarray | None = None
-    solved = solves = retries = 0
+    solved = np.zeros(basis.grid.n, dtype=bool)
+    solves = retries = 0
     for i in order:
         # best_val is a re-evaluated certificate, so a skipped cell has
         # C_i <= bounds[i] < constant; a NaN bound is never skipped
@@ -184,18 +207,23 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
             model.clearSolver()  # once more from scratch, without the warm basis
             model.run()
             retries += 1
-        if model.getModelStatus() == HighsModelStatus.kOptimal:
-            sol = model.getSolution()
-            Z[i] = sol.col_value[: Z.shape[1]]
-            solved += 1
-            c = T.T @ sol.row_dual[:K]  # c = T^T lam from the row duals lam
-            if c.any():
-                val = _ratio(E, region, c)  # re-evaluated, trims solver slack
-                if val > best_val:
-                    best_val, best_cert = val, c
-    if not solved:
+        if model.getModelStatus() != HighsModelStatus.kOptimal:
+            continue  # a failed cell keeps its bound and gives no certificate
+        sol = model.getSolution()
+        c = T.T @ sol.row_dual[:K]  # c = T^T lam from the row duals lam
+        if c.any():
+            val = _ratio(E, region, c)  # re-evaluated, trims solver slack
+            if val > best_val:
+                best_val, best_cert = val, c
+        solved[i] = True
+        bounds[i] = _upper_ends(np.asarray(sol.col_value[:nw])[None], El[i : i + 1], Bl, T, Vt, s_min)[2][0]
+        # the docstring's bound through cell i, for the cells it can still matter to
+        live = np.flatnonzero(~solved & (bounds >= best_val))
+        reach = bounds[i] + np.max(np.abs(M[live] - M[i]), axis=1) + (rnorm[live] + rnorm[i]) / s_min + slack
+        bounds[live] = np.fmin(bounds[live], reach)  # a NaN reach leaves the bound as it was
+    if not solved.any():
         raise NumericalError("LP solver failed on every candidate peak cell")
-    upper = float(np.max(upper_ends(Z)))
+    upper = float(np.max(bounds))
 
     if not upper - best_val <= _BRACKET_TOL * best_val:
         raise NumericalError(
@@ -257,7 +285,10 @@ def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:
     """Least-squares fit of log(constant) against lam.
 
     Needs at least three finite estimates at distinct cutoffs; an infinite
-    estimate in the input is an error rather than silently dropped.
+    estimate in the input is an error rather than silently dropped. The fit
+    is the closed-form centred line through lam / max|lam|, so no cutoff is
+    too large or too small to scale; a fit that still comes out non-finite
+    raises NumericalError.
     """
     if any(not np.isfinite(e.constant) for e in estimates):
         raise ValueError("cannot fit through an infinite constant")
@@ -265,6 +296,16 @@ def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:
     if len(estimates) < 3 or np.unique(lams).size != lams.size:
         raise ValueError("need at least 3 finite estimates at distinct cutoffs")
     logs = np.log(np.array([e.constant for e in estimates]))
-    slope, logc = np.polyfit(lams, logs, 1)
-    resid = logs - (logc + slope * lams)
+    scale = np.max(np.abs(lams))
+    x = lams / scale
+    # centred on the first log, then on the mean, so equal constants give
+    # exact zeros where the mean alone may be an ulp off
+    shift = logs - logs[0]
+    dx, dy = x - np.mean(x), shift - np.mean(shift)
+    with np.errstate(all="ignore"):  # a non-finite fit is reported below
+        unit_slope = np.sum(dx * dy) / np.sum(dx * dx)
+        slope, logc = unit_slope / scale, logs[0] + np.mean(shift) - unit_slope * np.mean(x)
+        resid = dy - unit_slope * dx
+    if not np.all(np.isfinite([slope, logc, *resid])):
+        raise NumericalError(f"growth fit of log(constant) against lam is not finite: slope {slope}, logC {logc}")
     return FitResult(logC=float(logc), slope=float(slope), residual=float(np.sqrt(np.mean(resid**2))))

@@ -235,13 +235,16 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
     return avg.T @ (q[:, None] * Phi.T), achieved
 
 
-def lp_cell_values(basis, lam, region, cells=None):
+def lp_cell_values(basis, lam, region, cells=None, own_peak=False):
     """One fresh linprog per peak cell i in cells (default: every cell), over
     the modes at frequency lam or below.
 
     The LP minimizes the weighted L1 mass on the region with (Ec)_i pinned at
     theta. Returns each cell's re-evaluated certificate ratio, at least C_i up
     to solver tolerance; 0 where the peak row is zero or every method fails.
+    The certificate may peak at another cell, so its ratio can exceed C_i
+    many times over; own_peak returns theta / (the optimal mass) instead,
+    which is C_i itself up to solver tolerance.
     """
     K = mode_count(basis, lam)
     E = basis.columns(K)
@@ -271,7 +274,7 @@ def lp_cell_values(basis, lam, region, cells=None):
                           bounds=bounds, method=method, options=options)
             if res.status == 0 and res.fun > 0.0:
                 p = E @ res.x[:K]
-                values[-1] = sup_norm(p) / l1_norm_on(p, region)
+                values[-1] = theta / res.fun if own_peak else sup_norm(p) / l1_norm_on(p, region)
                 break
             if res.status == 2:  # the peak row is identically zero
                 break

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,18 +482,35 @@ def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
     assert all(line.startswith("numerical infeasibility: steering") for line in lines)
 
 
-def test_a_failed_fit_exits_3_not_2(tmp_path):
-    # cutoffs near the float64 floor leave the growth fit's least squares
-    # without a converged SVD; numpy's LinAlgError is a ValueError, but the
-    # config is valid. Run in a fresh interpreter, as the fit warns on the
-    # way and LAPACK prints to stdout
-    config = write_config(tmp_path, n=16, region="0,1", lambda_sweep=[1e-300, 2e-300, 3e-300])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["-m", "simulheat.cli", "specineq", "--config", config, "--output-dir", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("numerical infeasibility:")
+def test_a_failed_fit_exits_3_not_2(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but a fit that fails on a valid
+    # config is numerical, not a config error. No cutoff sweep makes the
+    # closed-form fit fail, so the failure is injected
+    for error in (np.linalg.LinAlgError, simulheat.operators.NumericalError):
+        def fail(estimates, error=error):
+            raise error("the growth fit failed")
+
+        monkeypatch.setattr(cli, "fit_exponential", fail)
+        code, _ = run(tmp_path, "specineq", n=16, region="0,1", lambda_sweep=[1.0, 2.0, 3.0])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == "numerical infeasibility: the growth fit failed"
+
+
+def test_a_fit_at_extreme_cutoffs_prints_nothing(tmp_path, capfd):
+    # every mode lies below each cutoff, so each family's constants are equal
+    # and its fit is flat. No warning may be raised, and nothing may reach
+    # the process's own descriptors, where LAPACK writes its DLASCL lines
+    for lams in ([1e200, 2e200, 3e200], [1e-300, 2e-300, 3e-300]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "specineq", n=16, region="0,1", lambda_sweep=lams)
+        printed = capfd.readouterr()
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert printed.out == printed.err == ""
+        fits = [f for f in json.loads((out / "fit.json").read_text())["fits"].values() if f is not None]
+        assert fits and all(f["slope"] == f["residual"] == 0.0 for f in fits)
+
 
 def test_one_hum_run_makes_one_steering_call(tmp_path, monkeypatch):
     steers = count_calls(monkeypatch, simulheat.control, "hum_low_mode_control")

@@ -213,6 +213,57 @@ def test_lp_circle_on_the_sweep_inputs_solves_under_half_its_cells(monkeypatch):
     assert (sim.lp_solves, sim.lp_retries) == (est.lp_solves, est.lp_retries)
 
 
+def test_lp_on_the_sweep_inputs_solves_half_the_cells_it_did():
+    # lp_solves per estimate (dirichlet, neumann, circle) at lam 4 then 7,
+    # under the minimum-norm prune alone
+    grid, ext, _, _ = double_setup(160)
+    region = region_from_intervals(grid, [(0.45, 0.55)])
+    solves = [est.lp_solves for lam in (4.0, 7.0) for est in simultaneous_constant(ext, lam, region)]
+    assert all(now < before for now, before in zip(solves, (10, 86, 136, 88, 70, 74), strict=True))
+    assert sum(solves) <= 464 // 2
+
+
+def _final_bounds(monkeypatch):
+    """Spy on _upper_ends. Its first call in an estimate is the pass over every
+    cell, and the sweep tightens the bounds it returns in place, so after the
+    estimate they hold, at each skipped cell, the bound that skipped it."""
+    calls = []
+
+    def spy(*args):
+        calls.append(upper_ends(*args))
+        return calls[-1]
+
+    upper_ends = specineq._upper_ends
+    monkeypatch.setattr(specineq, "_upper_ends", spy)
+    return lambda: calls[0][2]
+
+
+@pytest.mark.parametrize(
+    "family, n, window, k",
+    [("dirichlet", 64, (0.3, 0.5), 4), ("neumann", 64, (0.3, 0.5), 4), ("circle", 64, (0.3, 0.5), 4),
+     ("circle", 128, (0.45, 0.55), None)],
+    ids=["dirichlet", "neumann", "circle", "circle-horizon"],
+)
+def test_lp_skipping_bounds_hold_each_cell_optimum(family, n, window, k, monkeypatch):
+    # the horizon case is that of test_simultaneous_constant_certified_at_float64_horizon
+    grid, ext, basis_d, basis_n = double_setup(n, **(VARIABLE if k is not None else {}))
+    region = region_from_intervals(grid, [window])
+    basis, reg = {
+        "dirichlet": (basis_d, region),
+        "neumann": (basis_n, region),
+        "circle": (ext, lift_region(ext, region)),
+    }[family]
+    lam = 13.0 if k is None else float(basis.frequencies[k])
+    bounds = _final_bounds(monkeypatch)
+    est, solved = _solved_cells(basis, lam, reg, monkeypatch)
+    assert est.mode_count == 9 if k is None else 3 <= est.mode_count <= 5
+    skipped = sorted(set(range(basis.grid.n)) - solved)
+    assert skipped, "the prune skipped no cell"
+    optima = lp_cell_values(basis, lam, reg, skipped, own_peak=True)
+    assert np.count_nonzero(optima) >= len(skipped) // 2
+    assert np.all(optima <= bounds()[skipped] * (1.0 + 1e-9))
+
+
 def test_lp_bracket_wider_than_tolerance_raises(monkeypatch):
     basis = wall_basis(64, D)
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
@@ -398,6 +449,17 @@ def test_fit_rejects_bad_inputs():
         fit_exponential([est(1.0, 2.0), est(2.0, 3.0)])
     with pytest.raises(ValueError):
         fit_exponential([est(1.0, 2.0), est(1.0, 3.0), est(2.0, 4.0)])
+
+
+def test_fit_that_is_not_finite_raises():
+    # subnormal cutoffs: the slope against lam overflows
+    ests = [
+        SpectralConstantEstimate(lam=k * 1e-320, mode_count=k, region_measure=0.1,
+                                 method="exact-lp", constant=float(np.exp(k)))
+        for k in (1, 2, 3)
+    ]
+    with pytest.raises(NumericalError, match="not finite"):
+        fit_exponential(ests)
 
 
 def test_empty_cutoff_rejected_everywhere():
