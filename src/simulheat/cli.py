@@ -50,7 +50,6 @@ class ExperimentConfig:
     method: Method = "hum"
     lambda_sweep: list[float] = field(default_factory=list)
     seed: int = 0
-    tolerances: dict[Method, float] = field(default_factory=dict)
     output_dir: str = "."
     cantor_measure: float | None = None
     cantor_depth: int | None = None
@@ -73,8 +72,6 @@ def _fits(value: Any, hint: Any) -> bool:
         return value in args
     if origin is list:
         return isinstance(value, list) and all(_fits(x, args[0]) for x in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
     if is_typeddict(hint):  # exactly its keys, each of its type
         keys = hint.__annotations__
         return isinstance(value, dict) and set(value) == set(keys) and all(_fits(value[k], keys[k]) for k in keys)
@@ -105,10 +102,6 @@ def load_config(path: str) -> ExperimentConfig:
     # n and length are the grid's to refuse; only two verbs read T
     if cfg.T <= 0:
         raise ConfigError(f"T must be positive, got {cfg.T!r}")
-    # the annotation holds each key to a method; an entry for the other
-    # method is kept, unused, so one config serves both
-    if any(t <= 0 for t in cfg.tolerances.values()):
-        raise ConfigError(f"tolerances must be positive, got {cfg.tolerances}")
     if any(l <= 0 for l in cfg.lambda_sweep):
         raise ConfigError("lambda_sweep entries must be positive")
     return cfg
@@ -194,7 +187,7 @@ def cmd_specineq(cfg: ExperimentConfig, outdir: str) -> int:
         for est in ests:  # the exact-lp row and, from the same SVD, the sigma-min-l2 row
             head = f"{family},{_fmt(est.lam)},{est.mode_count},{_fmt(est.region_measure)}"
             l2 = np.inf if est.sigma_min == 0.0 else 1.0 / est.sigma_min
-            rows += [f"{head},{est.method},{_fmt(est.constant)}", f"{head},sigma-min-l2,{_fmt(l2)}"]
+            rows += [f"{head},exact-lp,{_fmt(est.constant)}", f"{head},sigma-min-l2,{_fmt(l2)}"]
         finite = [e for e in ests if np.isfinite(e.constant)]
         if len(finite) >= 3:
             fit = fit_exponential(finite)
@@ -213,7 +206,7 @@ def cmd_control(cfg: ExperimentConfig, outdir: str) -> int:
         raise ConfigError("control needs a region")
     region = parse_region_spec(cfg.region, grid)
     u0, v0 = _seeded_unit_pair(grid, cfg.seed)
-    report = run_simultaneous(grid, u0, v0, region, cfg.T, cfg.method, tolerance=cfg.tolerances.get(cfg.method))
+    report = run_simultaneous(grid, u0, v0, region, cfg.T, cfg.method)
 
     sig = report.signal
     cells = sig.region.cells  # the circle signal lives on the lifted region

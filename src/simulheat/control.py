@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ControlRegion
-from .operators import Basis, NumericalError
+from .operators import Basis, NumericalError, _cells
 from .spectral import resolution
 
 
@@ -96,21 +96,21 @@ def march(
 ) -> np.ndarray:
     """Exact mode coefficients at every node of times, from yhat at times[0].
 
-    Each segment takes the closed-form update y <- e^{-lam dt} y + b (1 -
-    e^{-lam dt})/lam, where b is the mode projection of the signal value
-    holding at the segment's start (zero outside the signal's window, or
-    without a signal); a signal node that is not one of the times goes unseen.
+    Step i takes the closed-form update y <- e^{-lam dt} y + b (1 -
+    e^{-lam dt})/lam, where b is the mode projection of signal.values[i]
+    (zero without a signal), so a signal is refused unless its timegrid is
+    times itself. An all-zero signal forces nothing and reads no mode rows,
+    though a region of another grid is still refused.
     """
     decay, forcing = decay_factors(basis.eigenvalues, np.diff(times))
-    live = slice(0, 0)  # without a signal no step is forced
     if signal is not None:
-        segs = np.searchsorted(signal.timegrid, times[:-1], side="right") - 1
-        # segs ascends, so the steps inside the window are one run of them,
-        # all projected by one product and scaled in place
-        live = slice(*np.searchsorted(segs, [0, len(signal.values)]))
-        forcing[live] *= (signal.region.weights * signal.values[segs[live]]) @ basis.rows(signal.region)
-    forcing[: live.start] = 0.0
-    forcing[live.stop :] = 0.0
+        if not np.array_equal(signal.timegrid, times):
+            raise ValueError("a signal is marched over its own timegrid only")
+        _cells(basis, signal.region)  # refused even where no step is forced
+    if signal is not None and signal.values.any():
+        forcing *= (signal.region.weights * signal.values) @ basis.rows(signal.region)
+    else:
+        forcing[:] = 0.0
     out = np.empty((len(times), len(yhat)))
     out[0] = yhat
     for i in range(len(times) - 1):

@@ -48,20 +48,18 @@ _BRACKET_TOL = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class SpectralConstantEstimate:
-    """One measured constant. certificate holds the extremal mode coefficients;
-    upper closes the exact-lp bracket [constant, upper] (None for other methods).
-    lp_solves counts the exact-lp cells whose LP ran and lp_retries their
-    re-runs from a cleared basis (0 for other methods and rank-deficient ones).
-    sigma_min is the smallest singular value of the sqrt(w)-weighted
-    restriction, 0.0 where it is rank-deficient or not computed."""
+    """One exact-lp constant. certificate holds the extremal mode coefficients;
+    upper closes the bracket [constant, upper]. lp_solves counts the cells
+    whose LP ran and lp_retries their re-runs from a cleared basis (0 where
+    the restriction is rank-deficient). sigma_min is the smallest singular
+    value of the sqrt(w)-weighted restriction, 0.0 where it is rank-deficient."""
 
     lam: float
     mode_count: int
     region_measure: float
-    method: str
     constant: float
     certificate: np.ndarray | None = None
-    upper: float | None = None
+    upper: float = np.inf
     lp_solves: int = 0
     lp_retries: int = 0
     sigma_min: float = 0.0
@@ -155,8 +153,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     E, Er = basis.columns(K), basis.rows(region, K)
     nw = len(region.cells)
     _, s, Vh = scipy.linalg.svd(np.sqrt(region.weights)[:, None] * Er, full_matrices=nw < K)
-    est = SpectralConstantEstimate(lam=float(lam), mode_count=K, region_measure=region.measure,
-                                   method="exact-lp", constant=np.inf, upper=np.inf)
+    est = SpectralConstantEstimate(lam=float(lam), mode_count=K, region_measure=region.measure, constant=np.inf)
     # rank decision at the SVD noise floor: fewer observation cells than
     # modes leave null directions for sure; below the floor cannot be told
     # apart from exact deficiency in double precision, anything above it is a
@@ -261,18 +258,19 @@ def simultaneous_constant(ext: CircleBasis, lam: float, region: ControlRegion) -
     best, best_cert = est.constant, est.certificate
 
     # Each wall certificate extends to the circle with peak and region mass
-    # both scaled by 1/sqrt(2), so its ratio carries over unchanged. Folding
-    # the single-family optima in keeps the domination over each family exact
+    # both scaled by 1/sqrt(2), so its ratio carries over unchanged and a
+    # wall's null direction stays one on the lifted region. Folding the
+    # single-family optima in keeps the domination over each family exact
     # even where a large circle instance returns a slightly interior point.
     Eext = ext.columns(est.mode_count)
     for wall_est, offset in zip(walls, (0, ext.grid.n // 2)):
         if wall_est is None:
             continue
-        if not np.isfinite(wall_est.constant):
-            best, best_cert = np.inf, wall_est.certificate
-            break
         embedded = np.zeros(est.mode_count)
         embedded[ext.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
+        if not np.isfinite(wall_est.constant):
+            best, best_cert = np.inf, embedded
+            break
         val = _ratio(Eext, lifted, embedded)
         if val > best:
             best, best_cert = val, embedded

@@ -23,7 +23,6 @@ from simulheat.operators import (
     assemble_laplacian,
     eigendecompose,
 )
-from simulheat.specineq import SpectralConstantEstimate
 from simulheat.spectral import l1_norm_on, l2_norm, mode_count, sup_norm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -332,8 +331,9 @@ def analytic_eigenbasis(grid, bc):
 
 
 def randomized_lower_bound(basis, lam, region, *, trials=256, seed=0):
-    """Best sup/L1 ratio over random draws of the coefficients of the modes at
-    frequency lam or below; never above the LP value."""
+    """(ratio, coefficients): the best sup/L1 ratio over random draws of the
+    coefficients of the modes at frequency lam or below, never above the LP
+    value, and the draw that attains it."""
     K = mode_count(basis, lam)
     if K < 1:
         raise ValueError("cutoff admits no modes")
@@ -347,11 +347,4 @@ def randomized_lower_bound(basis, lam, region, *, trials=256, seed=0):
         val = np.inf if mass == 0.0 else sup_norm(p) / mass
         if val > best:
             best, best_c = val, c
-    return SpectralConstantEstimate(
-        lam=float(lam),
-        mode_count=K,
-        region_measure=region.measure,
-        method="randomized-lower",
-        constant=float(best),
-        certificate=best_c,
-    )
+    return float(best), best_c

@@ -32,8 +32,7 @@ _FULL_GRAM_MAX_N = 512
 
 def _checked_init(self, *args, **kwargs):
     _init(self, *args, **kwargs)
-    if self.upper is not None:
-        assert self.constant <= self.upper, f"constant {self.constant!r} above upper {self.upper!r}"
+    assert self.constant <= self.upper, f"constant {self.constant!r} above upper {self.upper!r}"
 
 
 def _checked_eigendecompose(op):

@@ -72,7 +72,7 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         # mistyped fields are config errors too, not tracebacks
         {"n": 8, "T": "a"},
         {"n": 8, "region": 5},
-        {"n": 8, "tolerances": [1]},
+        {"n": 8, "tolerances": [1]},  # a removed field: an unknown key
         {"n": 8, "lambda_sweep": [2, "x"]},
         {"n": 8, "seed": 1.5},
         # a seed must be non-negative
@@ -86,7 +86,7 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         # finite lengths whose 1/h^2 overflows or underflows
         {"n": 8, "length": 1e200},
         {"n": 8, "length": 1e-200},
-        # a tolerance must name a method and be positive
+        # tolerances is no longer a field, so whatever it holds is an unknown key
         {"n": 8, "tolerances": {"hmu": 1e-30}},
         {"n": 8, "tolerances": {"hum": 0.0}},
         {"n": 8, "tolerances": {"hum": -1}},
@@ -135,24 +135,19 @@ def test_loading_a_config_resolves_no_type_hints(tmp_path, monkeypatch):
     assert cli.load_config(cfg).coefficients["a"] == [1.0] * 9
 
 
-def test_a_tolerance_for_the_other_method_is_kept(tmp_path):
-    cfg = cli.load_config(write_config(tmp_path, n=8, method="hum", tolerances={"lr": 1e-3}))
-    assert cfg.tolerances == {"lr": 1e-3}
-
-
 def test_the_method_set_is_declared_once(tmp_path, capsys):
     assert set(typing.get_args(simulheat.sim.Method)) == set(simulheat.sim.DEFAULT_TOLERANCES)
-    # the config's method and tolerance keys are checked against that one set
-    for key, value in (("method", "shooting"), ("tolerances", {"hmu": 1e-30})):
-        assert run(tmp_path, "control", n=16, region="0.2,0.5", **{key: value})[0] == 2
-        assert f"config field {key} has the wrong type" in capsys.readouterr().err
+    # the config's method is checked against that one set
+    assert run(tmp_path, "control", n=16, region="0.2,0.5", method="shooting")[0] == 2
+    assert "config field method has the wrong type" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["hum", "lr"])
-@pytest.mark.parametrize("knob", [{"steps": 0}, {"lambda0": 1.0}])
+@pytest.mark.parametrize("knob", [{"steps": 0}, {"lambda0": 1.0}, {"tolerances": {"lr": 1e-3}}])
 def test_control_refuses_a_per_method_knob(tmp_path, capsys, method, knob):
-    """The pipeline takes no steps or cascade cutoff: a config naming either
-    exits 2 for both methods, not only where the method would have read it."""
+    """The pipeline takes no steps, cascade cutoff or pass bar: a config
+    naming any exits 2 for both methods, not only where the method would have
+    read it."""
     code, out = run(tmp_path, "control", n=32, region="0.2,0.3", method=method, **knob)
     assert code == 2
     assert f"unknown config keys: {list(knob)}" in capsys.readouterr().err
@@ -432,11 +427,9 @@ def test_control_cascade_writes_the_cost_ledger(tmp_path):
         assert row["post_norm"] <= row["pre_norm"] * (1.0 + 1e-12)
 
 
-def test_control_tolerance_miss_exits_4_with_summary(tmp_path):
-    code, out = run(
-        tmp_path, "control",
-        n=32, region="0.2,0.3", T=1.0, method="hum", tolerances={"hum": 1e-30},
-    )
+def test_control_tolerance_miss_exits_4_with_summary(tmp_path, monkeypatch):
+    monkeypatch.setitem(simulheat.sim.DEFAULT_TOLERANCES, "hum", 1e-30)
+    code, out = run(tmp_path, "control", n=32, region="0.2,0.3", T=1.0, method="hum")
     assert code == 4
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is False

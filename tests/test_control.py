@@ -95,9 +95,12 @@ def test_march_matches_the_step_integrator():
     # time, so the two round apart, but only at the level of the state's scale
     eps = np.finfo(float).eps
     assert np.max(np.abs(path[-1] - step_heat(ext, y0, sig))) <= eps * np.max(np.abs(path))
-    # nodes past the signal's window only decay
-    tail = march(ext, path[-1], np.array([0.5, 0.7]), sig)[-1]
+    # the coast after the signal ends is a call of its own, with no signal,
+    # and only decays; a signal is marched over its own nodes alone
+    tail = march(ext, path[-1], np.array([0.5, 0.7]))[-1]
     assert_array_equal(tail, np.exp(-ext.eigenvalues * (0.7 - 0.5)) * path[-1] + 0.0)
+    with pytest.raises(ValueError, match="own timegrid"):
+        march(ext, path[-1], np.array([0.5, 0.7]), sig)
 
 
 def test_mass_matrix_whole_domain_is_identity():

@@ -256,8 +256,8 @@ def test_result_objects_compare_by_identity_and_hash():
         trajectory,
         lambda: SimultaneousReport(0.0, 0.0, 0.0, 0.0, 0.0, "hum", 1.0, 1.0, 1e-6, True,
                                    signal(), trajectory(), trajectory(), trajectory()),
-        lambda: SpectralConstantEstimate(lam=1.0, mode_count=1, region_measure=0.5, method="exact-lp",
-                                         constant=1.0, certificate=np.ones(1), upper=1.0),
+        lambda: SpectralConstantEstimate(lam=1.0, mode_count=1, region_measure=0.5, constant=1.0,
+                                         certificate=np.ones(1), upper=1.0),
         lambda: DoublingResiduals(0.0, 0.0, 0.0, 0.0, np.zeros(2)),
     ]
     for make in makers:

@@ -149,7 +149,7 @@ def test_exact_lp_bracket_holds_the_randomized_lower_bound(grid, bc, left, width
     if not np.isfinite(est.constant):
         return  # a rank-deficient restriction: fewer window cells than modes
     assert est.constant <= est.upper
-    assert est.constant >= randomized_lower_bound(basis, lam, region).constant * (1.0 - 1e-9)
+    assert est.constant >= randomized_lower_bound(basis, lam, region)[0] * (1.0 - 1e-9)
     assert est.lp_solves <= grid.n
 
 

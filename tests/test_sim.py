@@ -24,7 +24,7 @@ from simulheat import doubling, sim
 from simulheat.control import ControlSignal, march
 from simulheat.doubling import build_double, lift_region, split
 from simulheat.grid import region_from_intervals
-from simulheat.operators import assemble_laplacian, eigendecompose
+from simulheat.operators import CircleBasis, assemble_laplacian, eigendecompose
 from simulheat.sim import DEFAULT_TOLERANCES, propagate, run_simultaneous
 
 
@@ -72,6 +72,8 @@ def test_propagate_validates_inputs():
         propagate(basis, np.zeros(16), np.array([0.0, 0.25, 0.5]), sig)  # signal runs past times[-1]
     with pytest.raises(ValueError):
         propagate(basis, np.zeros(16), np.array([0.0, 0.25, 0.75, 1.0]), sig)  # skips the node 0.5
+    with pytest.raises(ValueError):
+        propagate(basis, np.zeros(16), np.r_[sig.timegrid, 1.5], sig)  # a node past the signal's last
     other = wall_basis(8, D)
     with pytest.raises(ValueError):
         propagate(other, np.zeros(8), sig.timegrid, sig)  # region from another grid
@@ -110,14 +112,18 @@ def test_propagate_states_match_the_per_node_reconstruction():
     values = rng.standard_normal((8, int(region.mask.sum())))
     sig = ControlSignal(timegrid, values, region)
     U0 = rng.standard_normal(64)
-    traj = propagate(ext, U0, np.r_[timegrid, 0.7], sig)
+    traj = propagate(ext, U0, timegrid, sig)
+    # the coast after the signal ends, a call of its own with no signal
+    tail = propagate(ext, traj.states[-1], np.array([0.5, 0.7]))
     # the loop the wall products replaced: one product with the dense circle
     # basis per node
-    coeffs_t = march(ext, ext.coefficients(U0), traj.times, sig)
+    coeffs_t = march(ext, ext.coefficients(U0), timegrid, sig)
+    coeffs_t = np.vstack([coeffs_t, march(ext, coeffs_t[-1], tail.times)[1:]])
     X = dense_modes(ext)
     loop = np.array([U0] + [X @ y for y in coeffs_t[1:]])
-    assert_array_equal(traj.states[0], U0)
-    for state, ref in zip(traj.states, loop):
+    states = np.vstack([traj.states, tail.states[1:]])
+    assert_array_equal(states[0], U0)
+    for state, ref in zip(states, loop):
         assert np.max(np.abs(state - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -245,13 +251,14 @@ def test_pipeline_recovers_wall_conditions():
 def test_wall_residuals_flag_a_broken_direct_run(monkeypatch, bc, broken, intact):
     # a direct wall run that drifts at one wall cell must show in its residual
     clean = sim.propagate
+    drift = 1e-6
 
     def propagate_broken(basis, *args):
         traj = clean(basis, *args)
         if basis.bc is not bc:
             return traj
         states = traj.states.copy()
-        states[:, -1] += 1e-6
+        states[:, -1] += drift
         return dataclasses.replace(traj, states=states)
 
     monkeypatch.setattr(sim, "propagate", propagate_broken)
@@ -259,6 +266,33 @@ def test_wall_residuals_flag_a_broken_direct_run(monkeypatch, bc, broken, intact
     rep = sim.run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     assert getattr(rep, broken) > 1e-10
     assert getattr(rep, intact) <= 1e-10
+    # each residual's definition applied to the drift at the far wall cell
+    sup = max(np.max(rep.trajectory_u.sup_norms), np.max(rep.trajectory_v.sup_norms))
+    expected = {
+        "dirichlet_trace_residual": 0.5 * drift / sup,
+        "neumann_flux_residual": grid.a[-1] * grid.kappa[-1] * drift / grid.h / sup,
+    }
+    assert_allclose(getattr(rep, broken), expected[broken], rtol=1e-6)
+
+
+def test_lr_reads_the_circle_rows_once_per_steered_step(monkeypatch):
+    # each steered slice reads the window rows to solve and to march; a slice
+    # that holds zero reads none, and the circle run reads them once
+    grid = problem(128)
+    region = region_from_intervals(grid, [(0.2, 0.3)])
+    u0, v0 = unit_pair(grid, 0)
+    reads = 0
+    rows = CircleBasis.rows
+
+    def counted(self, *args):
+        nonlocal reads
+        reads += 1
+        return rows(self, *args)
+
+    monkeypatch.setattr(CircleBasis, "rows", counted)
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "lr")
+    steered = sum(s["active_cost"] > 0 for s in rep.signal.slice_ledger)
+    assert reads == 2 * steered + 1 == 7
 
 
 def test_pipeline_handles_the_neumann_kernel():
@@ -271,9 +305,10 @@ def test_pipeline_handles_the_neumann_kernel():
     assert rep.final_v_l2 <= DEFAULT_TOLERANCES["lr"] * max(rep.initial_u_l2, rep.initial_v_l2)
 
 
-def test_pipeline_near_miss_is_reported_not_raised():
+def test_pipeline_near_miss_is_reported_not_raised(monkeypatch):
+    monkeypatch.setitem(DEFAULT_TOLERANCES, "hum", 1e-30)
     grid, region, u0, v0 = pipeline_problem()
-    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum", tolerance=1e-30)
+    rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")
     assert not rep.passed
     assert rep.tolerance == 1e-30
     assert rep.final_u_l2 > 0.0

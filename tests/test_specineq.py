@@ -55,7 +55,6 @@ def test_lp_single_mode_matches_closed_form():
         est = estimate_constant_lp(basis, lam, region)
         # the span is one-dimensional: the ratio does not depend on the coefficient
         assert_allclose(est.constant, sup_norm(e) / l1_norm_on(e, region), rtol=1e-12)
-        assert est.method == "exact-lp"
         assert est.mode_count == 1
 
 
@@ -321,22 +320,23 @@ def test_randomized_bound_stays_below_lp():
     region = region_from_intervals(basis.grid, [(0.45, 0.55)])
     lam = float(basis.frequencies[2])
     lp = estimate_constant_lp(basis, lam, region)
-    rnd = randomized_lower_bound(basis, lam, region, trials=200, seed=7)
-    assert rnd.constant <= lp.constant * (1.0 + 1e-12)
-    assert rnd.method == "randomized-lower"
+    rnd, _ = randomized_lower_bound(basis, lam, region, trials=200, seed=7)
+    assert rnd <= lp.constant * (1.0 + 1e-12)
 
 
 def test_certificates_reproduce_reported_constants():
     basis = wall_basis(64, N, kappa=lambda x: 1.0 + 0.3 * x)
     region = region_from_intervals(basis.grid, [(0.3, 0.5)])
     lam = float(basis.frequencies[3])
-    for est in (
-        estimate_constant_lp(basis, lam, region),
+    lp = estimate_constant_lp(basis, lam, region)
+    assert len(lp.certificate) == lp.mode_count
+    for constant, certificate in (
+        (lp.constant, lp.certificate),
         randomized_lower_bound(basis, lam, region, trials=64, seed=0),
     ):
-        p = basis.vectors[:, : est.mode_count] @ est.certificate
+        p = basis.vectors[:, : len(certificate)] @ certificate
         ratio = sup_norm(p) / l1_norm_on(p, region)
-        assert abs(ratio - est.constant) <= 1e-8 * est.constant
+        assert abs(ratio - constant) <= 1e-8 * constant
 
 
 def test_l2_surrogate_frozen_cases():
@@ -376,6 +376,19 @@ def test_simultaneous_needs_as_many_cells_as_modes():
     _, _, est = simultaneous_constant(ext, lam, narrow)
     assert est.mode_count == 7
     assert est.constant == np.inf
+
+
+def test_an_unbounded_wall_hands_the_circle_a_circle_certificate():
+    # one window cell under 3 Dirichlet and 4 Neumann modes: the Dirichlet wall
+    # is unbounded, and its null direction must reach the joint estimate in
+    # circle coordinates, not in the wall's
+    grid, ext, _, _ = double_setup(16)
+    region = region_from_intervals(grid, [(0.45, 0.5)])
+    dirichlet, _, est = simultaneous_constant(ext, 10.0, region)
+    assert dirichlet.constant == est.constant == np.inf
+    assert est.certificate.shape == (est.mode_count,) == (7,)
+    field = ext.rows(lift_region(ext, region), est.mode_count) @ est.certificate
+    assert np.max(np.abs(field)) <= 1e-12 * np.max(np.abs(est.certificate))
 
 
 def test_simultaneous_dominates_both_walls():
@@ -419,8 +432,7 @@ def test_simultaneous_constant_estimates_each_wall_once(lam, solves, monkeypatch
 
 def test_fit_recovers_exact_exponential():
     ests = [
-        SpectralConstantEstimate(lam=float(k), mode_count=k, region_measure=0.1,
-                                 method="exact-lp", constant=float(np.exp(k)))
+        SpectralConstantEstimate(lam=float(k), mode_count=k, region_measure=0.1, constant=float(np.exp(k)))
         for k in (1, 2, 3)
     ]
     fit = fit_exponential(ests)
@@ -431,8 +443,7 @@ def test_fit_recovers_exact_exponential():
 
 def test_fit_constant_data_has_zero_slope():
     ests = [
-        SpectralConstantEstimate(lam=float(k), mode_count=k, region_measure=0.1,
-                                 method="exact-lp", constant=5.0)
+        SpectralConstantEstimate(lam=float(k), mode_count=k, region_measure=0.1, constant=5.0)
         for k in (1, 2, 4)
     ]
     assert abs(fit_exponential(ests).slope) <= 1e-14
@@ -440,8 +451,7 @@ def test_fit_constant_data_has_zero_slope():
 
 def test_fit_rejects_bad_inputs():
     def est(lam, constant):
-        return SpectralConstantEstimate(lam=lam, mode_count=1, region_measure=0.1,
-                                        method="exact-lp", constant=constant)
+        return SpectralConstantEstimate(lam=lam, mode_count=1, region_measure=0.1, constant=constant)
 
     with pytest.raises(ValueError):
         fit_exponential([est(1.0, 2.0), est(2.0, np.inf), est(3.0, 4.0)])
@@ -454,8 +464,7 @@ def test_fit_rejects_bad_inputs():
 def test_fit_that_is_not_finite_raises():
     # subnormal cutoffs: the slope against lam overflows
     ests = [
-        SpectralConstantEstimate(lam=k * 1e-320, mode_count=k, region_measure=0.1,
-                                 method="exact-lp", constant=float(np.exp(k)))
+        SpectralConstantEstimate(lam=k * 1e-320, mode_count=k, region_measure=0.1, constant=float(np.exp(k)))
         for k in (1, 2, 3)
     ]
     with pytest.raises(NumericalError, match="not finite"):
