@@ -11,8 +11,8 @@ sampled Gramian H = (I I^T / dt) o M, the Hadamard product of the
 step-integral outer product with the region mass matrix. Both syntheses solve
 that system the same way: block elimination of H + 1e-12 max(diag H) I, with
 an nw x nw Woodbury factor for the modes that only the last step reaches and a
-Schur complement on the rest, then defect correction against the unregularized
-H until the residual reaches steer_tol/4, stops falling, or 32 steps are taken.
+Schur complement on the rest, then defect correction on the final modes the
+sampled values reach, to steer_tol/4, until a step stalls, or for 32 steps.
 A steering target is its mode coefficients: hum_low_mode_control steers the
 leading len(y0) modes, all of them for one-shot steering and those below its
 cutoff for each cascade slice. The cascade lays out its dyadic slices from T
@@ -168,9 +168,9 @@ def hum_low_mode_control(
     f(t) = 1_region sum_l q_l avg_l(t) e_l on a uniform grid of max(64,
     ceil(2K/nw)) steps on nw region cells, where avg_l is the exact per-step
     average of e^{-lam_l(tau-t)}; at least K/nw steps keep the input map onto.
-    Steering of the sampled dynamics is exact up to arithmetic; a verified
-    residual above steer_tol or not a number, or values that overflow, raise
-    SingularGramianError.
+    Steering of the sampled dynamics is exact up to arithmetic; the values
+    returned are verified by the final modes they reach, and a residual above
+    steer_tol, infinite or not a number raises SingularGramianError.
 
     The shifted system (H + sigma I) q = -e^{-lam tau} y0, sigma = 1e-12
     max(diag H), is solved by block elimination. H is the steps before the
@@ -181,8 +181,8 @@ def hum_low_mode_control(
     (Woodbury), leaving the Schur complement sigma I + H'_SS + sigma V_S
     G^{-1} V_S^T on S; each is factored by Cholesky, or LU if roundoff makes
     it indefinite. F is a sparsity pattern, not a cutoff: moving a mode from F
-    to S solves the same system. Defect correction against H = H' + V V^T ends
-    at steer_tol/4, at a step not lowering the residual, or after 32 steps.
+    to S solves the same system. Defect correction on the values' residual ends
+    at steer_tol/4, at a step not lowering it, or after 32 steps.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or not 1 <= len(y0) <= len(basis.eigenvalues):
@@ -229,35 +229,34 @@ def hum_low_mode_control(
         q[F] = (r[F] - VF @ z) / sigma - VF @ solve_G(VS.T @ q[S])
         return q
 
-    def gram(q: np.ndarray) -> np.ndarray:
-        Hq = V @ (V.T @ q)
-        Hq[S] += HS @ q[S]
-        return Hq
-
-    # a single solve floors at eps*cond relative; defect correction against
-    # the unregularized Gramian recovers the rest
     scale = float(np.linalg.norm(y0))
-    q = solve(rhs)
-    r = rhs - gram(q)
-    achieved = float(np.linalg.norm(r)) / scale
-    for _ in range(_REFINE_STEPS):
-        if achieved <= 0.25 * steer_tol:
-            break
-        candidate = q + solve(r)
-        r_candidate = rhs - gram(candidate)
-        better = float(np.linalg.norm(r_candidate)) / scale
-        if better >= achieved:
-            break
-        q, r, achieved = candidate, r_candidate, better
-    if not achieved <= steer_tol:  # a NaN residual, from under- or overflow, is a miss too
-        raise SingularGramianError(basis, K, region, steps, achieved)
-    # avg[F, :-1] is exactly zero, so F only enters the last step's values
-    values = np.empty((steps, nw))
-    with np.errstate(over="ignore", invalid="ignore"):  # screened right below
+
+    def steer(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The values q samples, and the residual of the final modes they reach."""
+        values = np.empty((steps, nw))
         values[:-1] = avg[S, :-1].T @ (q[S, None] * PhiS.T)
         values[-1] = Phi @ (avg[:, -1] * q)
-    if not np.isfinite(values).all():  # a signal beyond float64 steers nothing
-        raise SingularGramianError(basis, K, region, steps, np.inf)
+        # I[F, :-1] is exactly zero, so the steps before the last reach S alone
+        r = rhs - I[:, -1] * ((weights * values[-1]) @ Phi)
+        r[S] -= np.einsum("mk,km->k", (weights * values[:-1]) @ PhiS, I[S, :-1])
+        return values, r, float(np.linalg.norm(r)) / scale
+
+    # a single solve floors at eps*cond relative; defect correction on the
+    # residual of the sampled values recovers the rest. An overflow anywhere
+    # leaves a residual that is infinite or not a number, a miss
+    with np.errstate(all="ignore"):
+        q = solve(rhs)
+        values, r, achieved = steer(q)
+        for _ in range(_REFINE_STEPS):
+            if achieved <= 0.25 * steer_tol:
+                break
+            candidate = q + solve(r)
+            candidate_values, candidate_r, better = steer(candidate)
+            if not better < achieved:
+                break
+            q, values, r, achieved = candidate, candidate_values, candidate_r, better
+    if not achieved <= steer_tol:
+        raise SingularGramianError(basis, K, region, steps, achieved)
     return ControlSignal(timegrid, values, region)
 
 

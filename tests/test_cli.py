@@ -456,10 +456,14 @@ def test_control_whose_steering_underflows_exits_3(tmp_path, capsys, method, T):
 
 def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
     # in a fresh interpreter that prints every warning, each of the four
-    # underflowing runs above leaves its message and nothing else on stderr
+    # underflowing runs above leaves its message and nothing else on stderr;
+    # so do two horizons on a narrower region whose solves under- or overflow
+    # part way, one per method
+    runs = [("0.2,0.5", method, T) for method in ("hum", "lr") for T in (1e-300, 1e-320)]
+    runs += [("0.2,0.45", "hum", 1e-296), ("0.2,0.45", "lr", 1e-308)]
     configs = [
-        write_config(tmp_path, f"{method}_{T:g}.json", n=16, region="0.2,0.5", T=T, method=method)
-        for method in ("hum", "lr") for T in (1e-300, 1e-320)
+        write_config(tmp_path, f"{method}_{T:g}_{region}.json", n=16, region=region, T=T, method=method)
+        for region, method, T in runs
     ]
     script = (
         "import sys\nfrom simulheat import cli\n"
@@ -469,9 +473,9 @@ def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-W", "always", "-c", script, *configs],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split() == ["3"] * 4
+    assert proc.stdout.split() == ["3"] * len(runs)
     lines = proc.stderr.splitlines()
-    assert len(lines) == 4, proc.stderr
+    assert len(lines) == len(runs), proc.stderr
     assert all(line.startswith("numerical infeasibility: steering") for line in lines)
 
 

@@ -252,12 +252,25 @@ def test_a_region_of_another_grid_is_refused():
 
 
 def test_a_signal_beyond_float64_is_a_miss():
-    # on a horizon of 1.8e-308 the two-mode solve verifies, but the sampled
-    # values, q times step averages of order 1/dt, overflow
+    # on a horizon of 1.8e-308 the sampled values, q times step averages of
+    # order 1/dt, overflow: the final modes they reach are infinite or not a
+    # number, a miss, and no numpy warning escapes
     basis = wall_basis(16, D)
     region = region_from_intervals(basis.grid, [(0.2, 0.45)])
-    with pytest.raises(SingularGramianError, match="residual inf"):
-        hum_low_mode_control(basis, region, np.ones(2), 1.8e-308)
+    for target in ([1.0, 1.0], [1.0, -1.0]):
+        with pytest.raises(SingularGramianError, match="residual (inf|nan)"):
+            hum_low_mode_control(basis, region, np.array(target), 1.8e-308)
+
+
+def test_steering_verifies_the_values_it_returns():
+    # the Gramian applied in float64 once read this four-mode solve as within
+    # tolerance while the returned values, marched, left 1.99e-8 |y0|
+    basis = wall_basis(22, N)
+    region = region_from_intervals(basis.grid, [(0.04, 0.22)])
+    y0 = np.random.default_rng(954826729).standard_normal(4)
+    sig = hum_low_mode_control(basis, region, y0, 10.0**-239.1)
+    final = step_heat(basis, y0, sig)
+    assert np.linalg.norm(final) <= control._STEER_TOL * np.linalg.norm(y0)
 
 
 def test_hum_low_raises_on_unobservable_mode():

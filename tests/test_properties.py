@@ -113,6 +113,8 @@ def test_pipeline_wall_residuals_hold_or_exit_certified(grid, left, width, metho
     st.integers(0, 2**32 - 1),
     st.floats(-320.0, 0.5),
 )
+# the Gramian applied in float64 once passed this solve while its values left 1.99e-8 |y0|
+@example(problem(22), N, 0.04, 0.18, 3, 954826729, -239.1)
 def test_steering_meets_its_tolerance_or_raises(grid, bc, left, width, k, seed, log_tau):
     # horizons down to the subnormal range, where the step integrals under-
     # or overflow: a returned signal must still steer, checked by marching
@@ -127,10 +129,7 @@ def test_steering_meets_its_tolerance_or_raises(grid, bc, left, width, k, seed, 
         return
     start = np.concatenate([y0, np.zeros(grid.n - K)])
     final = march(basis, start, sig.timegrid, sig)[-1, :K]
-    # the solver verifies against its Gramian formed in float64, whose
-    # rounding the marched state sees amplified: over 10,000 uniform draws of
-    # these inputs the worst returned signal left 7.9e-8 |y0|
-    assert np.linalg.norm(final) <= 10 * _STEER_TOL * np.linalg.norm(y0)
+    assert np.linalg.norm(final) <= _STEER_TOL * np.linalg.norm(y0)
 
 
 @settings(max_examples=25)
