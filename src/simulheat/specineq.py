@@ -12,10 +12,11 @@ warm-started from the last. Each estimate is a bracket: the best re-evaluated
 primal certificate below, max_i ||y_i||_inf + ||E_i - B y_i||_2 / sigma_min(B)
 above; one wider than _BRACKET_TOL relative raises NumericalError. The same
 upper end taken at the minimum-norm point m_i bounds every C_i before any LP
-runs, and each solved cell i tightens the bound of every cell j still in play
-to U_i + ||m_j - m_i||_inf + (||r_j||_2 + ||r_i||_2) / sigma_min(B), with U_i
-its own upper end and r the minimum-norm residuals; a cell whose bound is
-below the best certificate is skipped.
+runs, and each solved cell i, with refined point y_i and residual r_i^sol,
+tightens the bound of every cell j still in play to the norm of its feasible
+point y_i + m_j - m_i: ||y_i + (m_j - m_i)||_inf + (||r_i^sol||_2 + ||r_j||_2
++ ||r_i||_2) / sigma_min(B), with r the minimum-norm residuals; a cell whose
+bound is below the best certificate is skipped.
 
 The estimate also carries sigma_min of the sqrt(w)-weighted restriction, from
 the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
@@ -131,21 +132,31 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     cell with the largest bound is solved first, then the others in grid
     order, each warm-started, and a cell whose bound lies below the best
     re-evaluated certificate so far is skipped: it cannot hold the maximum.
-    A solved cell i, with refined solution y_i and upper end U_i, tightens the
-    bounds still in play: y_i + m_j - m_i solves B y = E_j up to the residual
-    r_i^sol + r_j - r_i, so
+    A solved cell i, with refined solution y_i and residual r_i^sol, tightens
+    the bounds still in play: y_i + m_j - m_i solves B y = E_j up to the
+    residual r_i^sol + r_j - r_i, so
 
-        C_j <= U_i + ||m_j - m_i||_inf + (||r_j||_2 + ||r_i||_2) / s_min,
+        C_j <= ||y_i + (m_j - m_i)||_inf + (||r_i^sol||_2 + ||r_j||_2 + ||r_i||_2) / s_min,
 
-    plus 8 eps max|m| for the float64 rounding of the terms. Only cells not
-    yet solved whose bound is still at least the best certificate are
-    updated. upper is the max over cells of their final bound, U_i at a
-    solved cell; a failed cell keeps its bound and gives no certificate. The
-    constant is the best re-evaluated certificate ratio, so it is
-    self-verifying, and upper bounds it; sigma_min is that of the rank
-    decision. Returns +inf (with a null-direction certificate and sigma_min
-    0.0) when the restriction is rank-deficient; raises NumericalError when
-    every cell's LP fails or the bracket is wider than _BRACKET_TOL.
+    which the triangle inequality would only loosen to U_i + ||m_j - m_i||_inf
+    + (||r_j||_2 + ||r_i||_2) / s_min, U_i the upper end of y_i. The points
+    are refined in extended precision and the norm is taken in float64 on
+    their casts. With u = eps/2 and A = max|m|, the casts of y_i, m_j and m_i
+    are each off by at most u|.|, the difference m_j - m_i rounds by at most
+    2uA and the added y_i by at most u(||y_i||_inf + 2A), so each entry of
+    the point is off by at most 2u||y_i||_inf + 6uA to first order. The bound
+    adds slack = 2 eps (||y_i||_inf + 3A), twice that, which covers the
+    second-order terms too. The remaining float64 sums and the division by
+    s_min round the bound by an ulp or so relative, as the cast of U_i does,
+    and are not counted. Only cells not yet solved whose bound is still at
+    least the best certificate are updated. upper is the max over cells of
+    their final bound, U_i at a solved cell; a failed cell keeps its bound
+    and gives no certificate. The constant is the best re-evaluated
+    certificate ratio, so it is self-verifying, and upper bounds it;
+    sigma_min is that of the rank decision. Returns +inf (with a
+    null-direction certificate and sigma_min 0.0) when the restriction is
+    rank-deficient; raises NumericalError when every cell's LP fails or the
+    bracket is wider than _BRACKET_TOL.
     """
     K = mode_count(basis, lam)
     if K < 1:
@@ -178,8 +189,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
 
     # M holds the refined minimum-norm points m_i, bounds their upper ends
     M, rnorm, bounds = _upper_ends(rhs @ Vt, El, Bl, T, Vt, s_min)
-    # covers the float64 rounding of M, of its differences and of their sums
-    slack = 8 * np.finfo(float).eps * np.max(np.abs(M))
+    m_max = np.max(np.abs(M))  # A of the docstring's slack
     # the cell with the largest bound first, cold; the rest in grid order,
     # each warm-started from the last
     first = int(np.argmax(bounds))
@@ -213,10 +223,12 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
             if val > best_val:
                 best_val, best_cert = val, c
         solved[i] = True
-        bounds[i] = _upper_ends(np.asarray(sol.col_value[:nw])[None], El[i : i + 1], Bl, T, Vt, s_min)[2][0]
-        # the docstring's bound through cell i, for the cells it can still matter to
+        z = np.asarray(sol.col_value[:nw])[None]
+        (y,), (r_sol,), (bounds[i],) = _upper_ends(z, El[i : i + 1], Bl, T, Vt, s_min)
+        # the docstring's bound through cell i's point, for the cells it can still matter to
         live = np.flatnonzero(~solved & (bounds >= best_val))
-        reach = bounds[i] + np.max(np.abs(M[live] - M[i]), axis=1) + (rnorm[live] + rnorm[i]) / s_min + slack
+        slack = 2 * np.finfo(float).eps * (np.max(np.abs(y)) + 3 * m_max)
+        reach = np.max(np.abs(y + (M[live] - M[i])), axis=1) + (r_sol + rnorm[live] + rnorm[i]) / s_min + slack
         bounds[live] = np.fmin(bounds[live], reach)  # a NaN reach leaves the bound as it was
     if not solved.any():
         raise NumericalError("LP solver failed on every candidate peak cell")

@@ -222,6 +222,20 @@ def test_lp_on_the_sweep_inputs_solves_half_the_cells_it_did():
     assert sum(solves) <= 464 // 2
 
 
+def test_lp_prunes_with_each_solved_point_itself():
+    # lp_solves per estimate (dirichlet, neumann, circle) at each cutoff, under
+    # the triangle-inequality relaxation of the solved point's bound
+    for n, lams, before, total in (
+        (160, (4.0, 7.0), (3, 17, 20, 28, 18, 14), 60),
+        (128, (4.0, 13.0), (3, 16, 19, 14, 9, 5), 40),
+    ):
+        grid, ext, _, _ = double_setup(n)
+        region = region_from_intervals(grid, [(0.45, 0.55)])
+        solves = [est.lp_solves for lam in lams for est in simultaneous_constant(ext, lam, region)]
+        assert all(now < then for now, then in zip(solves, before, strict=True)), (n, solves)
+        assert sum(solves) <= total, (n, solves)
+
+
 def _final_bounds(monkeypatch):
     """Spy on _upper_ends. Its first call in an estimate is the pass over every
     cell, and the sweep tightens the bounds it returns in place, so after the
@@ -238,24 +252,28 @@ def _final_bounds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, n, window, k",
-    [("dirichlet", 64, (0.3, 0.5), 4), ("neumann", 64, (0.3, 0.5), 4), ("circle", 64, (0.3, 0.5), 4),
-     ("circle", 128, (0.45, 0.55), None)],
-    ids=["dirichlet", "neumann", "circle", "circle-horizon"],
+    "family, n, window, lam, K",
+    [("dirichlet", 64, (0.3, 0.5), None, None), ("neumann", 64, (0.3, 0.5), None, None),
+     ("circle", 64, (0.3, 0.5), None, None), ("circle", 160, (0.45, 0.55), 7.0, 5),
+     ("circle", 128, (0.45, 0.55), 13.0, 9)],
+    ids=["dirichlet", "neumann", "circle", "circle-sweep", "circle-horizon"],
 )
-def test_lp_skipping_bounds_hold_each_cell_optimum(family, n, window, k, monkeypatch):
-    # the horizon case is that of test_simultaneous_constant_certified_at_float64_horizon
-    grid, ext, basis_d, basis_n = double_setup(n, **(VARIABLE if k is not None else {}))
+def test_lp_skipping_bounds_hold_each_cell_optimum(family, n, window, lam, K, monkeypatch):
+    # variable coefficients at the fifth frequency, else constant ones at lam
+    # with K modes; the sweep case is the benchmark's circle at lam=7, where
+    # nearly every cell is skipped, and the horizon case is that of
+    # test_simultaneous_constant_certified_at_float64_horizon
+    grid, ext, basis_d, basis_n = double_setup(n, **(VARIABLE if K is None else {}))
     region = region_from_intervals(grid, [window])
     basis, reg = {
         "dirichlet": (basis_d, region),
         "neumann": (basis_n, region),
         "circle": (ext, lift_region(ext, region)),
     }[family]
-    lam = 13.0 if k is None else float(basis.frequencies[k])
+    lam = float(basis.frequencies[4]) if lam is None else lam
     bounds = _final_bounds(monkeypatch)
     est, solved = _solved_cells(basis, lam, reg, monkeypatch)
-    assert est.mode_count == 9 if k is None else 3 <= est.mode_count <= 5
+    assert 3 <= est.mode_count <= 5 if K is None else est.mode_count == K
     skipped = sorted(set(range(basis.grid.n)) - solved)
     assert skipped, "the prune skipped no cell"
     optima = lp_cell_values(basis, lam, reg, skipped, own_peak=True)
