@@ -73,10 +73,6 @@ class Grid1D:
         if not length > 0:
             raise ValueError(f"length must be positive, got {length}")
         h = length / n
-        with np.errstate(over="ignore", divide="ignore"):
-            inv_h2 = 1.0 / np.square(h)
-        if not 0.0 < inv_h2 < np.inf:
-            raise ValueError(f"length {length!r} over {n} cells gives a cell width h with 1/h^2 not finite and nonzero")
         centers = (np.arange(n) + 0.5) * h
         derived = {"length": float(length), "h": h, "centers": _frozen(centers)}
         for name, points in (("kappa", centers), ("a", np.arange(n + 1) * h)):

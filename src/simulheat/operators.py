@@ -183,25 +183,26 @@ def _face_conductivity(grid: Grid1D, periodic: bool) -> np.ndarray:
 def assemble_laplacian(grid: Grid1D, bc: BoundaryCondition) -> Operator:
     """Stencil diagonals of the weighted flux Laplacian of grid's coefficients under bc."""
     n = grid.n
-    c = _face_conductivity(grid, periodic=bc is BoundaryCondition.PERIODIC)
-    inv = 1.0 / (grid.kappa * grid.h**2)
-    diag = (c[:n] + c[1 : n + 1]) * inv
-    corners = (0.0, 0.0)
-    if bc is BoundaryCondition.DIRICHLET:
-        # ghost = -first interior cell doubles the wall flux coefficient
-        diag[0] += c[0] * inv[0]
-        diag[n - 1] += c[n] * inv[n - 1]
-    elif bc is BoundaryCondition.NEUMANN:
-        # ghost = +first interior cell cancels the wall flux
-        diag[0] -= c[0] * inv[0]
-        diag[n - 1] -= c[n] * inv[n - 1]
-    elif bc is BoundaryCondition.PERIODIC:
-        corners = (-c[0] * inv[0], -c[n] * inv[n - 1])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown boundary condition {bc}")
-    return Operator(
-        bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners, grid=grid
-    )
+    with np.errstate(all="ignore"):  # eigendecompose refuses a stencil beyond float64
+        c = _face_conductivity(grid, periodic=bc is BoundaryCondition.PERIODIC)
+        inv = 1.0 / (grid.kappa * np.square(grid.h))
+        diag = (c[:n] + c[1 : n + 1]) * inv
+        corners = (0.0, 0.0)
+        if bc is BoundaryCondition.DIRICHLET:
+            # ghost = -first interior cell doubles the wall flux coefficient
+            diag[0] += c[0] * inv[0]
+            diag[n - 1] += c[n] * inv[n - 1]
+        elif bc is BoundaryCondition.NEUMANN:
+            # ghost = +first interior cell cancels the wall flux
+            diag[0] -= c[0] * inv[0]
+            diag[n - 1] -= c[n] * inv[n - 1]
+        elif bc is BoundaryCondition.PERIODIC:
+            corners = (-c[0] * inv[0], -c[n] * inv[n - 1])
+        else:  # pragma: no cover
+            raise ValueError(f"unknown boundary condition {bc}")
+        return Operator(
+            bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners, grid=grid
+        )
 
 
 # entries this close to a column's largest magnitude, relative to it, tie with
@@ -224,9 +225,11 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def _snap_kernel(vals: np.ndarray) -> np.ndarray:
     """vals with the entries below 1e-12 * max set to exactly 0: the structural
-    kernel of the Neumann and periodic operators."""
+    kernel of the Neumann and periodic operators. The floor scales with the
+    top eigenvalue alone, so a long domain, whose whole spectrum lies below 1,
+    keeps its positive modes."""
     vals = vals.copy()
-    vals[np.abs(vals) <= 1e-12 * max(vals[-1], 1.0)] = 0.0
+    vals[np.abs(vals) <= 1e-12 * vals[-1]] = 0.0
     return vals
 
 
@@ -236,17 +239,23 @@ def eigendecompose(op: Operator) -> EigenBasis:
     The similarity W^(1/2) A W^(-1/2) is symmetric tridiagonal (its two
     off-diagonals are averaged against rounding), so scipy's tridiagonal
     divide-and-conquer solver applies and the vectors are mapped back; the
-    structural kernel of the Neumann wall is snapped to exactly 0. The circle
-    is not solved here: build_double assembles its basis from the two walls.
+    structural kernel of the Neumann wall is snapped to exactly 0. A stencil
+    or spectrum beyond float64 raises ValueError. The circle is not solved
+    here: build_double assembles its basis from the two walls.
     """
     if op.bc is BoundaryCondition.PERIODIC:
         raise ValueError("eigendecompose solves the wall problems; build_double extends them to the circle")
     sqw = np.sqrt(op.grid.weights)
-    off = 0.5 * (op.upper * (sqw[:-1] / sqw[1:]) + op.lower * (sqw[1:] / sqw[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        off = 0.5 * (op.upper * (sqw[:-1] / sqw[1:]) + op.lower * (sqw[1:] / sqw[:-1]))
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(op.diag, off, lapack_driver="stevd")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolve failed for {op.bc.value} operator (n={op.grid.n}): {exc}") from exc
+    except ValueError:  # scipy refuses a stencil entry that is infinite or not a number
+        vals = np.zeros(1)
+    if not 0.0 < vals[-1] < np.inf:  # a stencil or spectrum beyond float64, or 1/(kappa h^2) underflowed to 0
+        raise ValueError(f"coefficients kappa and a over length {op.grid.length!r} give a stencil beyond float64")
     vals = _snap_kernel(vals)
     vecs /= sqw[:, None]  # in place, as _fix_signs flips: no n x n copy
     return EigenBasis(

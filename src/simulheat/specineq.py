@@ -218,10 +218,9 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
             continue  # a failed cell keeps its bound and gives no certificate
         sol = model.getSolution()
         c = T.T @ sol.row_dual[:K]  # c = T^T lam from the row duals lam
-        if c.any():
-            val = _ratio(E, region, c)  # re-evaluated, trims solver slack
-            if val > best_val:
-                best_val, best_cert = val, c
+        val = _ratio(E, region, c)  # re-evaluated, trims solver slack
+        if val > best_val:
+            best_val, best_cert = val, c
         solved[i] = True
         z = np.asarray(sol.col_value[:nw])[None]
         (y,), (r_sol,), (bounds[i],) = _upper_ends(z, El[i : i + 1], Bl, T, Vt, s_min)

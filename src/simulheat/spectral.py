@@ -16,9 +16,9 @@ def resolution(basis: Basis) -> float:
     lambda_max. Exact ties, such as the double circle eigenvalues of constant
     coefficients, come out up to 6.5 eps * lambda_max apart, and distinct
     eigenvalues at least 2.6e9 eps * lambda_max apart (both measured up to
-    n = 2048); n eps max(lambda_max, 1) lies between.
+    n = 2048); n eps lambda_max lies between, on a domain of any length.
     """
-    return basis.grid.n * float(np.finfo(float).eps) * max(float(basis.eigenvalues[-1]), 1.0)
+    return basis.grid.n * float(np.finfo(float).eps) * float(basis.eigenvalues[-1])
 
 
 def mode_count(basis: Basis, lam: float) -> int:

@@ -201,10 +201,10 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
     elimination in control.hum_low_mode_control replaced, kept as its oracle.
 
     Steers the leading K = len(y0) modes. Forms H = (avg I^T) o M whole, factors H + 1e-12 max(diag H) I by
-    Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and, until
-    the residual reaches steer_tol / 4, keeps up to the solver's
-    _REFINE_STEPS defect-correction steps against H while each lowers it;
-    values = avg^T (q o Phi^T) on the region.
+    Cholesky (LU if indefinite), solves H q = -e^{-lam tau} y0 and refines
+    against H, as the solver does, until the residual meets steer_tol or
+    after _REFINE_STEPS defect-correction steps; values = avg^T (q o Phi^T)
+    on the region.
     """
     K = len(y0)
     lam = basis.eigenvalues[:K]
@@ -223,13 +223,10 @@ def dense_steer(basis, region, y0, timegrid, steer_tol=1e-8):
     q = solve(rhs)
     achieved = float(np.linalg.norm(rhs - H @ q)) / scale
     for _ in range(_REFINE_STEPS):
-        if achieved <= 0.25 * steer_tol:
+        if not steer_tol < achieved < np.inf:
             break
-        candidate = q + solve(rhs - H @ q)
-        better = float(np.linalg.norm(rhs - H @ candidate)) / scale
-        if better >= achieved:
-            break
-        q, achieved = candidate, better
+        q = q + solve(rhs - H @ q)
+        achieved = float(np.linalg.norm(rhs - H @ q)) / scale
     Phi = basis.rows(region, K)
     return avg.T @ (q[:, None] * Phi.T), achieved
 

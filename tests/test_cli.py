@@ -98,6 +98,8 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 8, "length": 10**400},
         {"n": 8, "T": 10**400},
         {"n": 32, "region": "0.45,0.55", "lambda_sweep": [10**400]},
+        # a * kappa overflows at every face, which must raise no numpy warning
+        {"n": 4, "coefficients": {"kappa": [1e200] * 4, "a": [1e200] * 5}},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):
@@ -477,6 +479,32 @@ def test_an_exit_3_run_prints_one_stderr_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == len(runs), proc.stderr
     assert all(line.startswith("numerical infeasibility: steering") for line in lines)
+
+
+def test_a_long_domain_decays_as_the_unit_one(tmp_path):
+    # a domain 2^24 long, run 2^48 times as long, scales every eigenvalue and
+    # weight by a power of two, so each final/initial norm ratio is the unit
+    # domain's to the bit. A spectrum whose zero floor was 1e-12 absolute once
+    # snapped the whole of it to 0 here, so nothing decayed
+    s = 2.0**24
+
+    def summary(verb, **fields):
+        code, out = run(tmp_path, verb, **fields)
+        assert code == 0
+        return json.loads((out / "summary.json").read_text())
+
+    def ratios(report):
+        return [report[f"final_{wall}_l2"] / report[f"initial_{wall}_l2"] for wall in "uv"]
+
+    for n, bc in ((4, "dirichlet"), (4, "neumann"), (16, "dirichlet")):
+        unit = summary("simulate", n=n, T=0.3, bc=bc)
+        long = summary("simulate", n=n, length=s, T=0.3 * s * s, bc=bc)
+        assert long["final_l2"] == unit["final_l2"] < 0.6
+    for method in ("hum", "lr"):
+        unit = summary("control", n=16, region="0.2,0.3", T=1.0, method=method)
+        long = summary("control", n=16, length=s, region=f"{0.2 * s},{0.3 * s}", T=s * s, method=method)
+        assert ratios(long) == ratios(unit)
+        assert max(ratios(unit)) <= 1e-6
 
 
 def test_a_failed_fit_exits_3_not_2(tmp_path, capsys, monkeypatch):

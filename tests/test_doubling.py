@@ -1,6 +1,8 @@
 """The interval-to-circle reflection: embeddings, extensions, and the exact
 spectral correspondence they are chosen to produce."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -351,5 +353,23 @@ def test_verify_flags_a_mode_of_the_wrong_parity():
     assert bad.extension_eigenvectors > 1e-10
     assert bad.link_identity > 1e-10
     # the dense eigensolve and the split round trip do not read the circle basis
+    assert bad.spectrum_union == good.spectrum_union
+    assert bad.split_roundtrip == good.split_roundtrip
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [16, 32])
+def test_verify_flags_a_misscaled_top_mode(n, seed):
+    # the top Dirichlet mode, divided on the circle by a norm 0.1% too large,
+    # is still an eigenvector: only the link identity sees it, on the triples
+    # whose cutoff reaches the top of the spectrum, so verify must draw enough
+    ext = build_double(problem(n))
+    norms = ext.norms[0].copy()
+    norms[-1] *= 1.001
+    good = verify(ext, seed)
+    bad = verify(dataclasses.replace(ext, norms=(norms, ext.norms[1])), seed)
+    assert good.link_identity < 1e-10
+    assert bad.link_identity > 1e-6
+    assert bad.extension_eigenvectors < 1e-10
     assert bad.spectrum_union == good.spectrum_union
     assert bad.split_roundtrip == good.split_roundtrip
