@@ -278,13 +278,15 @@ def lr_control(
     Slice j spans [T(1 - 2^-j), T(1 - 2^-(j+1))] and targets the frequencies
     below lambda0 2^j, with lambda0 the smallest positive frequency of basis,
     so slice 0 steers the kernel mode alone; slices are added until that
-    covers the top frequency, and the last one, the terminal slice, steers
-    every mode. The active half of slice j runs hum_low_mode_control on the
-    current state for the modes with lambda_k < lam_j^2 - resolution(basis),
-    strictly below lam_j whatever the rounding of a tie at it, to a relative
-    residual of 1e-6, or holds zero once they sit below the rounding floor of
-    y0; the passive half and the tail after the terminal slice are free decay. The state is marched
-    exactly through every step, so the per-slice ledger records true norms.
+    covers the top frequency up to a relative 1e-12, and the last one, the
+    terminal slice, steers every mode; more slices than float64 tells apart
+    in [0, T] raise NumericalError. The active half of slice j runs
+    hum_low_mode_control on the current state for the modes with lambda_k <
+    lam_j^2 - resolution(basis), strictly below lam_j whatever the rounding
+    of a tie at it, to a relative residual of 1e-6, or holds zero once they
+    sit below the rounding floor of y0; the passive half and the tail after
+    the terminal slice are free decay. The state is marched exactly through
+    every step, so the per-slice ledger records true norms.
     """
     yhat = np.asarray(y0, dtype=float)
     if yhat.shape != basis.eigenvalues.shape or not np.isfinite(yhat).all():
@@ -295,6 +297,10 @@ def lr_control(
     J = 0
     while lambda0 * 2**J < float(basis.frequencies[-1]) * (1.0 - 1e-12):
         J += 1
+    # the terminal slice's active half, T 2^-(J+2) long, is sampled on at most
+    # max(64, 2n) steps, which float64 must tell apart near T
+    if not 2.0 ** -(J + 2) > 4.0 * np.finfo(float).eps * max(64, 2 * len(yhat)):
+        raise NumericalError(f"lr needs {J + 1} dyadic slices, more than float64 resolves in [0, {T!r}]")
 
     ledger: list[dict] = []
     times: list[np.ndarray] = []

@@ -104,26 +104,27 @@ class DoublingResiduals:
 def verify(ext: CircleBasis, seed: int) -> DoublingResiduals:
     """Check the circle basis ext against an independent dense eigensolve of the periodic operator.
 
-    spectrum_union: the sorted wall spectra against the circle's, relative on
-    the max(|lambda|, 1) scale. extension_eigenvectors: ||A e - lambda e|| /
-    max(lambda, 1) over every circle mode. link_identity: on seeded triples
-    (u, v, lambda), splitting the circle projection of extend_pair(u, v)
-    against the two wall projections, relative to their joint sup norm.
-    split_roundtrip: split(extend_pair(u, v)) against (u, v) on the same draws.
+    An eigenvalue's scale is max(|lambda|, lambda_1), lambda_1 the spectral
+    gap, so no residual changes with the length. spectrum_union: the sorted
+    wall spectra against the circle's, relative on that scale.
+    extension_eigenvectors: ||(A e - lambda e) / scale|| over every circle
+    mode. link_identity: on seeded triples (u, v, lambda), splitting the
+    circle projection of extend_pair(u, v) against the two wall projections,
+    relative to their joint sup norm. split_roundtrip: split(extend_pair(u,
+    v)) against (u, v) on the same draws.
     """
     basis_d, basis_n = ext.walls
-    A = assemble_laplacian(ext.grid, BoundaryCondition.PERIODIC).dense()
-    sqw = np.sqrt(ext.grid.weights)
-    S = A * (sqw[:, None] / sqw[None, :])
-    circle = _snap_kernel(scipy.linalg.eigvalsh(0.5 * (S + S.T)))
+    op = assemble_laplacian(ext.grid, BoundaryCondition.PERIODIC)
+    circle = _snap_kernel(scipy.linalg.eigvalsh(op.symmetric()), op.bc)
+    gap = ext.eigenvalues[ext.eigenvalues > 0][0]  # the top one is positive
 
     union = np.sort(np.concatenate([basis_d.eigenvalues, basis_n.eigenvalues]))
-    denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), 1.0)
+    denom = np.maximum(np.maximum(np.abs(union), np.abs(circle)), gap)
     spectrum = float(np.max(np.abs(union - circle) / denom))
 
     X = ext.columns(ext.grid.n)  # the dense circle basis, here alone
-    R = A @ X - X * ext.eigenvalues
-    extension = np.max(l2_norm(ext.grid, R.T) / np.maximum(ext.eigenvalues, 1.0))
+    R = (op.dense() @ X - X * ext.eigenvalues) / np.maximum(ext.eigenvalues, gap)
+    extension = np.max(l2_norm(ext.grid, R.T))
 
     rng = np.random.default_rng(seed)
     link = roundtrip = 0.0

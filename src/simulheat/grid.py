@@ -137,12 +137,11 @@ def fat_cantor_region(grid: Grid1D, target_measure: float, depth: int, seed: int
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not 0 < target_measure <= grid.length:
         raise ValueError(f"target measure {target_measure} outside (0, {grid.length}]")
-    keep = int(round(target_measure / grid.h))
+    keep = int(round(target_measure / grid.h))  # at most n, as length / h rounds to n
     if keep < 1:
         raise ResolutionError(
             f"target measure {target_measure} not representable at h={grid.h}"
         )
-    keep = min(keep, grid.n)
     total_remove = grid.n - keep
 
     mask = np.ones(grid.n, dtype=bool)

@@ -2,10 +2,11 @@
 
 The operator is A = -(1/kappa) D^-(a kappa D^+) on cell averages, assembled
 from the coefficients the grid carries, so that it is self-adjoint in the
-weighted inner product sum(w u v). The ghost-cell closures are chosen to make
-the interval-to-circle doubling exact: a Dirichlet wall copies the first
-interior cell with flipped sign, a Neumann wall copies it unchanged, and
-Periodic wraps the stencil around.
+weighted inner product sum(w u v), and stored as the symmetric S = W^(1/2) A
+W^(-1/2) that is solved. The ghost-cell closures are chosen to make the
+interval-to-circle doubling exact: a Dirichlet wall copies the first interior
+cell with flipped sign, doubling the wall face's conductance, a Neumann wall
+copies it unchanged, cancelling it, and Periodic wraps the stencil around.
 """
 
 from __future__ import annotations
@@ -31,23 +32,27 @@ class BoundaryCondition(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """The stencil as its three diagonals: diag[i] = A[i, i], upper[i] =
-    A[i, i+1] and lower[i] = A[i+1, i], plus the periodic corners A[0, n-1]
-    and A[n-1, 0] (zero on the walls)."""
+    """The stencil as the symmetric matrix S = W^(1/2) A W^(-1/2) that
+    eigendecompose solves: diag[i] = S[i, i], off[i] = S[i, i+1] = S[i+1, i],
+    and the periodic corner S[0, n-1] = S[n-1, 0] (zero on the walls)."""
 
     bc: BoundaryCondition
     diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    corners: tuple[float, float]
+    off: np.ndarray
+    corner: float
     grid: Grid1D
 
+    def symmetric(self) -> np.ndarray:
+        """S as an n x n matrix, for oracles and checks only."""
+        S = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+        S[0, -1] += self.corner
+        S[-1, 0] += self.corner
+        return S
+
     def dense(self) -> np.ndarray:
-        """The n x n stencil matrix, for oracles and checks only."""
-        A = np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        A[0, -1] += self.corners[0]
-        A[-1, 0] += self.corners[1]
-        return A
+        """The n x n stencil matrix A = W^(-1/2) S W^(1/2), for oracles and checks only."""
+        sqw = np.sqrt(self.grid.weights)
+        return self.symmetric() * (sqw / sqw[:, None])
 
 
 def _cells(basis: Basis, region: ControlRegion) -> np.ndarray:
@@ -161,48 +166,31 @@ class CircleBasis:
 Basis = EigenBasis | CircleBasis
 
 
-def _face_conductivity(grid: Grid1D, periodic: bool) -> np.ndarray:
-    """a * kappa at faces; kappa is averaged from the two adjacent cells.
-
-    At a wall the mirror cell carries the same kappa, so the one-sided value
-    is already the even-reflected average.
-    """
-    n, kappa = grid.n, grid.kappa
-    kf = np.empty(n + 1)
-    kf[1:n] = 0.5 * (kappa[:-1] + kappa[1:])
-    if periodic:
-        if grid.a[0] != grid.a[n]:
-            raise ValueError("periodic coefficients must agree on the wrapped face")
-        kf[0] = kf[n] = 0.5 * (kappa[n - 1] + kappa[0])
-    else:
-        kf[0] = kappa[0]
-        kf[n] = kappa[n - 1]
-    return grid.a * kf
+# the ghost cell's factor on its wall face's conductance: a Dirichlet ghost doubles
+# the flux through the face, a Neumann ghost cancels it, and the circle has no wall
+_WALL_FACTOR = {BoundaryCondition.DIRICHLET: 2.0, BoundaryCondition.NEUMANN: 0.0, BoundaryCondition.PERIODIC: 1.0}
 
 
 def assemble_laplacian(grid: Grid1D, bc: BoundaryCondition) -> Operator:
-    """Stencil diagonals of the weighted flux Laplacian of grid's coefficients under bc."""
-    n = grid.n
+    """The symmetric stencil of the weighted flux Laplacian of grid's coefficients under bc.
+
+    Face j, between cells j-1 and j, conducts c_j = a_j times their mean kappa
+    (a ghost cell carries its neighbour's kappa), times its ghost's factor at a
+    wall. S[i, i] = (c_i + c_{i+1}) / (kappa_i h^2), S[i-1, i] = -c_i /
+    (sqrt(kappa_{i-1} kappa_i) h^2), and the circle's face 0 is its face n."""
+    n, kappa = grid.n, grid.kappa
+    wrap = bc is BoundaryCondition.PERIODIC
+    if wrap and grid.a[0] != grid.a[n]:
+        raise ValueError("periodic coefficients must agree on the wrapped face")
+    left = np.append(kappa[-1 if wrap else 0], kappa)  # kappa on either side of each face
+    right = np.append(kappa, kappa[0 if wrap else -1])
     with np.errstate(all="ignore"):  # eigendecompose refuses a stencil beyond float64
-        c = _face_conductivity(grid, periodic=bc is BoundaryCondition.PERIODIC)
-        inv = 1.0 / (grid.kappa * np.square(grid.h))
-        diag = (c[:n] + c[1 : n + 1]) * inv
-        corners = (0.0, 0.0)
-        if bc is BoundaryCondition.DIRICHLET:
-            # ghost = -first interior cell doubles the wall flux coefficient
-            diag[0] += c[0] * inv[0]
-            diag[n - 1] += c[n] * inv[n - 1]
-        elif bc is BoundaryCondition.NEUMANN:
-            # ghost = +first interior cell cancels the wall flux
-            diag[0] -= c[0] * inv[0]
-            diag[n - 1] -= c[n] * inv[n - 1]
-        elif bc is BoundaryCondition.PERIODIC:
-            corners = (-c[0] * inv[0], -c[n] * inv[n - 1])
-        else:  # pragma: no cover
-            raise ValueError(f"unknown boundary condition {bc}")
-        return Operator(
-            bc=bc, diag=diag, upper=-c[1:n] * inv[:-1], lower=-c[1:n] * inv[1:], corners=corners, grid=grid
-        )
+        h2 = np.square(grid.h)
+        c = grid.a * (0.5 * (left + right))
+        c[[0, n]] *= _WALL_FACTOR[bc]
+        face = -c * (1.0 / (np.sqrt(left) * np.sqrt(right) * h2))
+        diag = (c[:n] + c[1:]) * (1.0 / (kappa * h2))
+    return Operator(bc=bc, diag=diag, off=face[1:n], corner=face[0] if wrap else 0.0, grid=grid)
 
 
 # entries this close to a column's largest magnitude, relative to it, tie with
@@ -223,41 +211,38 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _snap_kernel(vals: np.ndarray) -> np.ndarray:
-    """vals with the entries below 1e-12 * max set to exactly 0: the structural
-    kernel of the Neumann and periodic operators. The floor scales with the
-    top eigenvalue alone, so a long domain, whose whole spectrum lies below 1,
-    keeps its positive modes."""
+def _snap_kernel(vals: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """vals, ascending, with the structural kernel set to exactly 0: the lowest
+    eigenvalue of the Neumann and periodic operators, whose rows sum to zero,
+    and nothing of the Dirichlet one."""
     vals = vals.copy()
-    vals[np.abs(vals) <= 1e-12 * vals[-1]] = 0.0
+    if bc is not BoundaryCondition.DIRICHLET:
+        vals[0] = 0.0
     return vals
 
 
 def eigendecompose(op: Operator) -> EigenBasis:
     """Full weighted-orthonormal eigenbasis of a wall operator, eigenvalues ascending.
 
-    The similarity W^(1/2) A W^(-1/2) is symmetric tridiagonal (its two
-    off-diagonals are averaged against rounding), so scipy's tridiagonal
-    divide-and-conquer solver applies and the vectors are mapped back; the
-    structural kernel of the Neumann wall is snapped to exactly 0. A stencil
-    or spectrum beyond float64 raises ValueError. The circle is not solved
-    here: build_double assembles its basis from the two walls.
+    S is symmetric tridiagonal, so scipy's divide-and-conquer solver applies
+    and the vectors are mapped back by W^(-1/2); the Neumann wall's structural
+    kernel is set to exactly 0. A stencil or spectrum beyond float64, or any
+    other eigenvalue below 0, raises ValueError. The circle is not solved here:
+    build_double assembles its basis from the two walls.
     """
     if op.bc is BoundaryCondition.PERIODIC:
         raise ValueError("eigendecompose solves the wall problems; build_double extends them to the circle")
-    sqw = np.sqrt(op.grid.weights)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        off = 0.5 * (op.upper * (sqw[:-1] / sqw[1:]) + op.lower * (sqw[1:] / sqw[:-1]))
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(op.diag, off, lapack_driver="stevd")
+        vals, vecs = scipy.linalg.eigh_tridiagonal(op.diag, op.off, lapack_driver="stevd")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolve failed for {op.bc.value} operator (n={op.grid.n}): {exc}") from exc
     except ValueError:  # scipy refuses a stencil entry that is infinite or not a number
         vals = np.zeros(1)
-    if not 0.0 < vals[-1] < np.inf:  # a stencil or spectrum beyond float64, or 1/(kappa h^2) underflowed to 0
+    vals = _snap_kernel(vals, op.bc)
+    # a stencil or spectrum beyond float64, 1/(kappa h^2) underflowed to 0, or a mode rounded below the kernel
+    if not (vals.min() >= 0.0 and 0.0 < vals[-1] < np.inf):
         raise ValueError(f"coefficients kappa and a over length {op.grid.length!r} give a stencil beyond float64")
-    vals = _snap_kernel(vals)
-    vecs /= sqw[:, None]  # in place, as _fix_signs flips: no n x n copy
+    vecs /= np.sqrt(op.grid.weights)[:, None]  # in place, as _fix_signs flips: no n x n copy
     return EigenBasis(
         bc=op.bc,
         eigenvalues=vals,

@@ -82,18 +82,16 @@ def circle_operator(ext):
 
 
 def dense_eigenbasis(op):
-    """Eigenbasis from a dense eigh of the symmetrized stencil, for any
+    """Eigenbasis from a dense eigh of the symmetric stencil, for any
     boundary condition: the oracle for eigendecompose, and the tests'
     eigensolver of the periodic operator."""
-    sqw = np.sqrt(op.grid.weights)
-    S = op.dense() * (sqw[:, None] / sqw[None, :])
-    vals, vecs = scipy.linalg.eigh(0.5 * (S + S.T))
-    vals = _snap_kernel(vals)
+    vals, vecs = scipy.linalg.eigh(op.symmetric())
+    vals = _snap_kernel(vals, op.bc)
     return EigenBasis(
         bc=op.bc,
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
-        vectors=_fix_signs(vecs / sqw[:, None]),
+        vectors=_fix_signs(vecs / np.sqrt(op.grid.weights)[:, None]),
         grid=op.grid,
     )
 

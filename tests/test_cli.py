@@ -507,6 +507,66 @@ def test_a_long_domain_decays_as_the_unit_one(tmp_path):
         assert max(ratios(unit)) <= 1e-6
 
 
+def stiff_wall(n, a0):
+    """Unit coefficients on n cells with the face at x = 0 conducting a0."""
+    return {"kappa": [1.0] * n, "a": [a0] + [1.0] * n}
+
+
+def test_a_stiff_wall_face_keeps_the_dirichlet_modes(tmp_path):
+    # a threshold snap at 1e-12 lambda_max once set 7 of these 8 modes to 0,
+    # so the field hardly decayed (final_l2 0.998) and the run exited 0
+    def final_l2(a0):
+        code, out = run(tmp_path, "simulate", n=8, T=1.0, coefficients=stiff_wall(8, a0))
+        assert code == 0
+        return json.loads((out / "summary.json").read_text())["final_l2"]
+
+    reference = final_l2(1e10)
+    assert reference < 1e-5
+    for a0 in (1e13, 1e100):
+        assert final_l2(a0) == pytest.approx(reference, rel=1e-6)
+
+
+@pytest.mark.parametrize("a0", [1e13, 1e20])
+def test_hum_steers_past_a_stiff_wall_face(tmp_path, a0):
+    code, out = run(tmp_path, "control", n=16, region="0.2,0.6", method="hum", coefficients=stiff_wall(16, a0))
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] and max(summary["final_u_l2"], summary["final_v_l2"]) <= 1e-8
+
+
+def test_an_lr_cascade_beyond_float64_time_exits_3(tmp_path, capsys):
+    # 170 dyadic slices from frequency 3 to 2e51: past about 40 of them the
+    # slices of [0, 1] can no longer be told apart in float64
+    code, out = run(tmp_path, "control", n=16, region="0.2,0.6", method="lr", coefficients=stiff_wall(16, 1e100))
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical infeasibility: lr needs 170 dyadic slices")
+    assert not (out / "summary.json").exists()
+
+
+def test_double_check_residuals_do_not_depend_on_the_length(tmp_path):
+    # every scale is an eigenvalue, floored at the spectral gap, so a power of
+    # two in the length changes no bit; a floor of 1 once failed the correct
+    # basis at length 2^-20 and was blind at 2^20
+    def residuals(length):
+        code, out = run(tmp_path, "double-check", n=16, length=length)
+        assert code == 0
+        return json.loads((out / "double_check.json").read_text())["checks"]
+
+    unit = residuals(1.0)
+    assert residuals(2.0**-20) == unit == residuals(2.0**20)
+
+
+@pytest.mark.parametrize("a", [[1e306] * 5, [1.0, 1e307, 1.0]], ids=["uniform", "middle"])
+def test_double_check_of_coefficients_near_the_float64_limit_is_silent(tmp_path, capfd, a):
+    # residuals are divided by their scale before they are squared, so the
+    # check's own product no longer overflows where the spectrum fits float64
+    n = len(a) - 1
+    code, _ = run(tmp_path, "double-check", n=n, coefficients={"kappa": [1.0] * n, "a": a})
+    assert code == 0
+    assert capfd.readouterr().err == ""
+
+
 def test_a_failed_fit_exits_3_not_2(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError, but a fit that fails on a valid
     # config is numerical, not a config error. No cutoff sweep makes the

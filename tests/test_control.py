@@ -26,7 +26,7 @@ from simulheat.doubling import build_double, extend_pair, lift_region
 from simulheat.grid import ControlRegion, Grid1D, fat_cantor_region, region_from_intervals
 from simulheat.sim import propagate, run_simultaneous
 from simulheat.specineq import estimate_constant_lp
-from simulheat.spectral import mode_count
+from simulheat.spectral import mode_count, resolution
 
 
 def step_heat(basis, yhat, signal, mode_count=None):
@@ -389,6 +389,38 @@ def test_schedule_tiles_dyadically():
     # and the midpoint splitting it into its active and passive halves, then
     # the last slice's end 1.75 and T
     assert_array_equal(sig.timegrid, [0.0, 0.5, 1.0, 1.25, 1.5, 1.625, 1.75, 2.0])
+
+
+@pytest.mark.parametrize("length", [1.0, 3.0])
+def test_a_top_frequency_twice_the_lowest_adds_no_slice(length):
+    # on the circle of three cells a side the top frequency is exactly twice the
+    # smallest positive one, and the two round an ulp the wrong way
+    grid, ext, _, _ = double_setup(3, length)
+    lam0, top = float(ext.frequencies[1]), float(ext.frequencies[-1])
+    assert 2.0 * lam0 < top <= 2.0 * lam0 * (1.0 + 1e-15)
+    sig = lr_control(ext, lift_region(ext, region_from_intervals(grid, [(0.0, 0.5 * length)])), np.zeros(6), 1.0)
+    assert [row["j"] for row in sig.slice_ledger] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 18])
+def test_lr_slice_0_steers_the_kernel_mode_alone(n, monkeypatch):
+    # here lambda0^2, the square of the rounded frequency, lies above the first
+    # positive circle eigenvalue, a Dirichlet/Neumann pair: slice 0 must steer
+    # neither of the pair, and no slice may split it
+    counts = []
+
+    def spy(basis, region, y0, tau, **kwargs):
+        counts.append(len(y0))
+        return hum_low_mode_control(basis, region, y0, tau, **kwargs)
+
+    monkeypatch.setattr(control, "hum_low_mode_control", spy)
+    grid, ext, _, _ = double_setup(n)
+    assert float(ext.frequencies[1]) ** 2 > ext.eigenvalues[1]
+    region = lift_region(ext, region_from_intervals(grid, [(0.1, 0.7)]))
+    lr_control(ext, region, ext.coefficients(extend_pair(ext, *unit_pair(grid, 0))), 1.0)
+    assert counts[0] == 1
+    gaps = np.diff(ext.eigenvalues)
+    assert all(gaps[K - 1] > resolution(ext) for K in counts[:-1])
 
 
 def test_schedule_rejects_bad_parameters():

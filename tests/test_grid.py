@@ -153,6 +153,19 @@ def test_fat_cantor_keeps_exactly_the_target_cells():
                 assert int(r.mask.sum()) == keep, (n, keep, depth)
 
 
+@pytest.mark.parametrize("n, keep, depth, seed, mask", [
+    (21, 8, 5, 1, "001001100000001010111"),
+    (37, 7, 5, 0, "0000000010100000000000000011010000101"),
+])
+def test_fat_cantor_levels_before_the_last_keep_both_flanks(n, keep, depth, seed, mask):
+    # on these small grids a level before the last is dealt a share that
+    # reaches the block it cuts; it removes at most size - 2 cells, keeping a
+    # cell on either side of the cut, and leaves the rest to later levels
+    g = Grid1D(n)
+    r = fat_cantor_region(g, keep * g.h, depth, seed)
+    assert "".join("1" if b else "0" for b in r.mask) == mask
+
+
 def test_fat_cantor_deep_mask_shape():
     g = Grid1D(1024)
     r = fat_cantor_region(g, 0.3, depth=6, seed=11)

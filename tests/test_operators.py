@@ -1,5 +1,6 @@
 """Stencil assembly and eigendecomposition against closed forms."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,50 @@ def test_structural_kernel_snaps_to_exact_zero():
     bp = dense_eigenbasis(assemble_laplacian(grid, P))
     assert bp.eigenvalues[0] == 0.0
     assert wall_basis(32, D).eigenvalues[0] > 0.0
+
+
+def test_a_stiff_neumann_wall_face_changes_nothing():
+    # the Neumann ghost cancels the wall face's flux: the face's conductance is
+    # scaled by 0, not added and then subtracted, which at 1e20 cancelled to
+    # a spectrum of [-32, 3.66, 29.45, ...]
+    def spectrum(a0):
+        return wall_basis(8, N, a=[a0] + [1.0] * 8).eigenvalues
+
+    reference = spectrum(1e10)
+    for a0 in (1e20, 1e100):
+        assert spectrum(a0)[0] == 0.0
+        assert_allclose(spectrum(a0), reference, rtol=1e-12)
+
+
+def test_only_the_structural_kernel_is_snapped():
+    # a stiff wall face puts the top Dirichlet eigenvalue near 3e14: every
+    # other mode lies below 1e-12 of it and must keep its own eigenvalue
+    stiff = wall_basis(8, D, a=[1e13] + [1.0] * 8).eigenvalues
+    assert np.all(stiff > 1.0)
+    assert_allclose(stiff[:-1], wall_basis(8, D, a=[1e10] + [1.0] * 8).eigenvalues[:-1], rtol=1e-6)
+    neumann = wall_basis(8, N, a=[1.0] * 8 + [1e13]).eigenvalues
+    assert neumann[0] == 0.0 and np.all(neumann[1:] > 1.0)
+
+
+def test_an_eigenvalue_below_the_kernel_is_refused():
+    # the lowest eigenvalue is the Neumann kernel, set to 0; the next is not
+    grid = problem(3)
+    for bc in (D, N):
+        op = dataclasses.replace(assemble_laplacian(grid, bc), diag=np.array([-8.0, -4.0, 10.0]), off=np.zeros(2))
+        with pytest.raises(ValueError, match="beyond float64"):
+            eigendecompose(op)
+
+
+def test_the_stencil_is_the_symmetric_form_of_the_flux_laplacian():
+    # faces conduct c = a * (mean kappa) = 1, 5, 19.5, 36; S[i, i+1] h^2 =
+    # -c_{i+1} / sqrt(kappa_i kappa_{i+1}), and S[i, i] h^2 = (c_i + c_{i+1}) /
+    # kappa_i with each wall face's c doubled (Dirichlet) or dropped (Neumann)
+    grid = problem(3, kappa=[1.0, 4.0, 9.0], a=[1.0, 2.0, 3.0, 4.0])
+    for bc, f in ((D, 2.0), (N, 0.0)):
+        op = assemble_laplacian(grid, bc)
+        assert_allclose(op.off * grid.h**2, [-5.0 / 2.0, -19.5 / 6.0], rtol=1e-15)
+        assert_allclose(op.diag * grid.h**2, [f + 5.0, (5.0 + 19.5) / 4.0, (19.5 + f * 36.0) / 9.0], rtol=1e-15)
+        assert op.corner == 0.0
 
 
 def test_sign_convention_and_determinism():
