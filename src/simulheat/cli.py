@@ -104,6 +104,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"T must be positive, got {cfg.T!r}")
     if any(l <= 0 for l in cfg.lambda_sweep):
         raise ConfigError("lambda_sweep entries must be positive")
+    if len(set(cfg.lambda_sweep)) < len(cfg.lambda_sweep):
+        raise ConfigError("lambda_sweep entries must be distinct")
     return cfg
 
 

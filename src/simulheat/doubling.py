@@ -54,7 +54,7 @@ def build_double(grid: Grid1D) -> CircleBasis:
     rows[order] = np.arange(2 * n)
     return CircleBasis(
         eigenvalues=vals,
-        frequencies=np.sqrt(np.maximum(vals, 0.0)),
+        frequencies=np.sqrt(vals),
         grid=doubled,
         walls=walls,
         circle_rows=rows,

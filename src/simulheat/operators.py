@@ -193,24 +193,6 @@ def assemble_laplacian(grid: Grid1D, bc: BoundaryCondition) -> Operator:
     return Operator(bc=bc, diag=diag, off=face[1:n], corner=face[0] if wrap else 0.0, grid=grid)
 
 
-# entries this close to a column's largest magnitude, relative to it, tie with
-# it: mirror-symmetric modes have their peak twice, and which copy rounds
-# larger differs between eigensolvers
-_SIGN_TIE = 1e-8
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's first entry that ties with its largest magnitude
-    positive, flipping in place the columns where it is negative. Its only
-    n x n temporaries are two boolean masks."""
-    thr = (1.0 - _SIGN_TIE) * np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
-    tie = vectors >= thr
-    tie |= vectors <= -thr
-    lead = np.argmax(tie, axis=0)
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return vectors
-
-
 def _snap_kernel(vals: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """vals, ascending, with the structural kernel set to exactly 0: the lowest
     eigenvalue of the Neumann and periodic operators, whose rows sum to zero,
@@ -225,10 +207,11 @@ def eigendecompose(op: Operator) -> EigenBasis:
     """Full weighted-orthonormal eigenbasis of a wall operator, eigenvalues ascending.
 
     S is symmetric tridiagonal, so scipy's divide-and-conquer solver applies
-    and the vectors are mapped back by W^(-1/2); the Neumann wall's structural
-    kernel is set to exactly 0. A stencil or spectrum beyond float64, or any
-    other eigenvalue below 0, raises ValueError. The circle is not solved here:
-    build_double assembles its basis from the two walls.
+    and the vectors are mapped back by W^(-1/2), each with the sign the solver
+    gave it, which no output reads; the Neumann wall's structural kernel is set
+    to exactly 0. A stencil or spectrum beyond float64, or any other eigenvalue
+    below 0, raises ValueError. The circle is not solved here: build_double
+    assembles its basis from the two walls.
     """
     if op.bc is BoundaryCondition.PERIODIC:
         raise ValueError("eigendecompose solves the wall problems; build_double extends them to the circle")
@@ -242,11 +225,11 @@ def eigendecompose(op: Operator) -> EigenBasis:
     # a stencil or spectrum beyond float64, 1/(kappa h^2) underflowed to 0, or a mode rounded below the kernel
     if not (vals.min() >= 0.0 and 0.0 < vals[-1] < np.inf):
         raise ValueError(f"coefficients kappa and a over length {op.grid.length!r} give a stencil beyond float64")
-    vecs /= np.sqrt(op.grid.weights)[:, None]  # in place, as _fix_signs flips: no n x n copy
+    vecs /= np.sqrt(op.grid.weights)[:, None]  # in place: no n x n copy
     return EigenBasis(
         bc=op.bc,
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
-        vectors=_fix_signs(vecs),
+        vectors=vecs,
         grid=op.grid,
     )

@@ -18,7 +18,6 @@ from simulheat.grid import Grid1D
 from simulheat.operators import (
     BoundaryCondition,
     EigenBasis,
-    _fix_signs,
     _snap_kernel,
     assemble_laplacian,
     eigendecompose,
@@ -91,7 +90,7 @@ def dense_eigenbasis(op):
         bc=op.bc,
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
-        vectors=_fix_signs(vecs / np.sqrt(op.grid.weights)[:, None]),
+        vectors=vecs / np.sqrt(op.grid.weights)[:, None],
         grid=op.grid,
     )
 
@@ -288,7 +287,7 @@ def analytic_eigenbasis(grid, bc):
     Dirichlet: sin(k pi x / L) for k = 1..n; Neumann: cos(k pi x / L) for
     k = 0..n-1; Periodic (length = circumference): the wavenumber-k pair,
     with the alternating mode at the top. All share the eigenvalue form
-    (4/h^2) sin^2(k pi h / (2 L_family)). Signs follow eigendecompose's rule.
+    (4/h^2) sin^2(k pi h / (2 L_family)).
     """
     if not np.allclose(grid.weights, grid.h, rtol=1e-12, atol=0):
         raise ValueError("analytic basis requires unit kappa (weights == h)")
@@ -320,7 +319,7 @@ def analytic_eigenbasis(grid, bc):
         bc=bc,
         eigenvalues=vals,
         frequencies=np.sqrt(np.maximum(vals, 0.0)),
-        vectors=_fix_signs(vecs / norms),
+        vectors=vecs / norms,
         grid=grid,
     )
 

@@ -100,6 +100,9 @@ def test_unknown_verb_is_a_usage_error(tmp_path):
         {"n": 32, "region": "0.45,0.55", "lambda_sweep": [10**400]},
         # a * kappa overflows at every face, which must raise no numpy warning
         {"n": 4, "coefficients": {"kappa": [1e200] * 4, "a": [1e200] * 5}},
+        # a repeated cutoff, refused before any LP runs
+        {"n": 64, "region": "0.4,0.6", "lambda_sweep": [4, 4, 7]},
+        {"n": 64, "region": "0.4,0.6", "lambda_sweep": [4, 4]},
     ],
 )
 def test_config_validation_failures_exit_2(tmp_path, capsys, fields):

@@ -252,7 +252,8 @@ def test_circle_view_serves_what_the_dense_basis_did(n, profile):
     kw = VARIABLE if profile == "variable" else {}
     grid, ext, basis_d, basis_n = double_setup(n, **kw)
     E = extended_eigenbasis(ext, basis_d, basis_n).vectors
-    tol = 4 * np.finfo(float).eps * np.max(np.abs(E))
+    eps = np.finfo(float).eps
+    tol = 4 * eps * np.max(np.abs(E))
     rng = np.random.default_rng(n)
     # rows of the lifted window and of a mask on both copies, for every K
     lifted = lift_region(ext, region_from_intervals(grid, [(0.2, 0.6)]))
@@ -263,17 +264,31 @@ def test_circle_view_serves_what_the_dense_basis_did(n, profile):
         assert_array_equal(ext.rows(region), ext.rows(region, 2 * n))
     for K in range(2 * n + 1):
         assert np.max(np.abs(ext.columns(K) - E[:, :K]), initial=0.0) <= tol
-    # each coefficient and each synthesized entry is a sum of 2n terms, which
-    # the two wall products round in another order than the dense product
-    eps = np.finfo(float).eps
+    # Each coefficient and each synthesized entry is one sum of 2n products,
+    # which the view and the dense product with X, the former stored basis
+    # bit for bit, evaluate in different orders. With u = eps/2 and gamma_m =
+    # m u / (1 - m u), a sum whose every term is formed by at most a roundings
+    # and added by at most b more lies within gamma_(a+b) sum|term| of the
+    # exact sum (Higham, Accuracy and Stability, Lemmas 3.1 and 3.4). A
+    # synthesized entry's terms C_k X_jk take X_jk = fl(V_jk / norm_k) and the
+    # product, then at most 2n - 1 additions: 2n + 1; the view's take C_k /
+    # norm_k and the product with V_jk, then n - 1 additions in a wall and one
+    # across: n + 2. A coefficient's terms X_jk (w_j U_j) take one rounding
+    # more on either side (of w U, or of the view's U+ +- U-). So the two
+    # differ by at most 2 gamma_(2n+2) sum|term| per entry, whatever the sign
+    # of any mode; rounding the bar's own sum is a second-order change.
+    X = dense_modes(ext)
+    m = 2 * n + 2
+    bar = 2 * m * (eps / 2) / (1 - m * (eps / 2))
     w = ext.grid.weights
     U = rng.standard_normal(2 * n)
-    c = E.T @ (w * U)
-    assert np.max(np.abs(ext.coefficients(U) - c)) <= 4 * eps * np.max(np.abs(c))
+    wU = w * U
+    c = X.T @ wU
+    assert np.all(np.abs(ext.coefficients(U) - c) <= bar * (np.abs(X).T @ np.abs(wU)))
     stack = rng.standard_normal((5, 2 * n))
     for C in (stack, stack[0]):  # a stack of coefficient sets, and a single one
-        field = C @ E.T
-        assert np.max(np.abs(ext.synthesize(C) - field)) <= 4 * eps * np.max(np.abs(field))
+        field = C @ X.T
+        assert np.all(np.abs(ext.synthesize(C) - field) <= bar * (np.abs(C) @ np.abs(X).T))
 
 
 @pytest.mark.parametrize("n", [2, 3, 64])
