@@ -82,7 +82,8 @@ class EigenBasis:
 
     def rows(self, region: ControlRegion, count: int | None = None) -> np.ndarray:
         """The leading count modes (all of them if None) on the region's cells, one row per cell."""
-        return self.vectors[_cells(self, region), :count]
+        # gathered along each mode, which is contiguous in the Fortran-ordered vectors
+        return self.vectors.T[:count].take(_cells(self, region), axis=1).T
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """All weighted mode coefficients <e_k, u>."""
@@ -140,7 +141,7 @@ class CircleBasis:
         start = 0
         for wall, sign, norms, rows in self._parts(count):
             part = both[:, start : start + len(rows)]
-            np.divide(wall.vectors[base, : len(rows)], norms, out=part)
+            np.divide(wall.vectors.T[: len(rows)].take(base, axis=1).T, norms, out=part)
             if sign < 0:  # odd modes change sign on the mirror copy
                 part[mirror] *= sign
             where[rows] = np.arange(start, start + len(rows))

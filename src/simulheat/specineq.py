@@ -21,7 +21,7 @@ bound is below the best certificate is skipped.
 The estimate also carries sigma_min of the sqrt(w)-weighted restriction, from
 the SVD that makes the rank decision, so the sigma-min surrogate 1/sigma_min
 costs no second SVD. simultaneous_constant estimates both walls and the circle
-at one cutoff and region, folding the wall estimates into the circle's;
+at one cutoff and region, seeding the circle's sweep with the wall certificates;
 fit_exponential fits log(constant) ~ slope * lam to compare against the
 e^{C lam} growth that observability predicts.
 
@@ -123,15 +123,18 @@ def _upper_ends(Z: np.ndarray, El: np.ndarray, Bl: np.ndarray, T: np.ndarray, Vt
     return Y.astype(float), rnorm.astype(float), (np.max(np.abs(Y), axis=1) + rnorm / s_min).astype(float)
 
 
-def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> SpectralConstantEstimate:
+def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion,
+                         seeds: Sequence[np.ndarray] = ()) -> SpectralConstantEstimate:
     """Exact discrete constant of the modes at frequency lam or below, from
-    warm-started LPs over the candidate peak cells.
+    warm-started LPs over the candidate peak cells, starting from the seeds:
+    certificates the caller holds, as coefficients of the leading modes.
 
     Every cell j is first bounded through the upper end of m_j, its refined
     minimum-norm solution of B y = E_j, with residual r_j = E_j - B m_j. The
     cell with the largest bound is solved first, then the others in grid
     order, each warm-started, and a cell whose bound lies below the best
-    re-evaluated certificate so far is skipped: it cannot hold the maximum.
+    re-evaluated certificate so far, the seeds' included, is skipped: it
+    cannot hold the maximum.
     A solved cell i, with refined solution y_i and residual r_i^sol, tightens
     the bounds still in play: y_i + m_j - m_i solves B y = E_j up to the
     residual r_i^sol + r_j - r_i, so
@@ -151,12 +154,12 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     and are not counted. Only cells not yet solved whose bound is still at
     least the best certificate are updated. upper is the max over cells of
     their final bound, U_i at a solved cell; a failed cell keeps its bound
-    and gives no certificate. The constant is the best re-evaluated
-    certificate ratio, so it is self-verifying, and upper bounds it;
-    sigma_min is that of the rank decision. Returns +inf (with a
+    and gives no certificate. The constant is the best re-evaluated ratio
+    over solved cells and seeds, so it is self-verifying, and upper bounds
+    it; sigma_min is that of the rank decision. Returns +inf (with a
     null-direction certificate and sigma_min 0.0) when the restriction is
-    rank-deficient; raises NumericalError when every cell's LP fails or the
-    bracket is wider than _BRACKET_TOL.
+    rank-deficient; raises NumericalError when neither a seed nor a cell's
+    LP gives a certificate, or the bracket is wider than _BRACKET_TOL.
     """
     K = mode_count(basis, lam)
     if K < 1:
@@ -197,8 +200,8 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
     from scipy.optimize._highspy._core import HighsModelStatus
 
     model = _dual_model(rows)
-    best_val = 0.0
-    best_cert: np.ndarray | None = None
+    best_val, best_cert = max(((_ratio(E, region, c), c) for c in seeds), key=lambda vc: vc[0],
+                              default=(0.0, None))
     solved = np.zeros(basis.grid.n, dtype=bool)
     solves = retries = 0
     for i in order:
@@ -229,7 +232,7 @@ def estimate_constant_lp(basis: Basis, lam: float, region: ControlRegion) -> Spe
         slack = 2 * np.finfo(float).eps * (np.max(np.abs(y)) + 3 * m_max)
         reach = np.max(np.abs(y + (M[live] - M[i])), axis=1) + (r_sol + rnorm[live] + rnorm[i]) / s_min + slack
         bounds[live] = np.fmin(bounds[live], reach)  # a NaN reach leaves the bound as it was
-    if not solved.any():
+    if best_cert is None:
         raise NumericalError("LP solver failed on every candidate peak cell")
     upper = float(np.max(bounds))
 
@@ -261,33 +264,19 @@ def simultaneous_constant(ext: CircleBasis, lam: float, region: ControlRegion) -
     extended odd+even basis and the region lifted to the plus copy. By the
     trace identity the objective equals max(||P_D u + P_N v||_inf,
     ||P_D u - P_N v||_inf) over the pair span, so it dominates each wall's
-    constant, whose estimate is folded in too.
+    constant. Each wall certificate keeps its ratio on the circle, so the
+    circle's sweep starts from them and the domination is exact.
     """
     walls = [estimate_constant_lp(b, lam, region) if mode_count(b, lam) else None for b in ext.walls]
-    lifted = lift_region(ext, region)
-    est = estimate_constant_lp(ext, lam, lifted)
-    best, best_cert = est.constant, est.certificate
-
-    # Each wall certificate extends to the circle with peak and region mass
-    # both scaled by 1/sqrt(2), so its ratio carries over unchanged and a
-    # wall's null direction stays one on the lifted region. Folding the
-    # single-family optima in keeps the domination over each family exact
-    # even where a large circle instance returns a slightly interior point.
-    Eext = ext.columns(est.mode_count)
+    seeds = []
     for wall_est, offset in zip(walls, (0, ext.grid.n // 2)):
-        if wall_est is None:
-            continue
-        embedded = np.zeros(est.mode_count)
-        embedded[ext.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
-        if not np.isfinite(wall_est.constant):
-            best, best_cert = np.inf, embedded
-            break
-        val = _ratio(Eext, lifted, embedded)
-        if val > best:
-            best, best_cert = val, embedded
-
-    # a folded wall ratio lies below the circle's constant, up to rounding
-    return (*walls, replace(est, constant=float(best), certificate=best_cert, upper=max(est.upper, float(best))))
+        if wall_est is not None:  # in circle coordinates, peak and region mass both scale by 1/sqrt(2)
+            seeds.append(np.zeros(mode_count(ext, lam)))
+            seeds[-1][ext.circle_rows[offset : offset + wall_est.mode_count]] = wall_est.certificate
+    est = estimate_constant_lp(ext, lam, lift_region(ext, region), seeds)
+    # a wall's null direction is one of the circle's, which the circle's rank decision finds up to rounding
+    unbounded = any(wall_est is not None and wall_est.constant == np.inf for wall_est in walls)
+    return (*walls, replace(est, constant=np.inf, upper=np.inf) if unbounded else est)
 
 
 def fit_exponential(estimates: Sequence[SpectralConstantEstimate]) -> FitResult:

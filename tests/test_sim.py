@@ -227,6 +227,23 @@ def test_pipeline_steers_constant_pairs(n, u0, v0, method):
     assert rep.passed  # read from the propagated final states
 
 
+def test_lr_cost_converges_at_second_order_in_h():
+    # the window's ends are cell faces at every n >= 8, so the region does not
+    # move with n; a second-order scheme shrinks successive cost differences
+    # by 4 per doubling, and a first-order wall (Dirichlet factor 1) by about 2
+    costs = []
+    for n in (64, 128, 256, 512):
+        grid = problem(n)
+        x = grid.centers
+        region = region_from_intervals(grid, [(0.25, 0.375)])
+        rep = run_simultaneous(grid, np.sin(np.pi * x), np.cos(np.pi * x) + 1.0, region, 1.0, "lr")
+        assert rep.passed
+        costs.append(rep.control_cost)
+    diffs = np.diff(costs)
+    ratios = diffs[:-1] / diffs[1:]
+    assert np.all((3.8 <= ratios) & (ratios <= 4.2)), ratios
+
+
 def test_pipeline_split_route_equals_direct_wall_runs():
     grid, region, u0, v0 = pipeline_problem()
     rep = run_simultaneous(grid, u0, v0, region, 1.0, "hum")

@@ -398,8 +398,8 @@ def test_simultaneous_needs_as_many_cells_as_modes():
 
 def test_an_unbounded_wall_hands_the_circle_a_circle_certificate():
     # one window cell under 3 Dirichlet and 4 Neumann modes: the Dirichlet wall
-    # is unbounded, and its null direction must reach the joint estimate in
-    # circle coordinates, not in the wall's
+    # is unbounded, so the joint estimate is too, and its null direction, the
+    # circle's own or the wall's embedded, is in circle coordinates
     grid, ext, _, _ = double_setup(16)
     region = region_from_intervals(grid, [(0.45, 0.5)])
     dirichlet, _, est = simultaneous_constant(ext, 10.0, region)
@@ -420,6 +420,38 @@ def test_simultaneous_dominates_both_walls():
     alone = estimate_constant_lp(ext, lam, lift_region(ext, region))
     assert alone.constant >= max(cd.constant, cn.constant) - 1e-8
     assert alone.constant <= cs.constant
+
+
+@pytest.mark.parametrize("n, window, lam", [(64, (0.3, 0.5), 7.0), (160, (0.45, 0.55), 7.0)])
+def test_lp_seeded_with_its_own_certificate_keeps_its_constant(n, window, lam):
+    grid, ext, _, _ = double_setup(n)
+    lifted = lift_region(ext, region_from_intervals(grid, [window]))
+    est = estimate_constant_lp(ext, lam, lifted)
+    seeded = estimate_constant_lp(ext, lam, lifted, [est.certificate])
+    assert seeded.constant == est.constant
+    assert seeded.lp_solves <= est.lp_solves
+
+
+@pytest.mark.parametrize(
+    "n, window, lam",
+    [(16, (0.0, 1.0), 1.0), (160, (0.45, 0.55), 4.0), (160, (0.45, 0.55), 7.0)],
+    ids=["kernel-only", "sweep-4", "sweep-7"],
+)
+def test_simultaneous_is_at_least_each_embedded_wall_certificate(n, window, lam):
+    # no slack: at the kernel-only cutoff the circle LP alone reads
+    # 1.0000000000000053 and the embedded Neumann certificate 1.0000000000000056
+    grid, ext, _, _ = double_setup(n)
+    region = region_from_intervals(grid, [window])
+    lifted = lift_region(ext, region)
+    *walls, joint = simultaneous_constant(ext, lam, region)
+    E = ext.columns(joint.mode_count)
+    for wall, offset in zip(walls, (0, n)):
+        if wall is None:
+            continue
+        embedded = np.zeros(joint.mode_count)
+        embedded[ext.circle_rows[offset : offset + wall.mode_count]] = wall.certificate
+        p = E @ embedded
+        assert joint.constant >= sup_norm(p) / l1_norm_on(p, lifted)
 
 
 @pytest.mark.parametrize("lam, solves", [(1.0, 2), (7.0, 3)])
